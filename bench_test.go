@@ -5,10 +5,11 @@
 //
 //	go test -bench=. -benchmem .
 //
-// Paper-scale numbers are produced by cmd/c3dexp and recorded in
-// EXPERIMENTS.md; the quick scale preserves the qualitative shape (who wins,
-// roughly by how much) while keeping each benchmark iteration to a few
-// seconds on one core.
+// Paper-scale numbers are produced by cmd/c3dexp (see the README's Quickstart
+// and scaling-study sections); the quick scale preserves the qualitative
+// shape (who wins, roughly by how much) while keeping each benchmark
+// iteration to a few seconds on one core. The quick-scale fig6 output is
+// pinned byte for byte by pkg/c3d/testdata/fig6-quick-golden.json.
 package c3d_test
 
 import (

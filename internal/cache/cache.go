@@ -333,38 +333,40 @@ func (c *Cache) TouchState(b addr.Block, st State) (State, bool) {
 // caller can propagate write-backs or victim-cache fills. Filling a block
 // that is already present updates its state in place and returns an invalid
 // victim.
+//
+// Fill scans the set once, as the Touch accessors do, and still picks the way
+// separate hit, free-way and LRU scans would: a present block is updated
+// before anything else is written; otherwise the block takes the
+// lowest-index invalid way or, only when every way is valid, the first way
+// with the strictly smallest timestamp.
 func (c *Cache) Fill(b addr.Block, st State, dirty bool) Victim {
 	if st == StateInvalid {
 		panic(fmt.Sprintf("cache %s: Fill with invalid state", c.cfg.Name))
 	}
 	c.stats.Fills++
 	set := c.set(b)
-	// Already present: update in place.
+	invalidIdx, lruIdx := -1, 0
 	for i := range set {
-		if set[i].valid && set[i].Block == b {
-			set[i].State = st
-			set[i].Dirty = set[i].Dirty || dirty
-			set[i].lastUse = c.bump()
-			return Victim{}
-		}
-	}
-	// Free way?
-	victimIdx := -1
-	for i := range set {
-		if !set[i].valid {
-			victimIdx = i
-			break
+		if set[i].valid {
+			if set[i].Block == b {
+				// Already present: update in place.
+				set[i].State = st
+				set[i].Dirty = set[i].Dirty || dirty
+				set[i].lastUse = c.bump()
+				return Victim{}
+			}
+			if set[i].lastUse < set[lruIdx].lastUse {
+				lruIdx = i
+			}
+		} else if invalidIdx < 0 {
+			invalidIdx = i
 		}
 	}
 	var victim Victim
+	victimIdx := invalidIdx
 	if victimIdx < 0 {
 		// Evict LRU.
-		victimIdx = 0
-		for i := 1; i < len(set); i++ {
-			if set[i].lastUse < set[victimIdx].lastUse {
-				victimIdx = i
-			}
-		}
+		victimIdx = lruIdx
 		v := set[victimIdx]
 		victim = Victim{Block: v.Block, State: v.State, Dirty: v.Dirty, Valid: true}
 		c.stats.Evictions++

@@ -7,9 +7,10 @@
 // verification (§IV-C).
 //
 // Each experiment returns a structured result with the same rows/series the
-// paper reports plus a formatted table; cmd/c3dexp prints them, the
-// repository-level benchmarks regenerate them, and EXPERIMENTS.md records a
-// full-scale run next to the paper's numbers.
+// paper reports plus a formatted table; cmd/c3dexp prints them (the README's
+// Quickstart and scaling-study sections show how), the repository-level
+// benchmarks regenerate them, and pkg/c3d/testdata/fig6-quick-golden.json
+// pins the quick-scale Fig. 6 bytes.
 package experiments
 
 import (

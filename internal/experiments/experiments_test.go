@@ -12,7 +12,8 @@ import (
 
 // testConfig keeps experiment smoke tests fast: two representative workloads,
 // 8 threads, short streams. The qualitative relationships checked below
-// survive the reduction; the full-scale numbers live in EXPERIMENTS.md.
+// survive the reduction; `c3dexp` without -quick regenerates the full-scale
+// numbers.
 func testConfig() Config {
 	cfg := QuickConfig()
 	cfg.AccessesPerThread = 8000
@@ -150,8 +151,8 @@ func TestFig9C3DCutsTrafficAndStaysNearFullDir(t *testing.T) {
 	fullDir := res.Geomean["full-dir"]
 	snoopy := res.Geomean["snoopy"]
 	// At the reduced test scale most accesses are cold misses, so the
-	// absolute reduction below the baseline (49% at full scale, recorded in
-	// EXPERIMENTS.md) does not materialise; the orderings still must.
+	// absolute reduction below the baseline seen at full scale does not
+	// materialise; the orderings still must.
 	if snoopy <= c3d {
 		t.Errorf("snoopy traffic (%.3f) should exceed C3D's (%.3f)", snoopy, c3d)
 	}

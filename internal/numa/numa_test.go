@@ -101,6 +101,55 @@ func TestHomeIsSticky(t *testing.T) {
 	}
 }
 
+// Home memoises its last answer; Reset must forget it with the placements, so
+// a page memoised on one socket re-resolves to whatever the next run decides.
+func TestHomeMemoClearedByReset(t *testing.T) {
+	pt := NewPageTable(4, FirstTouch2)
+	p := addr.Page(6) // interleaves to socket 2
+	pt.Touch(p, 1, true)
+	if got := pt.Home(p); got != 1 {
+		t.Fatalf("Home = %d, want 1", got)
+	}
+
+	pt.Reset()
+	pt.Touch(p, 3, true)
+	if got := pt.Home(p); got != 3 {
+		t.Errorf("after Reset and a touch from socket 3, Home = %d, want 3", got)
+	}
+
+	pt.Reset()
+	if got := pt.Home(p); got != 2 {
+		t.Errorf("after Reset with no touches, Home = %d, want the interleaved 2", got)
+	}
+	if s := pt.Stats(); s.FallbackInterleaved != 1 || s.Placements != 1 {
+		t.Errorf("after Reset: FallbackInterleaved = %d, Placements = %d; want 1, 1",
+			s.FallbackInterleaved, s.Placements)
+	}
+}
+
+// Under FT2 an unplaced page falls back to interleaving exactly once, however
+// often Home is asked, whether the answer comes from the memo or the table.
+func TestFallbackCountedOncePerPage(t *testing.T) {
+	pt := NewPageTable(4, FirstTouch2)
+	const pages = 10
+	for p := addr.Page(0); p < pages; p++ {
+		pt.Touch(p, 1, false) // initialisation only: no placement
+	}
+	for rep := 0; rep < 3; rep++ {
+		for p := addr.Page(0); p < pages; p++ {
+			for i := 0; i < 3; i++ {
+				if got, want := pt.Home(p), int(p%4); got != want {
+					t.Fatalf("Home(%d) = %d, want %d", p, got, want)
+				}
+			}
+		}
+	}
+	if s := pt.Stats(); s.FallbackInterleaved != pages || s.Placements != pages {
+		t.Errorf("FallbackInterleaved = %d, Placements = %d; want %d each",
+			s.FallbackInterleaved, s.Placements, pages)
+	}
+}
+
 func TestHomeOfBlockAndAddr(t *testing.T) {
 	pt := NewPageTable(4, Interleave)
 	a := addr.Addr(3 * addr.PageBytes) // page 3 -> socket 3

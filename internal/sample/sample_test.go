@@ -37,10 +37,10 @@ func TestParseRoundTrip(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	for _, in := range []string{
-		"stretch=1000",            // missing win
-		"win=100",                 // missing stretch
-		"stretch=0,win=100",       // stretch < 1
-		"stretch=10,win=0",        // win < 1
+		"stretch=1000",      // missing win
+		"win=100",           // missing stretch
+		"stretch=0,win=100", // stretch < 1
+		"stretch=10,win=0",  // win < 1
 		"stretch=10,win=5,warm=-1",
 		"stretch=10,win=5,seed=-3",
 		"stretch=10,win=5,bogus=1",
@@ -124,8 +124,8 @@ func TestEstimateWindowsTooFew(t *testing.T) {
 }
 
 func TestRatioOf(t *testing.T) {
-	a := Estimate{Value: 10, HalfWidth: 1}   // 10% rel
-	b := Estimate{Value: 5, HalfWidth: 0.5}  // 10% rel
+	a := Estimate{Value: 10, HalfWidth: 1}  // 10% rel
+	b := Estimate{Value: 5, HalfWidth: 0.5} // 10% rel
 	r := RatioOf(a, b)
 	if math.Abs(r.Value-2.0) > 1e-12 {
 		t.Errorf("ratio = %v, want 2", r.Value)

@@ -17,6 +17,13 @@ import "fmt"
 // interval at or after its arrival time, which is what an event-driven
 // simulator processing the legs in true time order would do. Reservations far
 // in the past (beyond any transaction's span) are pruned.
+//
+// Invariant: the reservations are disjoint, each has positive length, and they
+// are sorted by start time — so their end times are strictly increasing too.
+// Acquire only inserts a non-empty interval into a gap between its neighbours,
+// and prune only removes intervals, so the invariant holds after every call.
+// place and prune rely on the sorted ends: the reservations that have ended
+// by any time t form a prefix of the list.
 type Resource struct {
 	name string
 	// bytesPerCycle is the service rate. Zero means infinite bandwidth
@@ -24,9 +31,15 @@ type Resource struct {
 	// configurations are modelled.
 	bytesPerCycle float64
 
-	reservations []interval // sorted by start time
+	reservations []interval // sorted by start time, and so by end time
 	maxNow       Time
 	lastPrune    Time
+
+	// lastBytes and lastService memoise serviceTime for the most recent
+	// transfer size. The zero value is a valid entry: a zero-byte transfer
+	// takes zero cycles.
+	lastBytes   int
+	lastService Cycles
 
 	// Statistics.
 	transfers   uint64
@@ -72,50 +85,68 @@ func (r *Resource) Infinite() bool { return r.bytesPerCycle <= 0 }
 // idealised configurations of Fig. 2).
 func (r *Resource) SetInfinite() { r.bytesPerCycle = 0 }
 
+// serviceTime returns how many cycles a transfer of the given size occupies
+// the resource. The result is a pure function of bytes and the (finite)
+// rate, which only SetInfinite changes — and an infinite resource never asks
+// — so caching the last answer returns exactly what recomputing would.
 func (r *Resource) serviceTime(bytes int) Cycles {
+	if bytes == r.lastBytes {
+		return r.lastService
+	}
 	service := Cycles(float64(bytes)/r.bytesPerCycle + 0.5)
 	if service == 0 && bytes > 0 {
 		service = 1
 	}
+	r.lastBytes, r.lastService = bytes, service
 	return service
 }
 
 // place finds the earliest start >= now at which a transfer of the given
 // service duration fits between existing reservations, returning the start
 // time and the index at which the new interval should be inserted.
+//
+// A first-fit scan from index 0 would skip every reservation with
+// end <= now and then walk the rest. Because ends are sorted, the skipped
+// ones are exactly a prefix, so walking back from the tail while the
+// reservation before is still live at now lands on the same first live
+// index, and costs only the few live reservations instead of the long ended
+// prefix. From there on start never lags a reservation's end: start is either
+// now < res.end, or the previous reservation's end, which is at most this
+// one's start < its end. So every reservation overlaps or lies after start,
+// and the loop need not test for ones that ended before it.
 func (r *Resource) place(now Time, service Cycles) (Time, int) {
+	res := r.reservations
+	i := len(res)
+	for i > 0 && res[i-1].end > now {
+		i--
+	}
 	start := now
-	for i, res := range r.reservations {
-		if res.end <= start {
-			continue
-		}
-		if res.start >= start.Add(service) {
+	for ; i < len(res); i++ {
+		if res[i].start >= start.Add(service) {
 			// The transfer fits entirely before this reservation.
 			return start, i
 		}
 		// Overlap: try after this reservation.
-		if res.end > start {
-			start = res.end
-		}
+		start = res[i].end
 	}
-	return start, len(r.reservations)
+	return start, len(res)
 }
 
+// prune forgets the reservations that ended before the horizon. Because ends
+// are sorted, they form a prefix of the list, so prune finds its length and
+// shifts the rest down once.
 func (r *Resource) prune() {
-	if len(r.reservations) == 0 {
-		return
-	}
 	var horizon Time
 	if r.maxNow > pruneHorizon {
 		horizon = r.maxNow - pruneHorizon
 	}
-	keep := r.reservations[:0]
-	for _, res := range r.reservations {
-		if res.end >= horizon {
-			keep = append(keep, res)
-		}
+	n := 0
+	for n < len(r.reservations) && r.reservations[n].end < horizon {
+		n++
 	}
-	r.reservations = keep
+	if n > 0 {
+		r.reservations = r.reservations[:copy(r.reservations, r.reservations[n:])]
+	}
 }
 
 // Acquire reserves the resource for a transfer of size bytes starting no
