@@ -74,13 +74,6 @@ type PageTable struct {
 	policy  Policy
 	homes   map[addr.Page]int
 	stats   Stats
-
-	// memoPage and memoHome remember the last page Home resolved, valid when
-	// memoOK. A placed page never moves, so the memo cannot go stale until
-	// Reset forgets every placement (and the memo with them).
-	memoPage addr.Page
-	memoHome int
-	memoOK   bool
 }
 
 // Stats describes the placement decisions a page table has made.
@@ -120,7 +113,6 @@ func (pt *PageTable) Reset() {
 	clear(pt.stats.PagesPerSocket)
 	pt.stats.Placements = 0
 	pt.stats.FallbackInterleaved = 0
-	pt.memoOK = false
 }
 
 // Policy returns the placement policy.
@@ -183,20 +175,13 @@ func (pt *PageTable) Touch(p addr.Page, socket int, parallel bool) (home int, ok
 // (possible under FirstTouch2 when a page is only touched during
 // initialisation) fall back to interleaving, and the fallback is recorded in
 // the statistics.
-//
-// Callers resolve the same page back to back (the machine for a block, then
-// the design engine for the same block), so the last answer is memoised.
 func (pt *PageTable) Home(p addr.Page) int {
-	if pt.memoOK && pt.memoPage == p {
-		return pt.memoHome
+	if h, ok := pt.homes[p]; ok {
+		return h
 	}
-	h, ok := pt.homes[p]
-	if !ok {
-		h = pt.interleaveHome(p)
-		pt.place(p, h)
-		pt.stats.FallbackInterleaved++
-	}
-	pt.memoPage, pt.memoHome, pt.memoOK = p, h, true
+	h := pt.interleaveHome(p)
+	pt.place(p, h)
+	pt.stats.FallbackInterleaved++
 	return h
 }
 

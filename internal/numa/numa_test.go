@@ -101,9 +101,9 @@ func TestHomeIsSticky(t *testing.T) {
 	}
 }
 
-// Home memoises its last answer; Reset must forget it with the placements, so
-// a page memoised on one socket re-resolves to whatever the next run decides.
-func TestHomeMemoClearedByReset(t *testing.T) {
+// Reset forgets every placement, so a page homed on one socket re-resolves to
+// whatever the next run's touches decide.
+func TestResetForgetsHomes(t *testing.T) {
 	pt := NewPageTable(4, FirstTouch2)
 	p := addr.Page(6) // interleaves to socket 2
 	pt.Touch(p, 1, true)
@@ -128,7 +128,7 @@ func TestHomeMemoClearedByReset(t *testing.T) {
 }
 
 // Under FT2 an unplaced page falls back to interleaving exactly once, however
-// often Home is asked, whether the answer comes from the memo or the table.
+// often Home is asked.
 func TestFallbackCountedOncePerPage(t *testing.T) {
 	pt := NewPageTable(4, FirstTouch2)
 	const pages = 10

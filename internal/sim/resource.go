@@ -35,12 +35,6 @@ type Resource struct {
 	maxNow       Time
 	lastPrune    Time
 
-	// lastBytes and lastService memoise serviceTime for the most recent
-	// transfer size. The zero value is a valid entry: a zero-byte transfer
-	// takes zero cycles.
-	lastBytes   int
-	lastService Cycles
-
 	// Statistics.
 	transfers   uint64
 	bytesServed uint64
@@ -85,19 +79,11 @@ func (r *Resource) Infinite() bool { return r.bytesPerCycle <= 0 }
 // idealised configurations of Fig. 2).
 func (r *Resource) SetInfinite() { r.bytesPerCycle = 0 }
 
-// serviceTime returns how many cycles a transfer of the given size occupies
-// the resource. The result is a pure function of bytes and the (finite)
-// rate, which only SetInfinite changes — and an infinite resource never asks
-// — so caching the last answer returns exactly what recomputing would.
 func (r *Resource) serviceTime(bytes int) Cycles {
-	if bytes == r.lastBytes {
-		return r.lastService
-	}
 	service := Cycles(float64(bytes)/r.bytesPerCycle + 0.5)
 	if service == 0 && bytes > 0 {
 		service = 1
 	}
-	r.lastBytes, r.lastService = bytes, service
 	return service
 }
 
