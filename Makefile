@@ -16,7 +16,7 @@ LDFLAGS := -X c3d/pkg/c3d.buildVersion=$(VERSION) \
            -X c3d/pkg/c3d.buildCommit=$(GIT_SHA) \
            -X c3d/pkg/c3d.buildDate=$(BUILD_DATE)
 
-.PHONY: all build binaries test race lint lint-fmt lint-analyzers vet bench bench-smoke bench-json determinism topology-smoke trace-roundtrip fuzz-smoke daemon-smoke fleet-smoke chaos-smoke spec-smoke sample-smoke ci
+.PHONY: all build binaries test bench-test race lint lint-fmt lint-analyzers vet bench bench-smoke bench-json determinism topology-smoke trace-roundtrip fuzz-smoke daemon-smoke fleet-smoke chaos-smoke spec-smoke sample-smoke ci
 
 all: build
 
@@ -32,6 +32,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# bench/ is its own Go module, so `go test ./...` above never compiles the
+# benchmark harness; this runs its tests against the working tree.
+bench-test:
+	cd bench && $(GO) test ./...
 
 lint: lint-fmt vet lint-analyzers
 
@@ -223,4 +228,4 @@ sample-smoke:
 	$(GO) build -ldflags "$(LDFLAGS)" -o /tmp/c3dexp-sample ./cmd/c3dexp
 	$(GO) run ./internal/smoketest/sample -bin /tmp/c3dexp-sample
 
-ci: lint build race bench-json determinism topology-smoke trace-roundtrip fuzz-smoke daemon-smoke fleet-smoke chaos-smoke spec-smoke sample-smoke
+ci: lint build race bench-test bench-json determinism topology-smoke trace-roundtrip fuzz-smoke daemon-smoke fleet-smoke chaos-smoke spec-smoke sample-smoke

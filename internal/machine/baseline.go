@@ -41,7 +41,7 @@ func handleRecall(m *Machine, now sim.Time, home *Socket, recall coherence.Recal
 	if !recall.Valid {
 		return
 	}
-	m.counters.dirRecalls++
+	m.counters.DirRecalls++
 	targets := recall.Entry.Sharers
 	if recall.Entry.State == coherence.DirModified {
 		targets = coherence.NewSharerSet(recall.Entry.Owner)

@@ -73,7 +73,7 @@ func (e *fullDirEngine) ReadMiss(now sim.Time, sock *Socket, coreID int, b addr.
 			}
 		} else {
 			// The dirty block lives only in the owner's DRAM cache.
-			m.counters.remoteDRAMProbes++
+			m.counters.RemoteDRAMProbes++
 			_, _, probeDone := owner.dramCache.Probe(t, b)
 			t = probeDone
 			owner.dramCache.CleanBlock(b)
@@ -113,7 +113,7 @@ func (e *fullDirEngine) WriteMiss(now sim.Time, sock *Socket, coreID int, b addr
 		if onChip && (chipDirty || state == coherence.LineModified) {
 			fwd = fwd.Add(m.cfg.LLCDataLatency)
 		} else {
-			m.counters.remoteDRAMProbes++
+			m.counters.RemoteDRAMProbes++
 			_, _, probeDone := owner.dramCache.Probe(fwd, b)
 			fwd = probeDone
 		}

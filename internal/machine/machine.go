@@ -15,29 +15,6 @@ import (
 	"c3d/internal/workload"
 )
 
-// accessCounters aggregates machine-level accounting that is not owned by a
-// single component.
-type accessCounters struct {
-	loads  uint64
-	stores uint64
-
-	llcMisses      uint64
-	llcAccesses    uint64
-	remoteAccesses uint64 // LLC misses whose home is a remote socket
-
-	memReads        uint64
-	memWrites       uint64
-	remoteMemReads  uint64
-	remoteMemWrites uint64
-
-	broadcasts        uint64
-	broadcastsAvoided uint64
-	dirRecalls        uint64
-	remoteDRAMProbes  uint64 // probes of remote DRAM caches (snoopy/full-dir pathology)
-
-	loadLatency stats.LatencyAccumulator
-}
-
 // Machine is the complete simulated NUMA system.
 type Machine struct {
 	cfg     Config
@@ -50,7 +27,10 @@ type Machine struct {
 
 	engine Engine
 
-	counters accessCounters
+	// counters holds the machine-level counts not owned by a component;
+	// its broadcast fields stay zero (the C3D directories count those).
+	counters    Counters
+	loadLatency stats.LatencyAccumulator
 }
 
 // New builds a machine from cfg. It panics on an invalid configuration
@@ -141,33 +121,33 @@ func (m *Machine) home(b addr.Block) *Socket {
 func (m *Machine) Read(now sim.Time, coreID int, a addr.Addr) sim.Time {
 	sock := m.socketOf(coreID)
 	b := addr.BlockOf(a)
-	m.counters.loads++
+	m.counters.Loads++
 	m.classify(coreID, a)
 
 	// L1.
 	l1 := sock.l1Of(coreID)
 	t := now.Add(m.cfg.L1Latency)
 	if _, hit := l1.Lookup(b); hit {
-		m.counters.loadLatency.Observe(uint64(t.Sub(now)))
+		m.loadLatency.Observe(uint64(t.Sub(now)))
 		return t
 	}
 	// LLC (the local directory lookup is part of the LLC tag access).
-	m.counters.llcAccesses++
+	m.counters.LLCAccesses++
 	if _, hit := sock.llc.Lookup(b); hit {
 		t = t.Add(m.cfg.LLCTagLatency).Add(m.cfg.LLCDataLatency)
 		m.fillL1(sock, coreID, b, coherence.LineShared)
-		m.counters.loadLatency.Observe(uint64(t.Sub(now)))
+		m.loadLatency.Observe(uint64(t.Sub(now)))
 		return t
 	}
 	t = t.Add(m.cfg.LLCTagLatency)
-	m.counters.llcMisses++
+	m.counters.LLCMisses++
 	if m.home(b) != sock {
-		m.counters.remoteAccesses++
+		m.counters.RemoteLLCMisses++
 	}
 	done := m.engine.ReadMiss(t, sock, coreID, b)
 	m.fillLLC(done, sock, coreID, b, coherence.LineShared, false)
 	m.fillL1(sock, coreID, b, coherence.LineShared)
-	m.counters.loadLatency.Observe(uint64(done.Sub(now)))
+	m.loadLatency.Observe(uint64(done.Sub(now)))
 	return done
 }
 
@@ -176,7 +156,7 @@ func (m *Machine) Read(now sim.Time, coreID int, a addr.Addr) sim.Time {
 func (m *Machine) Write(now sim.Time, coreID int, a addr.Addr) sim.Time {
 	sock := m.socketOf(coreID)
 	b := addr.BlockOf(a)
-	m.counters.stores++
+	m.counters.Stores++
 	m.classify(coreID, a)
 
 	l1 := sock.l1Of(coreID)
@@ -189,7 +169,7 @@ func (m *Machine) Write(now sim.Time, coreID int, a addr.Addr) sim.Time {
 	// LLC lookup: a Modified LLC line means the socket already owns the
 	// block; within-socket sharing is resolved by the local directory
 	// (modelled as the LLC tag+data latency).
-	m.counters.llcAccesses++
+	m.counters.LLCAccesses++
 	line, hit := sock.llc.Lookup(b)
 	if hit && line.State == coherence.LineModified {
 		t = t.Add(m.cfg.LLCTagLatency).Add(m.cfg.LLCDataLatency)
@@ -200,9 +180,9 @@ func (m *Machine) Write(now sim.Time, coreID int, a addr.Addr) sim.Time {
 	}
 	t = t.Add(m.cfg.LLCTagLatency)
 	upgrade := hit && line.State == coherence.LineShared
-	m.counters.llcMisses++
+	m.counters.LLCMisses++
 	if m.home(b) != sock {
-		m.counters.remoteAccesses++
+		m.counters.RemoteLLCMisses++
 	}
 	done := m.engine.WriteMiss(t, sock, coreID, b, upgrade)
 	m.fillLLC(done, sock, coreID, b, coherence.LineModified, true)
@@ -268,9 +248,9 @@ func (m *Machine) sendData(now sim.Time, from, to *Socket) sim.Time {
 // memRead reads the block from its home memory and accounts whether the
 // requester was remote.
 func (m *Machine) memRead(now sim.Time, homeSock *Socket, requester *Socket, b addr.Block) sim.Time {
-	m.counters.memReads++
+	m.counters.MemReads++
 	if homeSock != requester {
-		m.counters.remoteMemReads++
+		m.counters.RemoteMemReads++
 	}
 	return homeSock.mem.Read(now, b)
 }
@@ -278,9 +258,9 @@ func (m *Machine) memRead(now sim.Time, homeSock *Socket, requester *Socket, b a
 // memWrite writes the block to its home memory and accounts whether the
 // writer was remote.
 func (m *Machine) memWrite(now sim.Time, homeSock *Socket, requester *Socket, b addr.Block) sim.Time {
-	m.counters.memWrites++
+	m.counters.MemWrites++
 	if homeSock != requester {
-		m.counters.remoteMemWrites++
+		m.counters.RemoteMemWrites++
 	}
 	return homeSock.mem.Write(now, b)
 }
@@ -288,42 +268,23 @@ func (m *Machine) memWrite(now sim.Time, homeSock *Socket, requester *Socket, b 
 // dirLatency returns the global directory access latency.
 func (m *Machine) dirLatency() sim.Cycles { return m.cfg.GlobalDirLatency }
 
-// Counters exposes a snapshot of the machine-level counters (used by tests
-// and the runner). Broadcast counts are aggregated from the C3D directory
-// slices; they are zero for the other designs.
+// Counters returns the machine-level counters accumulated since the machine
+// was built, reset or last warmed up. Broadcast counts are aggregated from
+// the C3D directory slices; they are zero for the other designs.
 func (m *Machine) Counters() Counters {
-	c := m.counters
-	out := Counters{
-		Loads:            c.loads,
-		Stores:           c.stores,
-		LLCAccesses:      c.llcAccesses,
-		LLCMisses:        c.llcMisses,
-		RemoteLLCMisses:  c.remoteAccesses,
-		MemReads:         c.memReads,
-		MemWrites:        c.memWrites,
-		RemoteMemReads:   c.remoteMemReads,
-		RemoteMemWrites:  c.remoteMemWrites,
-		DirRecalls:       c.dirRecalls,
-		RemoteDRAMProbes: c.remoteDRAMProbes,
-		MeanLoadLatency:  c.loadLatency.Mean(),
-	}
-	for _, s := range m.sockets {
-		if s.c3dDir != nil {
-			ds := s.c3dDir.Stats()
-			out.Broadcasts += ds.Broadcasts
-			out.BroadcastsAvoided += ds.BroadcastsAvd
-		}
-	}
-	return out
+	c := m.tally().Counters
+	c.MeanLoadLatency = m.loadLatency.Mean()
+	return c
 }
 
-// Counters is the exported snapshot of machine-level accounting.
+// Counters is the exported snapshot of machine-level accounting. Every
+// uint64 field is a count that sampled runs extrapolate (see tally).
 type Counters struct {
 	Loads             uint64
 	Stores            uint64
 	LLCAccesses       uint64
 	LLCMisses         uint64
-	RemoteLLCMisses   uint64
+	RemoteLLCMisses   uint64 // LLC misses whose home is a remote socket
 	MemReads          uint64
 	MemWrites         uint64
 	RemoteMemReads    uint64
@@ -331,7 +292,7 @@ type Counters struct {
 	Broadcasts        uint64
 	BroadcastsAvoided uint64
 	DirRecalls        uint64
-	RemoteDRAMProbes  uint64
+	RemoteDRAMProbes  uint64 // probes of remote DRAM caches (snoopy/full-dir pathology)
 	MeanLoadLatency   float64
 }
 
@@ -367,7 +328,7 @@ func (c Counters) LLCMissRate() float64 {
 // freshly built machine's, so sweeps and benchmarks reuse machines across
 // repetitions instead of paying construction for every job.
 func (m *Machine) Reset() {
-	m.counters = accessCounters{}
+	m.counters, m.loadLatency = Counters{}, stats.LatencyAccumulator{}
 	m.fabric.Reset()
 	m.pageTable.Reset()
 	m.classifier.Reset()
@@ -380,7 +341,7 @@ func (m *Machine) Reset() {
 // resetStats clears every statistic in the machine (cores excepted — the
 // runner resets those) without touching cache or directory contents.
 func (m *Machine) resetStats() {
-	m.counters = accessCounters{}
+	m.counters, m.loadLatency = Counters{}, stats.LatencyAccumulator{}
 	m.fabric.ResetStats()
 	for _, s := range m.sockets {
 		s.resetStats()

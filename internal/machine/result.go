@@ -2,6 +2,8 @@ package machine
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"strings"
 
 	"c3d/internal/cpu"
@@ -43,7 +45,8 @@ type RunResult struct {
 	// DRAMCacheHitRate is the aggregate hit rate across all private DRAM
 	// caches (0 for the baseline design).
 	DRAMCacheHitRate float64
-	// DRAMCacheStats aggregates per-socket DRAM cache counters.
+	// DRAMCacheStats aggregates per-socket DRAM cache counters. Predictor
+	// statistics are not aggregated, so Predictor is always zero here.
 	DRAMCacheStats dramcache.Stats
 
 	// PerCore holds each core's execution statistics.
@@ -60,6 +63,101 @@ type RunResult struct {
 	// sampled/total access counts, and the 95% confidence half-width of each
 	// derived metric. Full-detail runs omit it, so their JSON is unchanged.
 	Sampling *SamplingResult `json:",omitempty"`
+}
+
+// tally is every count a RunResult reports. The field declarations of the
+// structs it holds are the counter schema: apply reaches each top-level
+// uint64 of them, so a counter added to any of these structs is differenced,
+// summed and extrapolated by sampled runs without further edits.
+type tally struct {
+	Counters
+	Fabric interconnect.Stats
+	// DRAM sums the per-socket DRAM cache statistics.
+	DRAM dramcache.Stats
+	// LatCount and LatTotal are the load-latency observations and their sum.
+	LatCount, LatTotal uint64
+	// Elided counts broadcasts removed by the §IV-D filter.
+	Elided uint64
+}
+
+// apply sets each count c of t to op(c, u's count).
+func (t *tally) apply(u tally, op func(a, b uint64) uint64) {
+	eachU64(t, u, op)
+	eachU64(&t.Counters, u.Counters, op)
+	eachU64(&t.Fabric, u.Fabric, op)
+	eachU64(&t.DRAM, u.DRAM, op)
+}
+
+func add(a, b uint64) uint64 { return a + b }
+func sub(a, b uint64) uint64 { return a - b }
+
+// eachU64 sets each top-level uint64 field f of *dst to op(f, src's f). It
+// neither recurses into nested structs nor touches floats: derived values
+// such as means are recomputed from the counts instead.
+func eachU64[T any](dst *T, src T, op func(a, b uint64) uint64) {
+	d, s := reflect.ValueOf(dst).Elem(), reflect.ValueOf(src)
+	for i := range d.NumField() {
+		if f := d.Field(i); f.Kind() == reflect.Uint64 {
+			f.SetUint(op(f.Uint(), s.Field(i).Uint()))
+		}
+	}
+}
+
+// tally reads the machine's counts since the last reset or warm-up boundary.
+func (m *Machine) tally() tally {
+	t := tally{
+		Counters: m.counters,
+		Fabric:   m.fabric.Stats(),
+		LatCount: m.loadLatency.Count(),
+		LatTotal: m.loadLatency.Total(),
+		Elided:   m.filter.Elided(),
+	}
+	for _, s := range m.sockets {
+		if s.c3dDir != nil {
+			ds := s.c3dDir.Stats()
+			t.Broadcasts += ds.Broadcasts
+			t.BroadcastsAvoided += ds.BroadcastsAvd
+		}
+		if s.dramCache != nil {
+			eachU64(&t.DRAM, s.dramCache.Stats(), add)
+		}
+	}
+	return t
+}
+
+// result builds the RunResult of a run that took cycles to execute instr
+// instructions on cores. Every count is t's scaled by f (1 for a full run,
+// the total-to-measured access ratio for a sampled one); the mean load
+// latency and the DRAM cache hit rate come from the unscaled t.
+func (m *Machine) result(name string, cores []*coreRunner, cycles, instr uint64, t tally, f float64) RunResult {
+	s := t
+	s.apply(t, func(v, _ uint64) uint64 { return uint64(math.Round(float64(v) * f)) })
+	if t.LatCount > 0 {
+		s.MeanLoadLatency = float64(t.LatTotal) / float64(t.LatCount)
+	}
+	res := RunResult{
+		Design:                  m.cfg.Design,
+		Workload:                name,
+		Sockets:                 m.cfg.Sockets,
+		Cores:                   m.cfg.Cores(),
+		Policy:                  m.cfg.MemPolicy,
+		Topology:                m.fabric.Topology(),
+		Cycles:                  cycles,
+		Instructions:            instr,
+		Counters:                s.Counters,
+		InterSocketBytes:        s.Fabric.TotalBytes,
+		InterSocketControlBytes: s.Fabric.ControlBytes,
+		InterSocketDataBytes:    s.Fabric.DataBytes,
+		InterSocketMessages:     s.Fabric.Messages,
+		DRAMCacheHitRate:        t.DRAM.HitRate(),
+		DRAMCacheStats:          s.DRAM,
+		PageStats:               m.pageTable.Stats(),
+		BroadcastFilterElided:   s.Elided,
+	}
+	for _, cr := range cores {
+		res.PerCore = append(res.PerCore, cr.core.Stats())
+	}
+	return res
 }
 
 // IPC returns aggregate instructions per cycle (instructions across all

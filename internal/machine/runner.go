@@ -121,25 +121,13 @@ func (m *Machine) RunSource(ctx context.Context, src trace.Source, opts RunOptio
 		return RunResult{}, err
 	}
 	var cycles sim.Time
-	instructions := uint64(0)
-	res := RunResult{}
-	perCore := res.PerCore
+	var instr uint64
 	for _, cr := range cores {
-		done := cr.core.Drain()
-		if done > cycles {
-			cycles = done
-		}
-		st := cr.core.Stats()
-		instructions += st.Instructions
-		perCore = append(perCore, st)
+		cycles = max(cycles, cr.core.Drain())
+		instr += cr.core.Stats().Instructions
 	}
-
-	res = m.collectResult(src.Name(), uint64(cycles), instructions)
-	res.PerCore = perCore
-	if err := m.CheckInvariants(); err != nil {
-		return res, err
-	}
-	return res, nil
+	res := m.result(src.Name(), cores, uint64(cycles), instr, m.tally(), 1)
+	return res, m.CheckInvariants()
 }
 
 // MustRun is Run for callers that treat failures as programming errors
@@ -371,48 +359,4 @@ func (h *runnerHeap) popRoot() {
 	if last > 0 {
 		h.fixRoot()
 	}
-}
-
-// collectResult assembles a RunResult from the machine's current statistics.
-func (m *Machine) collectResult(name string, cycles, instructions uint64) RunResult {
-	res := RunResult{
-		Design:       m.cfg.Design,
-		Workload:     name,
-		Sockets:      m.cfg.Sockets,
-		Cores:        m.cfg.Cores(),
-		Policy:       m.cfg.MemPolicy,
-		Topology:     m.fabric.Topology(),
-		Cycles:       cycles,
-		Instructions: instructions,
-		Counters:     m.Counters(),
-		PageStats:    m.pageTable.Stats(),
-	}
-	fs := m.fabric.Stats()
-	res.InterSocketBytes = fs.TotalBytes
-	res.InterSocketControlBytes = fs.ControlBytes
-	res.InterSocketDataBytes = fs.DataBytes
-	res.InterSocketMessages = fs.Messages
-	if m.cfg.Design.HasDRAMCache() {
-		var agg struct {
-			hits, accesses uint64
-		}
-		for _, s := range m.sockets {
-			ds := s.dramCache.Stats()
-			agg.hits += ds.ReadHits + ds.WriteHits
-			agg.accesses += ds.Accesses()
-			res.DRAMCacheStats.Reads += ds.Reads
-			res.DRAMCacheStats.Writes += ds.Writes
-			res.DRAMCacheStats.ReadHits += ds.ReadHits
-			res.DRAMCacheStats.WriteHits += ds.WriteHits
-			res.DRAMCacheStats.Fills += ds.Fills
-			res.DRAMCacheStats.Evictions += ds.Evictions
-			res.DRAMCacheStats.DirtyEvicts += ds.DirtyEvicts
-			res.DRAMCacheStats.Invalidates += ds.Invalidates
-		}
-		if agg.accesses > 0 {
-			res.DRAMCacheHitRate = float64(agg.hits) / float64(agg.accesses)
-		}
-	}
-	res.BroadcastFilterElided = m.filter.Elided()
-	return res
 }

@@ -9,7 +9,6 @@ import (
 	"c3d/internal/cache"
 	"c3d/internal/coherence"
 	"c3d/internal/dramcache"
-	"c3d/internal/interconnect"
 	"c3d/internal/sample"
 	"c3d/internal/sim"
 	"c3d/internal/trace"
@@ -277,155 +276,13 @@ func (m *Machine) touchWrite(ff *ffCore, coreID int, b addr.Block) {
 	}
 }
 
-// sampleSnap is a point-in-time snapshot of every statistic a measured window
-// reports, taken at window boundaries so windows are pure deltas.
-type sampleSnap struct {
-	counters Counters
-	latCount uint64
-	latTotal uint64
-	fabric   interconnect.Stats
-	dram     dramcache.Stats
-	elided   uint64
-	instr    uint64
-	makespan sim.Time
-}
-
-func (m *Machine) sampleSnapshot(cores []*coreRunner) sampleSnap {
-	s := sampleSnap{
-		counters: m.Counters(),
-		latCount: m.counters.loadLatency.Count(),
-		latTotal: m.counters.loadLatency.Total(),
-		fabric:   m.fabric.Stats(),
-		elided:   m.filter.Elided(),
-	}
-	for _, sock := range m.sockets {
-		if sock.dramCache != nil {
-			addDRAMStats(&s.dram, sock.dramCache.Stats())
-		}
-	}
+// progress returns the cores' total instruction count and latest local time.
+func progress(cores []*coreRunner) (instr uint64, now sim.Time) {
 	for _, cr := range cores {
-		s.instr += cr.core.Stats().Instructions
-		if now := cr.core.Now(); now > s.makespan {
-			s.makespan = now
-		}
+		instr += cr.core.Stats().Instructions
+		now = max(now, cr.core.Now())
 	}
-	return s
-}
-
-func addDRAMStats(dst *dramcache.Stats, ds dramcache.Stats) {
-	dst.Reads += ds.Reads
-	dst.Writes += ds.Writes
-	dst.ReadHits += ds.ReadHits
-	dst.WriteHits += ds.WriteHits
-	dst.Fills += ds.Fills
-	dst.Evictions += ds.Evictions
-	dst.DirtyEvicts += ds.DirtyEvicts
-	dst.Invalidates += ds.Invalidates
-}
-
-func subDRAMStats(a, b dramcache.Stats) dramcache.Stats {
-	return dramcache.Stats{
-		Reads:       a.Reads - b.Reads,
-		Writes:      a.Writes - b.Writes,
-		ReadHits:    a.ReadHits - b.ReadHits,
-		WriteHits:   a.WriteHits - b.WriteHits,
-		Fills:       a.Fills - b.Fills,
-		Evictions:   a.Evictions - b.Evictions,
-		DirtyEvicts: a.DirtyEvicts - b.DirtyEvicts,
-		Invalidates: a.Invalidates - b.Invalidates,
-	}
-}
-
-func subCounters(a, b Counters) Counters {
-	return Counters{
-		Loads:             a.Loads - b.Loads,
-		Stores:            a.Stores - b.Stores,
-		LLCAccesses:       a.LLCAccesses - b.LLCAccesses,
-		LLCMisses:         a.LLCMisses - b.LLCMisses,
-		RemoteLLCMisses:   a.RemoteLLCMisses - b.RemoteLLCMisses,
-		MemReads:          a.MemReads - b.MemReads,
-		MemWrites:         a.MemWrites - b.MemWrites,
-		RemoteMemReads:    a.RemoteMemReads - b.RemoteMemReads,
-		RemoteMemWrites:   a.RemoteMemWrites - b.RemoteMemWrites,
-		Broadcasts:        a.Broadcasts - b.Broadcasts,
-		BroadcastsAvoided: a.BroadcastsAvoided - b.BroadcastsAvoided,
-		DirRecalls:        a.DirRecalls - b.DirRecalls,
-		RemoteDRAMProbes:  a.RemoteDRAMProbes - b.RemoteDRAMProbes,
-	}
-}
-
-// measAccum accumulates the measured-window deltas that are later
-// extrapolated to full-stream totals.
-type measAccum struct {
-	counters Counters
-	latCount uint64
-	latTotal uint64
-	fabric   interconnect.Stats
-	dram     dramcache.Stats
-	elided   uint64
-	instr    uint64
-	cycles   uint64
-}
-
-func (a *measAccum) add(s0, s1 sampleSnap) {
-	d := subCounters(s1.counters, s0.counters)
-	a.counters = addCounters(a.counters, d)
-	a.latCount += s1.latCount - s0.latCount
-	a.latTotal += s1.latTotal - s0.latTotal
-	a.fabric.Messages += s1.fabric.Messages - s0.fabric.Messages
-	a.fabric.ControlMsgs += s1.fabric.ControlMsgs - s0.fabric.ControlMsgs
-	a.fabric.DataMsgs += s1.fabric.DataMsgs - s0.fabric.DataMsgs
-	a.fabric.TotalBytes += s1.fabric.TotalBytes - s0.fabric.TotalBytes
-	a.fabric.ControlBytes += s1.fabric.ControlBytes - s0.fabric.ControlBytes
-	a.fabric.DataBytes += s1.fabric.DataBytes - s0.fabric.DataBytes
-	a.fabric.HopsTraversed += s1.fabric.HopsTraversed - s0.fabric.HopsTraversed
-	a.dram = addDRAMPair(a.dram, subDRAMStats(s1.dram, s0.dram))
-	a.elided += s1.elided - s0.elided
-	a.instr += s1.instr - s0.instr
-	a.cycles += uint64(s1.makespan - s0.makespan)
-}
-
-func addCounters(a, b Counters) Counters {
-	return Counters{
-		Loads:             a.Loads + b.Loads,
-		Stores:            a.Stores + b.Stores,
-		LLCAccesses:       a.LLCAccesses + b.LLCAccesses,
-		LLCMisses:         a.LLCMisses + b.LLCMisses,
-		RemoteLLCMisses:   a.RemoteLLCMisses + b.RemoteLLCMisses,
-		MemReads:          a.MemReads + b.MemReads,
-		MemWrites:         a.MemWrites + b.MemWrites,
-		RemoteMemReads:    a.RemoteMemReads + b.RemoteMemReads,
-		RemoteMemWrites:   a.RemoteMemWrites + b.RemoteMemWrites,
-		Broadcasts:        a.Broadcasts + b.Broadcasts,
-		BroadcastsAvoided: a.BroadcastsAvoided + b.BroadcastsAvoided,
-		DirRecalls:        a.DirRecalls + b.DirRecalls,
-		RemoteDRAMProbes:  a.RemoteDRAMProbes + b.RemoteDRAMProbes,
-	}
-}
-
-func addDRAMPair(a, b dramcache.Stats) dramcache.Stats {
-	addDRAMStats(&a, b)
-	return a
-}
-
-// windowOf converts one boundary pair into the estimator's window form.
-func windowOf(s0, s1 sampleSnap) sample.Window {
-	c0, c1 := s0.counters, s1.counters
-	return sample.Window{
-		Accesses:          (c1.Loads + c1.Stores) - (c0.Loads + c0.Stores),
-		Instructions:      s1.instr - s0.instr,
-		Cycles:            uint64(s1.makespan - s0.makespan),
-		LLCAccesses:       c1.LLCAccesses - c0.LLCAccesses,
-		LLCMisses:         c1.LLCMisses - c0.LLCMisses,
-		FabricBytes:       s1.fabric.TotalBytes - s0.fabric.TotalBytes,
-		MemAccesses:       c1.MemAccesses() - c0.MemAccesses(),
-		RemoteMemAccesses: c1.RemoteMemAccesses() - c0.RemoteMemAccesses(),
-	}
-}
-
-// scaleU64 extrapolates a measured-window count to the full stream.
-func scaleU64(v uint64, f float64) uint64 {
-	return uint64(math.Round(float64(v) * f))
+	return instr, now
 }
 
 // runSampled executes the SMARTS-style sampled schedule over the cores:
@@ -537,7 +394,8 @@ func (m *Machine) runSampled(ctx context.Context, src trace.Source, cores []*cor
 		return RunResult{}, err
 	}
 	var windows []sample.Window
-	var meas measAccum
+	// meas sums the measured windows' counts: the tally the estimator saw.
+	var meas tally
 	//c3dlint:allow ctxcheck(every iteration runs detailed() and ff(), both of which check ctx between accesses)
 	for {
 		done, err := exhausted()
@@ -550,14 +408,26 @@ func (m *Machine) runSampled(ctx context.Context, src trace.Source, cores []*cor
 		if err := detailed(spec.Warm); err != nil {
 			return RunResult{}, err
 		}
-		s0 := m.sampleSnapshot(cores)
+		t0 := m.tally()
+		instr0, now0 := progress(cores)
 		if err := detailed(spec.Window); err != nil {
 			return RunResult{}, err
 		}
-		s1 := m.sampleSnapshot(cores)
-		if w := windowOf(s0, s1); w.Accesses > 0 {
-			windows = append(windows, w)
-			meas.add(s0, s1)
+		d := m.tally()
+		instr1, now1 := progress(cores)
+		d.apply(t0, sub)
+		if acc := d.Loads + d.Stores; acc > 0 {
+			windows = append(windows, sample.Window{
+				Accesses:          acc,
+				Instructions:      instr1 - instr0,
+				Cycles:            uint64(now1 - now0),
+				LLCAccesses:       d.LLCAccesses,
+				LLCMisses:         d.LLCMisses,
+				FabricBytes:       d.Fabric.TotalBytes,
+				MemAccesses:       d.MemAccesses(),
+				RemoteMemAccesses: d.RemoteMemAccesses(),
+			})
+			meas.apply(d, add)
 		}
 		if err := ff(spec.Stretch); err != nil {
 			return RunResult{}, err
@@ -572,81 +442,26 @@ func (m *Machine) runSampled(ctx context.Context, src trace.Source, cores []*cor
 	// Exact stream totals: fast-forward saw every skipped record, the cores
 	// counted every detailed one.
 	var detailedInstr uint64
-	final := m.Counters()
 	for _, cr := range cores {
 		cr.core.Drain()
 		detailedInstr += cr.core.Stats().Instructions
 	}
 	totalInstr := ffInstr + detailedInstr
-	totalAccesses := ffAccesses + final.Loads + final.Stores
-	if meas.counters.Loads+meas.counters.Stores == 0 {
+	detailedAccesses := m.counters.Loads + m.counters.Stores
+	totalAccesses := ffAccesses + detailedAccesses
+	sampled := meas.Loads + meas.Stores
+	if sampled == 0 {
 		return RunResult{}, fmt.Errorf("machine: trace %q with spec %q: measured windows contain no accesses", src.Name(), spec)
 	}
-	f := float64(totalAccesses) / float64(meas.counters.Loads+meas.counters.Stores)
-
-	c := meas.counters
-	res := RunResult{
-		Design:       m.cfg.Design,
-		Workload:     src.Name(),
-		Sockets:      m.cfg.Sockets,
-		Cores:        m.cfg.Cores(),
-		Policy:       m.cfg.MemPolicy,
-		Topology:     m.fabric.Topology(),
-		Cycles:       uint64(math.Round(est.CPI.Value * float64(totalInstr))),
-		Instructions: totalInstr,
-		Counters: Counters{
-			Loads:             scaleU64(c.Loads, f),
-			Stores:            scaleU64(c.Stores, f),
-			LLCAccesses:       scaleU64(c.LLCAccesses, f),
-			LLCMisses:         scaleU64(c.LLCMisses, f),
-			RemoteLLCMisses:   scaleU64(c.RemoteLLCMisses, f),
-			MemReads:          scaleU64(c.MemReads, f),
-			MemWrites:         scaleU64(c.MemWrites, f),
-			RemoteMemReads:    scaleU64(c.RemoteMemReads, f),
-			RemoteMemWrites:   scaleU64(c.RemoteMemWrites, f),
-			Broadcasts:        scaleU64(c.Broadcasts, f),
-			BroadcastsAvoided: scaleU64(c.BroadcastsAvoided, f),
-			DirRecalls:        scaleU64(c.DirRecalls, f),
-			RemoteDRAMProbes:  scaleU64(c.RemoteDRAMProbes, f),
-		},
-		PageStats: m.pageTable.Stats(),
-	}
-	if meas.latCount > 0 {
-		res.Counters.MeanLoadLatency = float64(meas.latTotal) / float64(meas.latCount)
-	}
-	res.InterSocketBytes = scaleU64(meas.fabric.TotalBytes, f)
-	res.InterSocketControlBytes = scaleU64(meas.fabric.ControlBytes, f)
-	res.InterSocketDataBytes = scaleU64(meas.fabric.DataBytes, f)
-	res.InterSocketMessages = scaleU64(meas.fabric.Messages, f)
-	if m.cfg.Design.HasDRAMCache() {
-		res.DRAMCacheStats = dramcache.Stats{
-			Reads:       scaleU64(meas.dram.Reads, f),
-			Writes:      scaleU64(meas.dram.Writes, f),
-			ReadHits:    scaleU64(meas.dram.ReadHits, f),
-			WriteHits:   scaleU64(meas.dram.WriteHits, f),
-			Fills:       scaleU64(meas.dram.Fills, f),
-			Evictions:   scaleU64(meas.dram.Evictions, f),
-			DirtyEvicts: scaleU64(meas.dram.DirtyEvicts, f),
-			Invalidates: scaleU64(meas.dram.Invalidates, f),
-		}
-		if acc := meas.dram.Accesses(); acc > 0 {
-			res.DRAMCacheHitRate = float64(meas.dram.ReadHits+meas.dram.WriteHits) / float64(acc)
-		}
-	}
-	res.BroadcastFilterElided = scaleU64(meas.elided, f)
-	for _, cr := range cores {
-		res.PerCore = append(res.PerCore, cr.core.Stats())
-	}
+	cycles := uint64(math.Round(est.CPI.Value * float64(totalInstr)))
+	res := m.result(src.Name(), cores, cycles, totalInstr, meas, float64(totalAccesses)/float64(sampled))
 	res.Sampling = &SamplingResult{
 		Spec:             spec.String(),
 		Windows:          len(windows),
-		SampledAccesses:  c.Loads + c.Stores,
-		DetailedAccesses: final.Loads + final.Stores,
+		SampledAccesses:  sampled,
+		DetailedAccesses: detailedAccesses,
 		TotalAccesses:    totalAccesses,
 		Estimates:        est,
 	}
-	if err := m.CheckInvariants(); err != nil {
-		return res, err
-	}
-	return res, nil
+	return res, m.CheckInvariants()
 }

@@ -46,7 +46,7 @@ func (e *snoopyEngine) probeSocket(now sim.Time, requester, target *Socket, b ad
 	// DRAM cache probe: unavoidable under the dirty policy, and the reason
 	// snoopy performs poorly — the remote DRAM cache access is on the
 	// critical path of every miss.
-	m.counters.remoteDRAMProbes++
+	m.counters.RemoteDRAMProbes++
 	line, inDC, probeDone := target.dramCache.Probe(t, b)
 	t = probeDone
 	present = onChip || inDC

@@ -5,7 +5,7 @@
 // locality skew, inter-thread communication intensity — whose values are
 // chosen so that the simulated machine reproduces the *shape* of the paper's
 // per-workload results (remote-access fraction, DRAM-cache fit, sensitivity
-// to coherence design). DESIGN.md documents this substitution.
+// to coherence design).
 //
 // Generated traces are deterministic for a given (spec, options) pair: every
 // thread derives its own seeded random stream, so generation is reproducible
