@@ -4,9 +4,6 @@
 
 GO ?= go
 
-# bench-json iteration count: 1x in CI (trend tracking tolerates noise; speed
-# matters), raise locally (e.g. BENCHTIME=2s) for stable numbers.
-BENCHTIME ?= 1x
 GIT_SHA := $(shell git rev-parse --short HEAD 2>/dev/null || echo nogit)
 
 # Build stamping: every binary's -version flag reports these via pkg/c3d.
@@ -16,7 +13,7 @@ LDFLAGS := -X c3d/pkg/c3d.buildVersion=$(VERSION) \
            -X c3d/pkg/c3d.buildCommit=$(GIT_SHA) \
            -X c3d/pkg/c3d.buildDate=$(BUILD_DATE)
 
-.PHONY: all build binaries test bench-test race lint lint-fmt lint-analyzers vet bench bench-smoke bench-json determinism topology-smoke trace-roundtrip fuzz-smoke daemon-smoke fleet-smoke chaos-smoke spec-smoke sample-smoke ci
+.PHONY: all build binaries test bench-test race lint lint-fmt lint-analyzers vet bench bench-smoke determinism topology-smoke trace-roundtrip fuzz-smoke daemon-smoke fleet-smoke chaos-smoke spec-smoke sample-smoke ci
 
 all: build
 
@@ -64,23 +61,14 @@ bench:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ ./...
 
-# The bench-smoke pass piped into the trajectory parser: one benchmark run
-# serves both as the crash/alloc smoke test and as the per-commit
-# BENCH_<sha>.json artefact (name, ns/op, allocs/op, custom metrics) that CI
-# uploads so the perf trajectory is diffable across commits.
-bench-json:
-	$(GO) test -bench=. -benchtime=$(BENCHTIME) -benchmem -run=^$$ ./... | $(GO) run ./cmd/benchjson -out BENCH_$(GIT_SHA).json
-
-# Byte-identical sweep output across parallelism levels AND across the
-# streaming/materialised trace paths, exercised through the real CLI.
+# Byte-identical sweep output and model-check reports across parallelism
+# levels, exercised through the real CLIs. Memoised versus streamed traces
+# are covered by internal/experiments' TestStreamingMatchesMaterialised.
 determinism:
 	$(GO) run ./cmd/c3dexp -exp table1 -quick -workloads streamcluster -accesses 2000 -json -parallel 1 > /tmp/c3d-sweep-p1.json
 	$(GO) run ./cmd/c3dexp -exp table1 -quick -workloads streamcluster -accesses 2000 -json > /tmp/c3d-sweep-pN.json
 	cmp /tmp/c3d-sweep-p1.json /tmp/c3d-sweep-pN.json
 	@echo "sweep output bit-identical across parallelism levels"
-	$(GO) run ./cmd/c3dexp -exp table1 -quick -workloads streamcluster -accesses 2000 -json -stream > /tmp/c3d-sweep-stream.json
-	cmp /tmp/c3d-sweep-p1.json /tmp/c3d-sweep-stream.json
-	@echo "sweep output bit-identical between streaming and materialised traces"
 	$(GO) run ./cmd/c3dcheck -sockets 3 -max-states 60000 -json -parallel 1 > /tmp/c3d-mc-p1.json
 	$(GO) run ./cmd/c3dcheck -sockets 3 -max-states 60000 -json -parallel 8 > /tmp/c3d-mc-p8.json
 	cmp /tmp/c3d-mc-p1.json /tmp/c3d-mc-p8.json
@@ -108,10 +96,13 @@ trace-roundtrip:
 	cmp /tmp/c3d-trace-gen.txt /tmp/c3d-trace-dec.txt
 	@echo "trace generate → encode → decode round trip bit-identical"
 
-# Short fuzz pass over the trace decoder: corrupt and truncated inputs must
-# produce errors, never panics or unbounded allocations.
+# Short fuzz passes over the hostile-input parsers — the trace decoder, the
+# workload-spec DSL and the sampling schedule: corrupt and truncated inputs
+# must produce errors, never panics or unbounded allocations.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=10s ./internal/trace
+	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=10s ./internal/wspec
+	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=10s ./internal/sample
 
 # Daemon gate through the real binary: build c3dd, start it, and drive it end
 # to end with the Go smoke driver — healthz, capabilities, error envelope,
@@ -228,4 +219,4 @@ sample-smoke:
 	$(GO) build -ldflags "$(LDFLAGS)" -o /tmp/c3dexp-sample ./cmd/c3dexp
 	$(GO) run ./internal/smoketest/sample -bin /tmp/c3dexp-sample
 
-ci: lint build race bench-test bench-json determinism topology-smoke trace-roundtrip fuzz-smoke daemon-smoke fleet-smoke chaos-smoke spec-smoke sample-smoke
+ci: lint build race bench-test bench-smoke determinism topology-smoke trace-roundtrip fuzz-smoke daemon-smoke fleet-smoke chaos-smoke spec-smoke sample-smoke

@@ -46,14 +46,11 @@ func main() {
 		return
 	}
 
-	opts := []c3d.Option{c3d.WithParallelism(*parallel)}
-	if *verbose {
-		opts = append(opts, c3d.WithProgress(func(e c3d.Event) {
-			fmt.Fprintln(os.Stderr, e)
-		}))
-	}
-	sess, err := c3d.New(opts...)
+	sess, err := c3d.Params{Parallelism: *parallel}.Session()
 	exitOn(err)
+	if *verbose {
+		sess = sess.WithProgress(func(e c3d.Event) { fmt.Fprintln(os.Stderr, e) })
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()

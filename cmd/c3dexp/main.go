@@ -52,7 +52,6 @@ func main() {
 		workloads = flag.String("workloads", "", "comma-separated workload subset (default: the paper's nine)")
 		specArg   = flag.String("spec", "", "workload-spec document: a file path or preset:<name>; runs the campaign on the spec's workload instead of the registry suite (combine with -workloads to mix)")
 		parallel  = flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS; results identical at any value)")
-		stream    = flag.Bool("stream", false, "drive simulations from streaming generators (bounded memory at any -accesses; results identical)")
 		sampleArg = flag.String("sample", "", "SMARTS-style sampled simulation schedule, e.g. stretch=1400,warm=60,win=60[,seed=S]; result cells carry 95% confidence half-widths and campaigns run several times faster (default: full detailed simulation)")
 		seed      = flag.Int64("seed", 0, "workload generation seed (0 reproduces the default runs)")
 		asJSON    = flag.Bool("json", false, "emit a JSON array of results instead of text tables")
@@ -108,7 +107,6 @@ func main() {
 		Accesses:    *accesses,
 		Scale:       *scale,
 		Parallelism: *parallel,
-		Stream:      stream,
 		Seed:        *seed,
 		Sampling:    *sampleArg,
 	}
@@ -128,14 +126,11 @@ func main() {
 		return
 	}
 
-	var extra []c3d.Option
-	if *verbose {
-		extra = append(extra, c3d.WithProgress(func(e c3d.Event) {
-			fmt.Fprintln(os.Stderr, e)
-		}))
-	}
-	sess, err := params.Session(extra...)
+	sess, err := params.Session()
 	exitOn(err)
+	if *verbose {
+		sess = sess.WithProgress(func(e c3d.Event) { fmt.Fprintln(os.Stderr, e) })
+	}
 
 	ids := []string{*exp}
 	if *exp == "all" {

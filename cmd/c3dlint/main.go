@@ -15,8 +15,8 @@
 // With no arguments (or "./...") it analyzes every package of the module.
 // Findings print as file:line:col: [analyzer] message and exit status 1;
 // -json emits a machine-readable array of {file,line,col,analyzer,message}
-// objects (paths relative to the module root) so findings can be diffed per
-// commit like BENCH_<sha>.json. Sites that are deliberate carry a
+// objects (paths relative to the module root) so findings can be diffed
+// across commits. Sites that are deliberate carry a
 // //c3dlint:allow analyzer(reason) directive on or above the flagged line;
 // the reason is mandatory.
 package main

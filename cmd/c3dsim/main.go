@@ -35,7 +35,6 @@ func main() {
 		warmup       = flag.Float64("warmup", 0.25, "fraction of each thread's stream used as cache warm-up")
 		sampleArg    = flag.String("sample", "", "SMARTS-style sampled simulation schedule, e.g. stretch=1400,warm=60,win=60[,seed=S]; reports 95% confidence half-widths and runs several times faster (default: full detailed simulation)")
 		filter       = flag.Bool("broadcast-filter", false, "enable the §IV-D private-page broadcast filter (C3D only)")
-		stream       = flag.Bool("stream", true, "generate the access streams incrementally: memory stays bounded at any -accesses (long-run mode); results are bit-identical to -stream=false")
 		asJSON       = flag.Bool("json", false, "emit the full result (counters, topology, per-core stats) as JSON instead of the text summary")
 		version      = flag.Bool("version", false, "print the build version and exit")
 	)
@@ -54,7 +53,6 @@ func main() {
 		Accesses:        *accesses,
 		Scale:           *scale,
 		Warmup:          warmup,
-		Stream:          stream,
 		BroadcastFilter: *filter,
 		Sampling:        *sampleArg,
 	}
@@ -78,10 +76,6 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	mode := "generating"
-	if *stream {
-		mode = "streaming"
-	}
 	progressOut := os.Stdout
 	if *asJSON {
 		// Keep stdout pure JSON.
@@ -91,7 +85,7 @@ func main() {
 	if label == "" {
 		label = "workload spec " + *specArg
 	}
-	fmt.Fprintf(progressOut, "%s %s (design=%s sockets=%d)...\n", mode, label, *designName, *sockets)
+	fmt.Fprintf(progressOut, "streaming %s (design=%s sockets=%d)...\n", label, *designName, *sockets)
 	start := time.Now()
 	res, err := sess.Simulate(ctx, runName)
 	exitOn(err)

@@ -120,17 +120,13 @@ func main() {
 			src = ts
 		}
 	case *specArg != "", *workloadName != "":
-		opts := []c3d.Option{
-			c3d.WithThreads(*threads),
-			c3d.WithAccesses(*accesses),
-			c3d.WithScale(*scale),
-		}
+		params := c3d.Params{Threads: *threads, Accesses: *accesses, Scale: *scale}
 		if *specArg != "" {
 			doc, err := c3d.ReadWorkloadSpec(*specArg)
 			exitOn(err)
-			opts = append(opts, c3d.WithWorkloadSpec(doc))
+			params.Spec = doc
 		}
-		sess, err := c3d.New(opts...)
+		sess, err := params.Session()
 		exitOn(err)
 		src, err = sess.TraceSource(*workloadName)
 		exitOn(err)

@@ -1,6 +1,6 @@
-// SDK tour: build a Session from functional options, run one simulation,
-// one paper experiment and the protocol verification — all through pkg/c3d,
-// the same cancellable code path the CLIs and the c3dd daemon use.
+// SDK tour: build a Session from Params, run one simulation, one paper
+// experiment and the protocol verification — all through pkg/c3d, the same
+// cancellable code path the CLIs and the c3dd daemon use.
 //
 //	go run ./examples/sdk
 package main
@@ -14,20 +14,21 @@ import (
 )
 
 func main() {
-	sess, err := c3d.New(
-		c3d.WithSockets(4),
-		c3d.WithDesign(c3d.C3D),
-		c3d.WithThreads(8),
-		c3d.WithScale(512),
-		c3d.WithAccesses(10_000),
-		c3d.WithProgress(func(e c3d.Event) { fmt.Println(e) }),
-	)
+	params := c3d.Params{
+		Sockets:  4,
+		Design:   "c3d",
+		Threads:  8,
+		Scale:    512,
+		Accesses: 10_000,
+	}
+	sess, err := params.Session()
 	if err != nil {
 		log.Fatal(err)
 	}
+	sess = sess.WithProgress(func(e c3d.Event) { fmt.Println(e) })
 	ctx := context.Background()
 
-	// One simulation (streaming long-run mode by default).
+	// One simulation; the access streams are generated as they run.
 	res, err := sess.Simulate(ctx, "streamcluster")
 	if err != nil {
 		log.Fatal(err)
@@ -35,12 +36,16 @@ func main() {
 	fmt.Printf("IPC %.3f, remote memory %.1f%%\n",
 		res.IPC(), res.Counters.RemoteMemFraction()*100)
 
-	// A paper experiment; quick, restricted, deterministic.
-	quick, err := sess.With(c3d.WithQuick(), c3d.WithWorkloads("streamcluster"))
+	// A paper experiment; quick, restricted, deterministic. Params is a
+	// plain value, so a variant is a copy with fields changed.
+	quickParams := params
+	quickParams.Quick = true
+	quickParams.Workloads = []string{"streamcluster"}
+	quick, err := quickParams.Session()
 	if err != nil {
 		log.Fatal(err)
 	}
-	exp, err := quick.Experiment(ctx, "table1")
+	exp, err := quick.WithProgress(func(e c3d.Event) { fmt.Println(e) }).Experiment(ctx, "table1")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,11 +14,10 @@ import (
 )
 
 // CacheKey is the content address of a job's result: the SHA-256 of the
-// canonical JSON of its spec. Canonicalisation zeroes the fields that are
-// proven not to affect result bytes — Parallelism (results are bit-identical
-// at any parallelism; the determinism CI gate enforces it) and Stream (the
-// streaming and materialised trace paths are bit-identical; ditto) — so a
-// sweep re-run with different host tuning still hits. Everything else,
+// canonical JSON of its spec. Canonicalisation zeroes Parallelism, the one
+// field proven not to affect result bytes (results are bit-identical at any
+// parallelism; the determinism CI gate enforces it), so a sweep re-run with
+// different host tuning still hits. Everything else,
 // including the seed and the sampling schedule inside Params, stays
 // verbatim: a different seed is a different result, and a sampled run is a
 // different result from a full run (and from a run under another schedule),
@@ -30,7 +29,6 @@ import (
 func CacheKey(spec api.JobSpec) (string, error) {
 	norm := spec
 	norm.Params.Parallelism = 0
-	norm.Params.Stream = nil
 	b, err := json.Marshal(norm)
 	if err != nil {
 		return "", fmt.Errorf("campaign: canonicalising spec: %w", err)

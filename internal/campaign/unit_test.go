@@ -42,12 +42,10 @@ func TestCacheKeyNormalisation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Parallelism and streaming mode do not change result bytes, so they
-	// must not change the content address.
+	// Parallelism does not change result bytes, so it must not change the
+	// content address.
 	tuned := base
 	tuned.Params.Parallelism = 8
-	stream := true
-	tuned.Params.Stream = &stream
 	if k2, _ := CacheKey(tuned); k2 != k1 {
 		t.Error("host-tuning fields changed the cache key")
 	}

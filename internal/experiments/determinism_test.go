@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"runtime"
 	"testing"
+
+	"c3d/internal/workload"
 )
 
 // TestSweepDeterministicAcrossParallelism is the harness-level determinism
@@ -94,30 +96,46 @@ func TestSeedChangesTracesButStaysComparable(t *testing.T) {
 }
 
 // TestStreamingMatchesMaterialised is the experiment-level half of the
-// streaming contract: driving the simulations from incremental generators
-// (Config.Streaming, bypassing the trace cache) must produce byte-identical
-// experiment output to the materialised path.
+// streaming contract: quick table1 and fig6 under a zero record budget,
+// where every job streams from its generator, must be byte-identical to the
+// same campaigns under the default budget, where every trace is replayed
+// from the memo.
 func TestStreamingMatchesMaterialised(t *testing.T) {
-	run := func(streaming bool) []byte {
-		cfg := testConfig()
-		cfg.AccessesPerThread = 2000
-		cfg.Workloads = []string{"streamcluster", "nutch"}
-		cfg.Streaming = streaming
-		res, err := Fig6(context.Background(), cfg)
-		if err != nil {
-			t.Fatalf("Fig6 (streaming=%v): %v", streaming, err)
-		}
-		out, err := json.Marshal(res.Table())
-		if err != nil {
-			t.Fatal(err)
+	defer func(old *traceCache) { sharedTraces = old }(sharedTraces)
+	run := func(budget int) []byte {
+		sharedTraces = newTraceCache(budget)
+		var out []byte
+		for _, id := range []string{"table1", "fig6"} {
+			entry, err := Lookup(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := entry.Run(context.Background(), QuickConfig())
+			if err != nil {
+				t.Fatalf("%s (budget %d): %v", id, budget, err)
+			}
+			b, err := json.Marshal(res.Table())
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, b...)
 		}
 		return out
 	}
-	materialised := run(false)
-	streamed := run(true)
-	if !bytes.Equal(materialised, streamed) {
-		t.Fatalf("streaming changed experiment results:\nmaterialised: %s\n   streaming: %s",
-			materialised, streamed)
+	streamed := run(0)
+	if n := len(sharedTraces.traces); n != 0 {
+		t.Fatalf("a zero budget memoised %d traces", n)
+	}
+	memoised := run(traceBudget)
+	cfg := QuickConfig().withDefaults()
+	for _, name := range cfg.workloadNames() {
+		opts := workload.Options{Threads: cfg.Threads, Scale: cfg.Scale, AccessesPerThread: cfg.AccessesPerThread}
+		if _, ok := sharedTraces.traces[traceKey(workload.MustGet(name), opts)]; !ok {
+			t.Errorf("the default budget did not memoise the quick %s trace", name)
+		}
+	}
+	if !bytes.Equal(memoised, streamed) {
+		t.Fatalf("streaming changed experiment results:\nmemoised: %s\nstreamed: %s", memoised, streamed)
 	}
 }
 

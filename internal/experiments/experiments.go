@@ -68,12 +68,6 @@ type Config struct {
 	// every result. Results remain bit-identical at any Parallelism for a
 	// fixed (config, seed, spec).
 	Sampling string
-	// Streaming drives each simulation from an incremental workload
-	// generator instead of a materialised in-memory trace: resident memory
-	// stays bounded regardless of AccessesPerThread, at the cost of
-	// regenerating the record streams for every design (the shared trace
-	// cache is bypassed). Results are bit-identical either way.
-	Streaming bool
 	// Seed offsets workload generation. Zero reproduces the default runs;
 	// the same seed always regenerates the same traces, and every design
 	// sees the same trace for a given workload regardless of seed.
@@ -191,20 +185,23 @@ func (c Config) machineConfig(sockets int, design machine.Design, policy numa.Po
 	return mc
 }
 
-// traceCache memoises generated traces: several experiments run the same
+// traceCache memoises materialised traces: several experiments run the same
 // workload through many machine configurations, and generation is a
 // measurable fraction of a quick run.
 //
-// The cache is bounded by LRU eviction: when it is full, the least recently
-// used trace is dropped. (It used to discard the whole map at the bound,
-// which threw away the hot traces mid-campaign and forced every design after
-// the flush to regenerate its workload.)
+// The memo is bounded by records, not entries. A trace whose threads ×
+// accesses exceeds the budget is never materialised: its jobs stream from
+// the generator, so paper-scale campaigns run at bounded memory. Smaller
+// traces stay resident, least recently used evicted first, while their
+// records total at most the budget. Results are bit-identical either way — a
+// replayed trace and its generator emit the same records.
 type traceCache struct {
-	mu     sync.Mutex
-	traces map[string]*trace.Trace
+	mu      sync.Mutex
+	budget  int // bound on resident records
+	records int // records currently resident
+	traces  map[string]cachedTrace
 	// order holds the cached keys from least to most recently used.
 	order []string
-	max   int
 	// inflight dedupes concurrent generations of the same key
 	// (singleflight): sweep workers claim jobs workload-major, so at every
 	// workload boundary several workers miss the cache for the same trace
@@ -212,45 +209,62 @@ type traceCache struct {
 	inflight map[string]*traceCall
 }
 
-// traceCall is one in-flight generation; done is closed once tr/err are set.
+type cachedTrace struct {
+	src     trace.Source
+	records int
+}
+
+// traceCall is one in-flight generation; done is closed once src/err are
+// set.
 type traceCall struct {
 	done chan struct{}
-	tr   *trace.Trace
+	src  trace.Source
 	err  error
 }
 
-// traceCacheEntries bounds the shared cache so long experiment campaigns do
-// not hold every trace alive at once.
-const traceCacheEntries = 24
+// traceBudget is the default record budget: 4M records (64 MiB of parallel
+// records). It holds a quick campaign's whole working set — fig6-quick is
+// nine traces of 8 threads × 6000 accesses — while a paper-scale trace (32
+// threads × 200k accesses) streams.
+const traceBudget = 1 << 22
 
-var sharedTraces = newTraceCache(traceCacheEntries)
+// sharedTraces is the process-wide memo every campaign uses. Tests swap it
+// for one with another budget.
+var sharedTraces = newTraceCache(traceBudget)
 
-func newTraceCache(max int) *traceCache {
+func newTraceCache(budget int) *traceCache {
 	return &traceCache{
-		traces:   make(map[string]*trace.Trace),
+		budget:   budget,
+		traces:   make(map[string]cachedTrace),
 		inflight: make(map[string]*traceCall),
-		max:      max,
 	}
 }
 
-func (tc *traceCache) get(spec workload.Spec, opts workload.Options) (*trace.Trace, error) {
-	// Fingerprint distinguishes workload-spec documents that reuse a name
-	// across campaigns (registry specs leave it empty): without it, two
-	// different specs named "mix" sharing a process would collide in the
-	// cache and one campaign would silently replay the other's trace.
-	key := fmt.Sprintf("%s/%s/%d/%d/%d/%d", spec.Name, spec.Fingerprint, opts.Threads, opts.Scale, opts.AccessesPerThread, opts.SeedOffset)
+// traceKey identifies a generated trace. Fingerprint distinguishes
+// workload-spec documents that reuse a name across campaigns (registry specs
+// leave it empty): without it, two different specs named "mix" sharing a
+// process would collide in the memo and one campaign would silently replay
+// the other's trace.
+func traceKey(spec workload.Spec, opts workload.Options) string {
+	return fmt.Sprintf("%s/%s/%d/%d/%d/%d", spec.Name, spec.Fingerprint, opts.Threads, opts.Scale, opts.AccessesPerThread, opts.SeedOffset)
+}
+
+// get returns the trace for spec under opts: replayed from the memo, or
+// streamed from its generator when it is over budget.
+func (tc *traceCache) get(spec workload.Spec, opts workload.Options) (trace.Source, error) {
+	key := traceKey(spec, opts)
 	tc.mu.Lock()
-	if tr, ok := tc.traces[key]; ok {
+	if e, ok := tc.traces[key]; ok {
 		tc.touch(key)
 		tc.mu.Unlock()
-		return tr, nil
+		return e.src, nil
 	}
 	if call, ok := tc.inflight[key]; ok {
 		// Another worker is generating this trace: wait for its result
 		// instead of duplicating the work.
 		tc.mu.Unlock()
 		<-call.done
-		return call.tr, call.err
+		return call.src, call.err
 	}
 	call := &traceCall{done: make(chan struct{})}
 	tc.inflight[key] = call
@@ -258,23 +272,40 @@ func (tc *traceCache) get(spec workload.Spec, opts workload.Options) (*trace.Tra
 
 	// Generate outside the lock: generations of *different* keys must not
 	// serialise behind one another.
-	tr, err := workload.Generate(spec, opts)
+	src, err := workload.NewSource(spec, opts)
+	records := 0
+	if err == nil {
+		for t := range src.Threads() {
+			records += src.ThreadLen(t)
+		}
+		if records <= tc.budget {
+			var tr *trace.Trace
+			if tr, err = trace.Materialize(src); err == nil {
+				src = tr.Source()
+			}
+		}
+	}
 
 	tc.mu.Lock()
 	delete(tc.inflight, key)
-	if err == nil {
-		for len(tc.traces) >= tc.max && len(tc.order) > 0 {
+	if err == nil && records <= tc.budget {
+		for tc.records+records > tc.budget {
 			oldest := tc.order[0]
 			tc.order = tc.order[1:]
+			tc.records -= tc.traces[oldest].records
 			delete(tc.traces, oldest)
 		}
-		tc.traces[key] = tr
+		tc.traces[key] = cachedTrace{src: src, records: records}
+		tc.records += records
 		tc.order = append(tc.order, key)
 	}
 	tc.mu.Unlock()
-	call.tr, call.err = tr, err
+	if err != nil {
+		src = nil
+	}
+	call.src, call.err = src, err
 	close(call.done)
-	return tr, err
+	return src, err
 }
 
 // touch moves key to the most-recently-used end. Callers hold tc.mu.
@@ -382,18 +413,11 @@ func (c Config) runOne(ctx context.Context, j job, seed int64) (machine.RunResul
 	}
 	m := acquireMachine(mcfg)
 	defer releaseMachine(mcfg, m)
-	if c.Streaming {
-		src, err := workload.NewSource(j.spec, opts)
-		if err != nil {
-			return machine.RunResult{}, err
-		}
-		return m.RunSource(ctx, src, runOpts)
-	}
-	tr, err := sharedTraces.get(j.spec, opts)
+	src, err := sharedTraces.get(j.spec, opts)
 	if err != nil {
 		return machine.RunResult{}, err
 	}
-	return m.Run(ctx, tr, runOpts)
+	return m.RunSource(ctx, src, runOpts)
 }
 
 // machinePools reuses machines across jobs that share a configuration:

@@ -97,7 +97,7 @@ var registry = []Entry{
 		Run:         func(ctx context.Context, c Config) (Result, error) { r, err := PrivateVsShared(ctx, c); return r, err },
 	},
 	{
-		ID: "ablation", Paper: "DESIGN.md",
+		ID: "ablation", Paper: "§IV (ext.)",
 		Description: "isolate the clean property, the non-inclusive directory and the miss predictor",
 		Run:         func(ctx context.Context, c Config) (Result, error) { r, err := Ablation(ctx, c); return r, err },
 	},

@@ -1,19 +1,44 @@
 package experiments
 
 import (
+	"sync"
 	"testing"
 
+	"c3d/internal/trace"
 	"c3d/internal/workload"
 )
 
+// cacheOpts generates a 2-thread trace: 2 × accesses records.
 func cacheOpts(accesses int) workload.Options {
 	return workload.Options{Threads: 2, Scale: 512, AccessesPerThread: accesses}
+}
+
+// checkResident asserts the memo's record count is the sum of its entries,
+// within budget, and that the recency list and map agree.
+func checkResident(t *testing.T, tc *traceCache) {
+	t.Helper()
+	sum := 0
+	for _, e := range tc.traces {
+		sum += e.records
+	}
+	if sum != tc.records || tc.records > tc.budget {
+		t.Fatalf("resident records %d (entries sum to %d), budget %d", tc.records, sum, tc.budget)
+	}
+	if len(tc.order) != len(tc.traces) {
+		t.Fatalf("order list (%d) and map (%d) diverged", len(tc.order), len(tc.traces))
+	}
+	for _, k := range tc.order {
+		if _, ok := tc.traces[k]; !ok {
+			t.Fatalf("order references evicted key %s", k)
+		}
+	}
 }
 
 // TestTraceCacheLRUEviction checks the cache keeps recently used traces and
 // evicts the least recently used one — not the whole map — when full.
 func TestTraceCacheLRUEviction(t *testing.T) {
-	tc := newTraceCache(3)
+	// 700 records hold three of the ~200-record traces below, not four.
+	tc := newTraceCache(700)
 	spec := workload.MustGet("streamcluster")
 
 	// Fill: a(100) b(101) c(102), LRU order a, b, c.
@@ -69,19 +94,85 @@ func TestTraceCacheLRUEviction(t *testing.T) {
 // TestTraceCacheOrderConsistency checks the recency list and map never
 // diverge across a mixed hit/miss/evict sequence.
 func TestTraceCacheOrderConsistency(t *testing.T) {
-	tc := newTraceCache(2)
+	tc := newTraceCache(450) // two ~200-record traces
 	spec := workload.MustGet("streamcluster")
 	for _, accesses := range []int{100, 101, 100, 102, 103, 101, 100} {
 		if _, err := tc.get(spec, cacheOpts(accesses)); err != nil {
 			t.Fatal(err)
 		}
-		if len(tc.order) != len(tc.traces) {
-			t.Fatalf("order list (%d) and map (%d) diverged", len(tc.order), len(tc.traces))
-		}
-		for _, k := range tc.order {
-			if _, ok := tc.traces[k]; !ok {
-				t.Fatalf("order references evicted key %s", k)
-			}
-		}
+		checkResident(t, tc)
 	}
+}
+
+// TestTraceCacheRecordBudget checks eviction goes by records, not entries:
+// one large trace makes room for two small ones, resident records never
+// exceed the budget, and a trace over the whole budget is streamed, never
+// materialised.
+func TestTraceCacheRecordBudget(t *testing.T) {
+	tc := newTraceCache(1000)
+	spec := workload.MustGet("streamcluster")
+	get := func(accesses int) trace.Source {
+		t.Helper()
+		src, err := tc.get(spec, cacheOpts(accesses))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkResident(t, tc)
+		return src
+	}
+	get(400) // 800 records
+	get(100) // 200: exactly at budget, nothing evicted
+	if len(tc.traces) != 2 || tc.records != 1000 {
+		t.Fatalf("%d traces, %d records resident; want 2 and 1000", len(tc.traces), tc.records)
+	}
+	get(101) // 202: the 800-record trace (least recently used) must go
+	if len(tc.traces) != 2 || tc.records != 402 {
+		t.Fatalf("%d traces, %d records resident; want 2 and 402", len(tc.traces), tc.records)
+	}
+	if _, ok := tc.traces[traceKey(spec, cacheOpts(400))]; ok {
+		t.Fatal("large trace survived; eviction did not go by records")
+	}
+
+	// 1200 records is over the whole budget: streamed every time, and the
+	// resident set is untouched.
+	huge := get(600)
+	if len(tc.traces) != 2 || tc.records != 402 {
+		t.Fatalf("over-budget trace changed the resident set: %d traces, %d records", len(tc.traces), tc.records)
+	}
+	if again := get(600); again == huge {
+		t.Fatal("over-budget trace was memoised")
+	}
+}
+
+// TestTraceCacheConcurrent drives one memo from several goroutines at once,
+// mixing hits, shared in-flight generations, evictions and over-budget
+// streams: every caller must get a trace of the length it asked for, and the
+// resident set must stay consistent and within budget.
+func TestTraceCacheConcurrent(t *testing.T) {
+	tc := newTraceCache(700)
+	spec := workload.MustGet("streamcluster")
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 20 {
+				accesses := 100 + (g+i)%4
+				if i%5 == 0 {
+					accesses = 400 // 800 records: over budget, streamed
+				}
+				src, err := tc.get(spec, cacheOpts(accesses))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := src.ThreadLen(0); got != accesses {
+					t.Errorf("asked for %d accesses per thread, got %d", accesses, got)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	checkResident(t, tc)
 }

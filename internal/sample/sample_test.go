@@ -6,17 +6,34 @@ import (
 	"testing"
 )
 
+// parseCases are well-formed specs and what they parse to; FuzzParse seeds
+// its corpus from them and from badSpecs.
+var parseCases = []struct {
+	in   string
+	want Spec
+}{
+	{"stretch=1000,warm=50,win=100", Spec{Stretch: 1000, Warm: 50, Window: 100}},
+	{"win=100,stretch=1000", Spec{Stretch: 1000, Window: 100}},
+	{" stretch=8 , warm=0 , win=4 , seed=7 ", Spec{Stretch: 8, Warm: 0, Window: 4, Seed: 7}},
+	{"", Spec{}},
+}
+
+// badSpecs must all be rejected.
+var badSpecs = []string{
+	"stretch=1000",      // missing win
+	"win=100",           // missing stretch
+	"stretch=0,win=100", // stretch < 1
+	"stretch=10,win=0",  // win < 1
+	"stretch=10,win=5,warm=-1",
+	"stretch=10,win=5,seed=-3",
+	"stretch=10,win=5,bogus=1",
+	"stretch=10,stretch=10,win=5",
+	"stretch=ten,win=5",
+	"banana",
+}
+
 func TestParseRoundTrip(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Spec
-	}{
-		{"stretch=1000,warm=50,win=100", Spec{Stretch: 1000, Warm: 50, Window: 100}},
-		{"win=100,stretch=1000", Spec{Stretch: 1000, Window: 100}},
-		{" stretch=8 , warm=0 , win=4 , seed=7 ", Spec{Stretch: 8, Warm: 0, Window: 4, Seed: 7}},
-		{"", Spec{}},
-	}
-	for _, c := range cases {
+	for _, c := range parseCases {
 		got, err := Parse(c.in)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", c.in, err)
@@ -36,22 +53,36 @@ func TestParseRoundTrip(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	for _, in := range []string{
-		"stretch=1000",      // missing win
-		"win=100",           // missing stretch
-		"stretch=0,win=100", // stretch < 1
-		"stretch=10,win=0",  // win < 1
-		"stretch=10,win=5,warm=-1",
-		"stretch=10,win=5,seed=-3",
-		"stretch=10,win=5,bogus=1",
-		"stretch=10,stretch=10,win=5",
-		"stretch=ten,win=5",
-		"banana",
-	} {
+	for _, in := range badSpecs {
 		if _, err := Parse(in); err == nil {
 			t.Errorf("Parse(%q) accepted", in)
 		}
 	}
+}
+
+// FuzzParse feeds arbitrary text to the parser behind Params.Sampling, which
+// arrives from the wire: it must never panic, and every spec it accepts must
+// survive the canonical round trip Parse(s.String()) == s.
+func FuzzParse(f *testing.F) {
+	for _, c := range parseCases {
+		f.Add(c.in)
+	}
+	for _, in := range badSpecs {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		s, err := Parse(in)
+		if err != nil {
+			return
+		}
+		back, err := Parse(s.String())
+		if err != nil {
+			t.Fatalf("Parse(%q) = %+v, but its canonical form %q does not parse: %v", in, s, s.String(), err)
+		}
+		if back != s {
+			t.Fatalf("canonical round trip: %q -> %+v -> %q -> %+v", in, s, s.String(), back)
+		}
+	})
 }
 
 func TestPhaseSeededAndBounded(t *testing.T) {

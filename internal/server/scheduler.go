@@ -188,11 +188,12 @@ func (s *Server) run(j *job) {
 		return
 	}
 
-	sess, err := c3d.Params(j.spec.Params).Session(c3d.WithProgress(j.recordEvent))
+	sess, err := c3d.Params(j.spec.Params).Session()
 	if err != nil {
 		j.finish(nil, err)
 		return
 	}
+	sess = sess.WithProgress(j.recordEvent)
 	var result []byte
 	switch j.spec.Kind {
 	case api.KindExperiment:

@@ -353,6 +353,9 @@ func TestSubmitValidation(t *testing.T) {
 		"unknown workload":   `{"kind":"experiment","params":{"workloads":["not-a-workload"]}}`,
 		"bad topology":       `{"kind":"simulate","workload":"streamcluster","params":{"topology":"moebius"}}`,
 		"unhostable shape":   `{"kind":"simulate","workload":"streamcluster","params":{"topology":"ring","sockets":2}}`,
+		// Params lost "stream" (2026-10): old clients that still send it
+		// are refused, not silently run under a knob that no longer exists.
+		"removed stream field": `{"kind":"simulate","workload":"streamcluster","params":{"stream":true}}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -26,6 +26,13 @@
 // invalid_spec (DisallowUnknownFields), old clients never send it. Additive,
 // backwards compatible.
 //
+// Wire change (2026-10): Params lost "stream". Simulations always stream
+// and campaigns choose per trace, by size, between replaying a memoised
+// trace and streaming it, so the field selected nothing a client could
+// observe. The daemon decodes with DisallowUnknownFields: an old client that
+// still sends "stream" gets a 400 invalid_spec naming the field, never a
+// silently ignored knob. Clients that never set it are unaffected.
+//
 // The package depends only on the standard library: importing it pulls in no
 // simulator code.
 package api
@@ -64,9 +71,6 @@ type Params struct {
 	// Parallelism bounds concurrent simulations / checker workers
 	// (0 = GOMAXPROCS; results identical at any value).
 	Parallelism int `json:"parallel,omitempty"`
-	// Stream selects streaming generation (nil = the method's default:
-	// streaming for simulations, materialised for campaigns).
-	Stream *bool `json:"stream,omitempty"`
 	// Seed offsets workload generation.
 	Seed int64 `json:"seed,omitempty"`
 	// BroadcastFilter enables the §IV-D private-page broadcast filter.

@@ -17,8 +17,7 @@ func TestWireFieldNamesPinned(t *testing.T) {
 	pins := map[string][]string{
 		"Params": {
 			"quick", "design", "policy", "topology", "sockets", "threads",
-			"accesses", "scale", "warmup", "workloads", "parallel", "stream",
-			"seed", "broadcast_filter", "spec", "sampling",
+			"accesses", "scale", "warmup", "workloads", "parallel", "seed", "broadcast_filter", "spec", "sampling",
 		},
 		"JobSpec":    {"kind", "params", "experiments", "workload", "verify"},
 		"VerifySpec": {"sockets", "loads", "stores", "max_states", "base_only"},
@@ -97,7 +96,6 @@ func TestWireFieldNamesPinned(t *testing.T) {
 // clients rely on instead of hand-rolling JSON.
 func TestJobSpecRoundTrip(t *testing.T) {
 	warm := 0.5
-	stream := true
 	spec := JobSpec{
 		Kind: KindExperiment,
 		Params: Params{
@@ -112,7 +110,6 @@ func TestJobSpecRoundTrip(t *testing.T) {
 			Warmup:          &warm,
 			Workloads:       []string{"streamcluster", "canneal"},
 			Parallelism:     4,
-			Stream:          &stream,
 			Seed:            7,
 			BroadcastFilter: true,
 			Spec:            json.RawMessage(`{"version":1,"name":"mix","base":"streamcluster"}`),
@@ -121,7 +118,7 @@ func TestJobSpecRoundTrip(t *testing.T) {
 		Workload:    "streamcluster",
 		Verify:      VerifySpec{Sockets: 2, LoadsPerCore: 1, StoresPerCore: 1, MaxStates: 10, BaseOnly: true},
 	}
-	const want = `{"kind":"experiment","params":{"quick":true,"design":"c3d","policy":"FT1","topology":"mesh","sockets":8,"threads":16,"accesses":2000,"scale":512,"warmup":0.5,"workloads":["streamcluster","canneal"],"parallel":4,"stream":true,"seed":7,"broadcast_filter":true,"spec":{"version":1,"name":"mix","base":"streamcluster"}},"experiments":["fig6","table1"],"workload":"streamcluster","verify":{"sockets":2,"loads":1,"stores":1,"max_states":10,"base_only":true}}`
+	const want = `{"kind":"experiment","params":{"quick":true,"design":"c3d","policy":"FT1","topology":"mesh","sockets":8,"threads":16,"accesses":2000,"scale":512,"warmup":0.5,"workloads":["streamcluster","canneal"],"parallel":4,"seed":7,"broadcast_filter":true,"spec":{"version":1,"name":"mix","base":"streamcluster"}},"experiments":["fig6","table1"],"workload":"streamcluster","verify":{"sockets":2,"loads":1,"stores":1,"max_states":10,"base_only":true}}`
 	got, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)

@@ -3,13 +3,10 @@
 // simulations, the paper's experiment campaigns, protocol verification and
 // the streaming trace codec.
 //
-// The entry point is a Session built from functional options:
+// The entry point is a Session built from Params, the same flat
+// configuration the CLI flags parse into and the c3dd job API accepts:
 //
-//	sess, err := c3d.New(
-//		c3d.WithSockets(4),
-//		c3d.WithDesign(c3d.C3D),
-//		c3d.WithQuick(),
-//	)
+//	sess, err := c3d.Params{Sockets: 4, Design: "c3d", Quick: true}.Session()
 //	if err != nil { ... }
 //	res, err := sess.Simulate(ctx, "streamcluster")
 //
@@ -17,7 +14,8 @@
 // it is cancelled — simulations abort between accesses, sweeps stop claiming
 // jobs, model-checking searches abandon their frontier — and every failure is
 // reported as an error (the SDK never panics on invalid configuration).
-// Progress is delivered through the structured Event type via WithProgress.
+// Progress is delivered through the structured Event type via
+// Session.WithProgress.
 //
 // cmd/c3dsim, cmd/c3dexp, cmd/c3dcheck, cmd/c3dtrace and the cmd/c3dd job
 // daemon are all thin clients of this package, so embedding the SDK gives
@@ -36,6 +34,7 @@ import (
 	"c3d/internal/sample"
 	"c3d/internal/stats"
 	"c3d/internal/trace"
+	"c3d/internal/wspec"
 )
 
 // Aliases re-export the stable result and parameter types so SDK users never
@@ -55,7 +54,7 @@ type (
 	Report = mc.Report
 	// Table is a rendered result table (text, CSV and JSON forms).
 	Table = stats.Table
-	// Event is a structured progress notification (see WithProgress).
+	// Event is a structured progress notification (see Session.WithProgress).
 	Event = experiments.Event
 	// EventKind classifies an Event.
 	EventKind = experiments.EventKind
@@ -67,7 +66,7 @@ type (
 	TraceStats = trace.Stats
 	// VerifyResult collects the reports of one Verify call.
 	VerifyResult = experiments.VerifyResult
-	// SamplingSpec is a SMARTS-style sampling schedule (see WithSampling).
+	// SamplingSpec is a SMARTS-style sampling schedule (see ParseSampling).
 	SamplingSpec = sample.Spec
 	// SamplingResult is the sampling section of a sampled RunResult: window
 	// counts and per-metric 95% confidence half-widths.
@@ -127,38 +126,22 @@ func Designs() []Design { return machine.Designs() }
 // Topologies returns every registered fabric topology in registry order.
 func Topologies() []Topology { return interconnect.Topologies() }
 
-// Session is the facade in front of the simulator: an immutable bundle of
-// configuration defaults that every method applies to its run. Sessions are
-// cheap to create and safe for concurrent use — the c3dd daemon builds one
-// per job.
+// Session is the facade in front of the simulator: a validated Params that
+// every method applies to its run. Sessions are immutable, cheap to create
+// and safe for concurrent use — the c3dd daemon builds one per job.
 type Session struct {
-	cfg config
+	p        Params          // validated by Params.Session
+	spec     *wspec.Compiled // p.Spec compiled, or nil
+	progress func(Event)
 }
 
-// New builds a Session from the options, validating them eagerly: an
-// impossible configuration is reported here, not as a panic mid-run.
-func New(opts ...Option) (*Session, error) {
-	cfg := defaultConfig()
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	return &Session{cfg: cfg}, nil
-}
-
-// With returns a copy of the session with extra options applied — per-call
-// overrides without mutating the receiver.
-func (s *Session) With(opts ...Option) (*Session, error) {
-	cfg := s.cfg
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	return &Session{cfg: cfg}, nil
+// WithProgress returns a copy of the session that delivers structured
+// progress events to fn. Callbacks are serialised; Event.String reproduces
+// the classic CLI progress lines.
+func (s *Session) WithProgress(fn func(Event)) *Session {
+	c := *s
+	c.progress = fn
+	return &c
 }
 
 // newMachine converts machine.New's configuration panic into an error at the

@@ -15,25 +15,15 @@ import (
 	"c3d/internal/workload"
 )
 
-// TestNewValidatesOptions checks impossible configurations fail at New, not
-// mid-run.
-func TestNewValidatesOptions(t *testing.T) {
-	cases := map[string][]Option{
-		"negative sockets":  {WithSockets(-1)},
-		"negative threads":  {WithThreads(-4)},
-		"negative scale":    {WithScale(-64)},
-		"negative accesses": {WithAccesses(-1)},
-		"warmup >= 1":       {WithWarmup(1.5)},
-		"unknown workload":  {WithWorkloads("streamcluster", "not-a-workload")},
+// session builds a session from params, failing the test on a validation
+// error.
+func session(t *testing.T, p Params) *Session {
+	t.Helper()
+	sess, err := p.Session()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, opts := range cases {
-		if _, err := New(opts...); err == nil {
-			t.Errorf("%s: New accepted the configuration", name)
-		}
-	}
-	if _, err := New(WithSockets(4), WithDesign(C3D), WithQuick()); err != nil {
-		t.Fatalf("valid configuration rejected: %v", err)
-	}
+	return sess
 }
 
 // TestNewMachineWrapsPanic checks the machine.New panic is converted into an
@@ -55,16 +45,7 @@ func TestSimulateMatchesDirectRun(t *testing.T) {
 		scale    = 512
 		accesses = 2000
 	)
-	sess, err := New(
-		WithDesign(C3D),
-		WithSockets(4),
-		WithThreads(threads),
-		WithScale(scale),
-		WithAccesses(accesses),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := session(t, Params{Design: "c3d", Sockets: 4, Threads: threads, Scale: scale, Accesses: accesses})
 	got, err := sess.Simulate(t.Context(), "streamcluster")
 	if err != nil {
 		t.Fatal(err)
@@ -95,25 +76,31 @@ func TestSimulateMatchesDirectRun(t *testing.T) {
 	}
 }
 
-// TestSimulateStreamingMatchesMaterialised checks WithStreaming(false) is
-// bit-identical to the default streaming path.
+// TestSimulateStreamingMatchesMaterialised checks Simulate, which always
+// streams, is bit-identical to running a materialised trace of the same
+// workload.
 func TestSimulateStreamingMatchesMaterialised(t *testing.T) {
-	run := func(streaming bool) RunResult {
-		sess, err := New(WithThreads(8), WithScale(512), WithAccesses(1500), WithStreaming(streaming))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sess.Simulate(t.Context(), "canneal")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Streamed != streaming {
-			t.Fatalf("Streamed = %v, want %v", res.Streamed, streaming)
-		}
-		return res.RunResult
+	sess := session(t, Params{Threads: 8, Scale: 512, Accesses: 1500})
+	got, err := sess.Simulate(t.Context(), "canneal")
+	if err != nil {
+		t.Fatal(err)
 	}
-	a, _ := json.Marshal(run(true))
-	b, _ := json.Marshal(run(false))
+	mcfg, err := sess.MachineConfigFor("canneal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := workload.Generate(workload.MustGet("canneal"), workload.Options{
+		Threads: 8, Scale: 512, AccessesPerThread: 1500,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := machine.New(mcfg).Run(t.Context(), tr, machine.DefaultRunOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := json.Marshal(got.RunResult)
+	b, _ := json.Marshal(want)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("streaming and materialised runs differ:\n%s\n%s", a, b)
 	}
@@ -122,16 +109,12 @@ func TestSimulateStreamingMatchesMaterialised(t *testing.T) {
 // TestSimulateClampsThreads checks an over-wide request is clamped and the
 // clamp surfaced, instead of erroring or lying.
 func TestSimulateClampsThreads(t *testing.T) {
-	sess, err := New(WithSockets(2), WithCoresPerSocket(4), WithThreads(64),
-		WithScale(512), WithAccesses(500))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := session(t, Params{Sockets: 2, Threads: 64, Scale: 512, Accesses: 500})
 	res, err := sess.Simulate(t.Context(), "streamcluster")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.ThreadsClamped || res.RequestedThreads != 64 || res.EffectiveThreads != 8 {
+	if !res.ThreadsClamped || res.RequestedThreads != 64 || res.EffectiveThreads != res.Cores || res.Cores >= 64 {
 		t.Fatalf("clamp not surfaced: %+v", res)
 	}
 }
@@ -142,21 +125,14 @@ func TestSimulateClampsThreads(t *testing.T) {
 func TestExperimentCancelledStopsSweepEarly(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var done atomic.Int32
-	sess, err := New(
-		WithQuick(),
-		WithAccesses(4000),
-		WithParallelism(1), // serialise so "stopped early" is observable
-		WithProgress(func(e Event) {
-			if done.Add(1) == 1 {
-				cancel() // cancel after the first completed simulation
-			}
-		}),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Parallelism 1 serialises the sweep so "stopped early" is observable.
+	sess := session(t, Params{Quick: true, Accesses: 4000, Parallelism: 1}).WithProgress(func(e Event) {
+		if done.Add(1) == 1 {
+			cancel() // cancel after the first completed simulation
+		}
+	})
 	// fig6 is 6 designs x 9 workloads = 54 simulations.
-	_, err = sess.Experiment(ctx, "fig6")
+	_, err := sess.Experiment(ctx, "fig6")
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -170,11 +146,7 @@ func TestExperimentCancelledStopsSweepEarly(t *testing.T) {
 func TestVerifyCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	sess, err := New()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sess.Verify(ctx, VerifyRequest{Sockets: 2})
+	res, err := session(t, Params{}).Verify(ctx, VerifyRequest{Sockets: 2})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -188,10 +160,7 @@ func TestVerifyCancelled(t *testing.T) {
 // TestExperimentMatchesInternalRun checks the SDK routes through the same
 // experiment code path as direct internal use.
 func TestExperimentMatchesInternalRun(t *testing.T) {
-	sess, err := New(WithQuick(), WithWorkloads("streamcluster"), WithAccesses(2000))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := session(t, Params{Quick: true, Workloads: []string{"streamcluster"}, Accesses: 2000})
 	got, err := sess.Experiment(t.Context(), "table1")
 	if err != nil {
 		t.Fatal(err)
@@ -215,11 +184,7 @@ func TestExperimentMatchesInternalRun(t *testing.T) {
 // OpenTrace preserves the stream statistics, and that encoding observes
 // cancellation.
 func TestTraceRoundTripThroughSDK(t *testing.T) {
-	sess, err := New(WithThreads(4), WithAccesses(800), WithScale(512))
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := sess.TraceSource("streamcluster")
+	src, err := session(t, Params{Threads: 4, Accesses: 800, Scale: 512}).TraceSource("streamcluster")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,50 +226,18 @@ func TestTraceRoundTripThroughSDK(t *testing.T) {
 	}
 }
 
-// TestParamsValidation checks Params surfaces bad enumerated values.
+// TestParamsValidation checks a fully populated valid configuration is
+// accepted; TestParamsValidationErrors covers the rejections.
 func TestParamsValidation(t *testing.T) {
-	if _, err := (Params{Design: "warp-drive"}).Options(); err == nil {
-		t.Error("bad design accepted")
-	}
-	if _, err := (Params{Policy: "NUMA9000"}).Options(); err == nil {
-		t.Error("bad policy accepted")
-	}
-	if _, err := (Params{Topology: "moebius"}).Options(); err == nil {
-		t.Error("bad topology accepted")
-	}
-	stream := true
-	opts, err := (Params{Quick: true, Design: "c3d", Policy: "FT2", Topology: "p2p", Sockets: 2,
-		Threads: 8, Accesses: 100, Scale: 512, Parallelism: 2, Stream: &stream,
-		Seed: 42, Workloads: []string{"streamcluster"}}).Options()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(opts...); err != nil {
-		t.Fatal(err)
-	}
+	session(t, Params{Quick: true, Design: "c3d", Policy: "FT2", Topology: "p2p", Sockets: 2,
+		Threads: 8, Accesses: 100, Scale: 512, Parallelism: 2,
+		Seed: 42, Workloads: []string{"streamcluster"}})
 }
 
-// TestTopologyOptions covers the WithTopology/WithSockets surface: eager
-// rejection of shapes no machine hosts, and the topology landing in the
-// simulation result.
+// TestTopologyOptions checks the Topology/Sockets params land in the
+// simulation result and the machine configuration.
 func TestTopologyOptions(t *testing.T) {
-	// Ring cannot host the 2-socket shape; eagerly rejected at New.
-	if _, err := New(WithSockets(2), WithTopology(Ring)); err == nil {
-		t.Error("ring@2 accepted")
-	}
-	// No built-in topology hosts 32 sockets.
-	if _, err := New(WithSockets(32)); err == nil {
-		t.Error("32 sockets accepted without a hosting topology")
-	}
-	if _, err := (Params{Topology: "ring", Sockets: 2}).Session(); err == nil {
-		t.Error("params ring@2 accepted")
-	}
-
-	sess, err := New(WithSockets(8), WithTopology(Mesh), WithThreads(8),
-		WithAccesses(2000), WithScale(512))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := session(t, Params{Sockets: 8, Topology: "mesh", Threads: 8, Accesses: 2000, Scale: 512})
 	res, err := sess.Simulate(context.Background(), "streamcluster")
 	if err != nil {
 		t.Fatal(err)
@@ -331,10 +264,7 @@ func TestTopologyOptions(t *testing.T) {
 // TestScalingExperimentViaSDK runs the registered scaling experiment through
 // the Session facade — the same path c3dexp and the daemon use.
 func TestScalingExperimentViaSDK(t *testing.T) {
-	sess, err := New(WithQuick(), WithWorkloads("streamcluster"), WithAccesses(2000))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := session(t, Params{Quick: true, Workloads: []string{"streamcluster"}, Accesses: 2000})
 	res, err := sess.Experiment(context.Background(), "scaling")
 	if err != nil {
 		t.Fatal(err)

@@ -45,8 +45,8 @@ type ExperimentResult struct {
 }
 
 // Experiment runs one experiment by id under the session configuration.
-// Results are deterministic: bit-identical at any WithParallelism value and
-// across the streaming/materialised trace paths.
+// Results are deterministic: bit-identical at any Params.Parallelism, and
+// whether a trace is replayed from the memo or streamed from its generator.
 //
 // Cancelling the context stops the campaign early: no new simulation starts,
 // in-flight simulations abort between accesses, and ctx's error is returned.
@@ -58,7 +58,7 @@ func (s *Session) Experiment(ctx context.Context, id string) (*ExperimentResult,
 	if err != nil {
 		return nil, err
 	}
-	result, err := entry.Run(ctx, s.cfg.experimentsConfig())
+	result, err := entry.Run(ctx, s.experimentsConfig())
 	if err != nil {
 		return nil, err
 	}

@@ -2,27 +2,45 @@ package c3d
 
 import (
 	"fmt"
+	"slices"
 
+	"c3d/internal/experiments"
+	"c3d/internal/interconnect"
+	"c3d/internal/machine"
+	"c3d/internal/sample"
+	"c3d/internal/workload"
+	"c3d/internal/wspec"
 	"c3d/pkg/c3d/api"
 )
 
-// Params is the flat, serialisable form of a session configuration: the
-// shape CLI flags parse into and the c3dd job API accepts as JSON. Both
-// resolve a Params to the same []Option via Options(), which is what makes
-// the CLIs and the daemon provably one code path.
+// Params is the one session configuration: the shape CLI flags parse into,
+// the c3dd job API accepts as JSON, and SDK programs fill in directly.
+// Params.Session validates it once, which is what makes the CLIs, the daemon
+// and embedded use provably one code path.
 //
 // The struct itself — fields and JSON tags — is defined once, in
 // pkg/c3d/api (the wire-contract package), and Params is a defined type
 // over it: convert with api.Params(p) / Params(w) when crossing between
 // SDK calls and wire documents. The two can never drift because they are
 // one declaration.
+//
+// Zero fields mean "use the default": design C3D, 4 sockets and the socket
+// count's default topology, the workload's native thread count, access
+// count and preferred placement policy, scale workload.DefaultScale, a 0.25
+// warm-up, GOMAXPROCS-way parallelism and full detailed simulation.
+// Experiment campaigns start from the paper-scale or (Quick) reduced
+// configuration instead and fix their own designs.
 type Params api.Params
 
-// Options resolves the params into session options, validating the
-// enumerated fields (design, policy) and rejecting negative numeric
-// overrides — dropping them silently would run a configuration the caller
-// never asked for.
-func (p Params) Options() ([]Option, error) {
+// defaultSockets is the machine shape a session assumes when Sockets is
+// zero — the paper's 4-socket configuration.
+const defaultSockets = 4
+
+// Session validates the params and returns the session they configure: an
+// impossible configuration is reported here, not as a panic mid-run.
+// Negative numeric fields are rejected rather than dropped, because running
+// a default the caller never asked for would be worse than failing.
+func (p Params) Session() (*Session, error) {
 	for _, field := range []struct {
 		name string
 		v    int
@@ -39,80 +57,165 @@ func (p Params) Options() ([]Option, error) {
 			return nil, fmt.Errorf("c3d: negative %s %d", field.name, field.v)
 		}
 	}
-	var opts []Option
-	if p.Quick {
-		opts = append(opts, WithQuick())
-	}
 	if p.Design != "" {
-		d, err := ParseDesign(p.Design)
-		if err != nil {
+		if _, err := ParseDesign(p.Design); err != nil {
 			return nil, err
 		}
-		opts = append(opts, WithDesign(d))
 	}
 	if p.Policy != "" {
-		pol, err := ParsePolicy(p.Policy)
-		if err != nil {
+		if _, err := ParsePolicy(p.Policy); err != nil {
 			return nil, err
 		}
-		opts = append(opts, WithPolicy(pol))
 	}
 	if p.Topology != "" {
-		topo, err := ParseTopology(p.Topology)
-		if err != nil {
+		if _, err := ParseTopology(p.Topology); err != nil {
 			return nil, err
 		}
-		opts = append(opts, WithTopology(topo))
 	}
-	if p.Sockets > 0 {
-		opts = append(opts, WithSockets(p.Sockets))
-	}
-	if p.Threads > 0 {
-		opts = append(opts, WithThreads(p.Threads))
-	}
-	if p.Accesses > 0 {
-		opts = append(opts, WithAccesses(p.Accesses))
-	}
-	if p.Scale > 0 {
-		opts = append(opts, WithScale(p.Scale))
-	}
-	if p.Warmup != nil {
-		opts = append(opts, WithWarmup(*p.Warmup))
-	}
-	if len(p.Workloads) > 0 {
-		opts = append(opts, WithWorkloads(p.Workloads...))
-	}
-	if p.Parallelism > 0 {
-		opts = append(opts, WithParallelism(p.Parallelism))
-	}
-	if p.Stream != nil {
-		opts = append(opts, WithStreaming(*p.Stream))
-	}
-	if p.Seed != 0 {
-		opts = append(opts, WithSeed(p.Seed))
-	}
-	if p.BroadcastFilter {
-		opts = append(opts, WithBroadcastFilter(true))
-	}
-	if len(p.Spec) > 0 {
-		opts = append(opts, WithWorkloadSpec(p.Spec))
-	}
-	if p.Sampling != "" {
-		spec, err := ParseSampling(p.Sampling)
-		if err != nil {
-			return nil, err
-		}
-		opts = append(opts, WithSampling(spec))
-	}
-	return opts, nil
-}
-
-// Session builds a Session directly from the params (plus any extra
-// options, applied after).
-func (p Params) Session(extra ...Option) (*Session, error) {
-	opts, err := p.Options()
+	sampling, err := ParseSampling(p.Sampling)
 	if err != nil {
 		return nil, err
 	}
-	return New(append(opts, extra...)...)
+	p.Sampling = sampling.String() // canonical, as campaigns report it
+	// The session owns its copy: later edits to the caller's slice or
+	// warm-up pointer must not reach a validated session.
+	p.Workloads = slices.Clone(p.Workloads)
+	if p.Warmup != nil {
+		w := *p.Warmup
+		p.Warmup = &w
+	}
+	s := &Session{p: p}
+	if len(p.Spec) > 0 {
+		if s.spec, err = wspec.Load(p.Spec); err != nil {
+			return nil, fmt.Errorf("c3d: %w", err)
+		}
+	}
+	if p.Warmup != nil && (*p.Warmup < 0 || *p.Warmup >= 1) {
+		return nil, fmt.Errorf("c3d: warm-up fraction %v outside [0,1)", *p.Warmup)
+	}
+	for _, name := range p.Workloads {
+		if _, err := s.resolveWorkload(name); err != nil {
+			return nil, err
+		}
+	}
+	// Eagerly reject shapes no machine could host, using the session's
+	// socket default. Experiments that fix their own socket counts (Fig. 7's
+	// 2-socket machine, the scaling sweep) re-validate per machine before
+	// construction, so a session-level pass here is necessary, not
+	// sufficient.
+	if p.Topology != "" {
+		err = interconnect.SupportsSockets(Topology(p.Topology), s.sockets())
+	} else {
+		_, err = interconnect.DefaultTopology(s.sockets())
+	}
+	if err != nil {
+		return nil, fmt.Errorf("c3d: %w", err)
+	}
+	return s, nil
+}
+
+// ParseSampling parses a sampling schedule spec of the form
+// "stretch=N,warm=N,win=N[,seed=S]" (all lengths per-thread record counts;
+// see internal/sample for the schedule semantics). The empty string parses
+// to the zero spec, meaning full detailed simulation.
+func ParseSampling(text string) (SamplingSpec, error) {
+	spec, err := sample.Parse(text)
+	if err != nil {
+		return SamplingSpec{}, fmt.Errorf("c3d: %w", err)
+	}
+	return spec, nil
+}
+
+// sockets resolves the socket count the session's own machines use. Shared
+// by validation and machineConfigFor so the two can never disagree.
+func (s *Session) sockets() int {
+	if s.p.Sockets > 0 {
+		return s.p.Sockets
+	}
+	return defaultSockets
+}
+
+// resolveWorkload resolves a workload name against the session: the
+// compiled workload-spec document when one is set and the name is empty or
+// the spec's own, else the open registry.
+func (s *Session) resolveWorkload(name string) (workload.Spec, error) {
+	if s.spec != nil && (name == "" || name == s.spec.Name()) {
+		return s.spec.Spec(), nil
+	}
+	if name == "" {
+		return workload.Spec{}, fmt.Errorf("c3d: no workload named and no workload spec set")
+	}
+	w, err := workload.Get(name)
+	if err != nil {
+		if s.spec != nil {
+			return workload.Spec{}, fmt.Errorf("c3d: %w; the session spec defines %q", err, s.spec.Name())
+		}
+		return workload.Spec{}, fmt.Errorf("c3d: %w", err)
+	}
+	return w, nil
+}
+
+// machineConfigFor resolves the machine configuration a simulation of spec
+// runs on — the single source of truth shared by Simulate and
+// MachineConfigFor.
+func (s *Session) machineConfigFor(spec workload.Spec) machine.Config {
+	design := C3D
+	if s.p.Design != "" {
+		design = Design(s.p.Design)
+	}
+	mcfg := machine.DefaultConfig(s.sockets(), design)
+	mcfg.Topology = Topology(s.p.Topology)
+	mcfg.Scale = s.p.Scale
+	if mcfg.Scale <= 0 {
+		mcfg.Scale = workload.DefaultScale
+	}
+	mcfg.MemPolicy = spec.PreferredPolicy
+	if s.p.Policy != "" {
+		mcfg.MemPolicy, _ = ParsePolicy(s.p.Policy) // validated by Session
+	}
+	mcfg.EnableBroadcastFilter = s.p.BroadcastFilter
+	return mcfg
+}
+
+// experimentsConfig resolves the session into an experiment campaign
+// configuration.
+func (s *Session) experimentsConfig() experiments.Config {
+	cfg := experiments.DefaultConfig()
+	if s.p.Quick {
+		cfg = experiments.QuickConfig()
+	}
+	if s.p.Sockets > 0 {
+		cfg.Sockets = s.p.Sockets
+	}
+	if s.p.Threads > 0 {
+		cfg.Threads = s.p.Threads
+	}
+	if s.p.Accesses > 0 {
+		cfg.AccessesPerThread = s.p.Accesses
+	}
+	if s.p.Scale > 0 {
+		cfg.Scale = s.p.Scale
+	}
+	if s.p.Warmup != nil {
+		cfg.WarmupFraction = *s.p.Warmup
+	}
+	if len(s.p.Workloads) > 0 {
+		cfg.Workloads = s.p.Workloads
+	}
+	if s.spec != nil {
+		// A compiled spec document joins the campaign as an extra resolvable
+		// workload; with no explicit subset it *is* the suite, which is how
+		// scaling and fig experiments run a spec in place of the registry
+		// workloads.
+		cfg.Extra = []workload.Spec{s.spec.Spec()}
+		if len(s.p.Workloads) == 0 {
+			cfg.Workloads = []string{s.spec.Name()}
+		}
+	}
+	cfg.Topology = Topology(s.p.Topology)
+	cfg.Parallelism = s.p.Parallelism
+	cfg.Seed = s.p.Seed
+	cfg.Sampling = s.p.Sampling
+	cfg.Progress = s.progress
+	return cfg
 }

@@ -10,8 +10,8 @@ import (
 // registered designs, fabric topologies, experiments and workloads, plus the
 // build version — in the wire shape served by GET /v1/capabilities. The
 // daemon and the campaign coordinator both publish exactly this document,
-// and remote clients use it to validate job specs eagerly, the way the SDK's
-// options validate locally.
+// and remote clients use it to validate job specs eagerly, the way
+// Params.Session validates locally.
 func CurrentCapabilities() api.Capabilities {
 	caps := api.Capabilities{Version: Version()}
 	for _, d := range Designs() {
@@ -35,7 +35,7 @@ func CurrentCapabilities() api.Capabilities {
 
 // ValidateJobSpec rejects malformed job specs the way the daemon's
 // submission endpoint does, so a queued job can only fail for run-time
-// reasons. Building (and discarding) the session runs the SDK's full option
+// reasons. Building (and discarding) the session runs the SDK's full params
 // validation — unknown workloads, out-of-range warm-up, unhostable
 // topology/socket shapes — not just the enumerated-field parse. The daemon
 // and the campaign coordinator share this one door check.
@@ -59,7 +59,7 @@ func ValidateJobSpec(spec api.JobSpec) error {
 		// resolveWorkload accepts what Simulate would: a registry or spec
 		// name, or an empty name when the params carry a workload-spec
 		// document. An empty name without a spec is still rejected.
-		if _, err := sess.cfg.resolveWorkload(spec.Workload); err != nil {
+		if _, err := sess.resolveWorkload(spec.Workload); err != nil {
 			return err
 		}
 	case api.KindVerify:

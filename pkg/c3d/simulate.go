@@ -20,126 +20,69 @@ type SimulateResult struct {
 	RequestedThreads int
 	EffectiveThreads int
 	ThreadsClamped   bool
-	// Streamed reports whether the run used the streaming generator
-	// (bounded memory) or a materialised trace. Results are bit-identical
-	// either way.
-	Streamed bool
 }
 
 // Simulate runs one workload on one machine configuration under the
-// session's design and returns the detailed statistics. Per-call options
-// override the session's for this run only.
+// session's design and returns the detailed statistics. The access streams
+// are generated as the simulation consumes them, so memory stays bounded at
+// any stream length.
 //
 // Cancelling the context aborts the simulation between accesses and returns
 // ctx's error.
-func (s *Session) Simulate(ctx context.Context, workloadName string, opts ...Option) (*SimulateResult, error) {
+func (s *Session) Simulate(ctx context.Context, workloadName string) (*SimulateResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	cfg := s.cfg
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	spec, err := cfg.resolveWorkload(workloadName)
+	spec, err := s.resolveWorkload(workloadName)
 	if err != nil {
 		return nil, err
 	}
-
-	mcfg := cfg.machineConfigFor(spec)
-	scale := mcfg.Scale
-
+	mcfg := s.machineConfigFor(spec)
 	requested := spec.DefaultThreads
-	if cfg.threads > 0 {
-		requested = cfg.threads
+	if s.p.Threads > 0 {
+		requested = s.p.Threads
 	}
-	threads := requested
-	clamped := false
-	if threads > mcfg.Cores() {
-		threads = mcfg.Cores()
-		clamped = true
-	}
+	threads := min(requested, mcfg.Cores())
 
 	m, err := newMachine(mcfg)
 	if err != nil {
 		return nil, err
 	}
-	genOpts := workload.Options{
+	src, err := workload.NewSource(spec, workload.Options{
 		Threads:           threads,
-		Scale:             scale,
-		AccessesPerThread: cfg.accesses,
-		SeedOffset:        cfg.seed,
+		Scale:             mcfg.Scale,
+		AccessesPerThread: s.p.Accesses,
+		SeedOffset:        s.p.Seed,
+	})
+	if err != nil {
+		return nil, err
 	}
 	runOpts := machine.DefaultRunOptions()
-	if cfg.warmupSet {
-		runOpts.WarmupFraction = cfg.warmup
+	if s.p.Warmup != nil {
+		runOpts.WarmupFraction = *s.p.Warmup
 	}
-	runOpts.Sampling = cfg.sampling
-
-	// Streaming is Simulate's default long-run mode: memory stays bounded at
-	// any stream length. WithStreaming(false) opts into a materialised trace.
-	streamed := !cfg.streamingSet || cfg.streaming
-	var res RunResult
-	if streamed {
-		src, err := workload.NewSource(spec, genOpts)
-		if err != nil {
-			return nil, err
-		}
-		res, err = m.RunSource(ctx, src, runOpts)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		tr, err := workload.Generate(spec, genOpts)
-		if err != nil {
-			return nil, err
-		}
-		res, err = m.Run(ctx, tr, runOpts)
-		if err != nil {
-			return nil, err
-		}
+	runOpts.Sampling, _ = ParseSampling(s.p.Sampling) // validated by Session
+	res, err := m.RunSource(ctx, src, runOpts)
+	if err != nil {
+		return nil, err
 	}
-	out := &SimulateResult{
+	return &SimulateResult{
 		RunResult:        res,
 		RequestedThreads: requested,
 		EffectiveThreads: threads,
-		ThreadsClamped:   clamped,
-		Streamed:         streamed,
-	}
-	return out, nil
-}
-
-// machineConfigFor resolves the session options into the machine
-// configuration a simulation of spec would run on — the single source of
-// truth shared by Simulate and MachineConfigFor.
-func (c config) machineConfigFor(spec workload.Spec) machine.Config {
-	sockets := c.effectiveSockets()
-	scale := c.scale
-	if scale <= 0 {
-		scale = workload.DefaultScale
-	}
-	mcfg := machine.DefaultConfig(sockets, c.design)
-	mcfg.Topology = c.topology
-	mcfg.Scale = scale
-	mcfg.MemPolicy = c.workloadPolicy(spec)
-	mcfg.EnableBroadcastFilter = c.broadcastFilter
-	if c.coresPerSocket > 0 {
-		mcfg.CoresPerSocket = c.coresPerSocket
-	}
-	return mcfg
+		ThreadsClamped:   threads < requested,
+	}, nil
 }
 
 // MachineConfigFor resolves the machine configuration Simulate would use for
 // a workload under this session — useful for inspecting capacities before a
 // run.
 func (s *Session) MachineConfigFor(workloadName string) (MachineConfig, error) {
-	spec, err := s.cfg.resolveWorkload(workloadName)
+	spec, err := s.resolveWorkload(workloadName)
 	if err != nil {
 		return MachineConfig{}, err
 	}
-	mcfg := s.cfg.machineConfigFor(spec)
+	mcfg := s.machineConfigFor(spec)
 	if err := mcfg.Validate(); err != nil {
 		return MachineConfig{}, fmt.Errorf("c3d: %w", err)
 	}

@@ -16,43 +16,12 @@ import (
 	_ "c3d/internal/wspec/presets"
 )
 
-// WithWorkloadSpec attaches a workload-spec document (the internal/wspec
-// JSON DSL) to the session. The document is parsed, validated and compiled
-// eagerly — New/With report a bad spec immediately — and the compiled
-// workload resolves wherever a workload name is expected: Simulate with an
-// empty name (or the spec's own name) runs it, and experiment campaigns use
-// it in place of the registry suite unless WithWorkloads picks an explicit
-// set.
-func WithWorkloadSpec(doc []byte) Option {
-	return func(c *config) {
-		c.specDoc = append([]byte(nil), doc...)
-		c.spec = nil
-		c.specErr = nil
-	}
-}
-
-// WithWorkloadSpecFile is WithWorkloadSpec reading the document from a
-// file. A read failure is reported by New/With, like any other bad option.
-func WithWorkloadSpecFile(path string) Option {
-	doc, err := os.ReadFile(path)
-	return func(c *config) {
-		if err != nil {
-			c.specDoc, c.spec = nil, nil
-			c.specErr = fmt.Errorf("c3d: reading workload spec: %w", err)
-			return
-		}
-		c.specDoc = doc
-		c.spec = nil
-		c.specErr = nil
-	}
-}
-
 // WorkloadSpecPresets lists the embedded workload-spec presets in
 // registration order.
 func WorkloadSpecPresets() []string { return wspec.Presets() }
 
 // WorkloadSpecPreset returns the embedded preset's original document bytes
-// — the exact bytes to pass to WithWorkloadSpec or ship to a remote daemon.
+// — the exact bytes to put in Params.Spec or ship to a remote daemon.
 func WorkloadSpecPreset(name string) ([]byte, error) {
 	doc, ok := wspec.PresetDoc(name)
 	if !ok {
@@ -65,7 +34,7 @@ func WorkloadSpecPreset(name string) ([]byte, error) {
 
 // ReadWorkloadSpec resolves a CLI-style spec argument: "preset:<name>"
 // returns the embedded preset's bytes, anything else is read as a file
-// path. The CLIs' -spec flags all route through here.
+// path. The CLIs' -spec flags all route through here into Params.Spec.
 func ReadWorkloadSpec(arg string) ([]byte, error) {
 	if name, ok := strings.CutPrefix(arg, "preset:"); ok {
 		return WorkloadSpecPreset(name)

@@ -15,9 +15,9 @@ import (
 // run, distinct name, deterministic.
 const specDoc = `{"version":1,"name":"spec-test-mix","base":"streamcluster","seed":11}`
 
-// TestWithWorkloadSpecValidatesEagerly checks a bad document fails at New,
-// before any job could be queued on it.
-func TestWithWorkloadSpecValidatesEagerly(t *testing.T) {
+// TestWorkloadSpecValidatesEagerly checks a bad document fails when the
+// session is built, before any job could be queued on it.
+func TestWorkloadSpecValidatesEagerly(t *testing.T) {
 	cases := map[string]string{
 		"malformed json":   `{"version":1,`,
 		"unknown version":  `{"version":9,"name":"a","base":"streamcluster"}`,
@@ -25,12 +25,12 @@ func TestWithWorkloadSpecValidatesEagerly(t *testing.T) {
 		"no mode selected": `{"version":1,"name":"a"}`,
 	}
 	for name, doc := range cases {
-		if _, err := New(WithWorkloadSpec([]byte(doc))); err == nil {
-			t.Errorf("%s: New accepted the document", name)
+		if _, err := (Params{Spec: []byte(doc)}).Session(); err == nil {
+			t.Errorf("%s: Session accepted the document", name)
 		}
 	}
-	if _, err := New(WithWorkloadSpecFile("/does/not/exist.json")); err == nil {
-		t.Error("New accepted an unreadable spec file")
+	if _, err := ReadWorkloadSpec("/does/not/exist.json"); err == nil {
+		t.Error("ReadWorkloadSpec accepted an unreadable spec file")
 	}
 }
 
@@ -38,15 +38,7 @@ func TestWithWorkloadSpecValidatesEagerly(t *testing.T) {
 // name and the spec's own name resolve to the compiled workload, registry
 // names keep working, and an unknown name's error mentions the loaded spec.
 func TestSimulateWorkloadSpec(t *testing.T) {
-	sess, err := New(
-		WithWorkloadSpec([]byte(specDoc)),
-		WithQuick(),
-		WithThreads(4),
-		WithAccesses(300),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := session(t, Params{Spec: []byte(specDoc), Quick: true, Threads: 4, Accesses: 300})
 	byEmpty, err := sess.Simulate(context.Background(), "")
 	if err != nil {
 		t.Fatalf("Simulate(\"\"): %v", err)
@@ -72,17 +64,10 @@ func TestSimulateWorkloadSpec(t *testing.T) {
 // mirror document over a registry workload simulates bit-identically to
 // naming the workload directly.
 func TestSimulateSpecMatchesRegistryMirror(t *testing.T) {
-	opts := []Option{WithQuick(), WithThreads(4), WithAccesses(300)}
-	specSess, err := New(append([]Option{
-		WithWorkloadSpec([]byte(`{"version":1,"name":"streamcluster","base":"streamcluster"}`)),
-	}, opts...)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	regSess, err := New(opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := Params{Quick: true, Threads: 4, Accesses: 300}
+	regSess := session(t, p)
+	p.Spec = []byte(`{"version":1,"name":"streamcluster","base":"streamcluster"}`)
+	specSess := session(t, p)
 	got, err := specSess.Simulate(context.Background(), "")
 	if err != nil {
 		t.Fatal(err)

@@ -101,26 +101,18 @@ func ParseTraceFormat(s string) (TraceFormat, error) {
 }
 
 // TraceSource builds a streaming generator source for a workload under the
-// session options (threads, scale, accesses, seed): records are produced on
-// demand, so the source can drive paper-scale stream lengths at bounded
-// memory.
-func (s *Session) TraceSource(workloadName string, opts ...Option) (TraceSource, error) {
-	cfg := s.cfg
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	spec, err := cfg.resolveWorkload(workloadName)
+// session (threads, scale, accesses, seed): records are produced on demand,
+// so the source can drive paper-scale stream lengths at bounded memory.
+func (s *Session) TraceSource(workloadName string) (TraceSource, error) {
+	spec, err := s.resolveWorkload(workloadName)
 	if err != nil {
 		return nil, err
 	}
 	return workload.NewSource(spec, workload.Options{
-		Threads:           cfg.threads,
-		Scale:             cfg.scale,
-		AccessesPerThread: cfg.accesses,
-		SeedOffset:        cfg.seed,
+		Threads:           s.p.Threads,
+		Scale:             s.p.Scale,
+		AccessesPerThread: s.p.Accesses,
+		SeedOffset:        s.p.Seed,
 	})
 }
 

@@ -28,7 +28,7 @@ type VerifyRequest struct {
 // Verify model-checks the C3D coherence protocol: SWMR, the data-value
 // invariant (per-location sequential consistency) and absence of deadlock,
 // by exhaustive explicit-state exploration. Worker count comes from
-// WithParallelism; reports are bit-identical at any value.
+// Params.Parallelism; reports are bit-identical at any value.
 //
 // Cancelling the context aborts the searches; the error is ctx's and the
 // returned result holds the partial reports explored so far (marked
@@ -43,8 +43,8 @@ func (s *Session) Verify(ctx context.Context, req VerifyRequest) (*VerifyResult,
 		StoresPerCore:         req.StoresPerCore,
 		MaxStates:             req.MaxStates,
 		IncludeFullDirVariant: !req.BaseOnly,
-		Parallelism:           s.cfg.parallelism,
-		Progress:              s.cfg.progress,
+		Parallelism:           s.p.Parallelism,
+		Progress:              s.progress,
 	}
 	if cfg.Sockets <= 0 {
 		cfg.Sockets = 3
