@@ -17,11 +17,11 @@ import (
 // canonical JSON of its spec. Canonicalisation zeroes Parallelism, the one
 // field proven not to affect result bytes (results are bit-identical at any
 // parallelism; the determinism CI gate enforces it), so a sweep re-run with
-// different host tuning still hits. Everything else,
-// including the seed and the sampling schedule inside Params, stays
-// verbatim: a different seed is a different result, and a sampled run is a
-// different result from a full run (and from a run under another schedule),
-// so sampling is semantic for the cache by construction.
+// different host tuning still hits. Everything else, including the seed and
+// the sampling schedule inside Params, stays verbatim: a different seed is a
+// different result, and a sampled run is a different result from a full run
+// (and from a run under another schedule), so sampling is semantic for the
+// cache by construction.
 //
 // Keying on content rather than job identity is safe precisely because every
 // job is deterministic: two specs with equal keys produce equal bytes on any

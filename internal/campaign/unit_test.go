@@ -41,6 +41,11 @@ func TestCacheKeyNormalisation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The disk tier survives restarts and is keyed by this address, so the
+	// address of a fixed spec must not drift between builds.
+	if want := "12d9282bb4535f915ef8dfea2c3e9b24bee51253ad15339eba6392a3f0e65513"; k1 != want {
+		t.Errorf("CacheKey(simSpec(7)) = %s, want %s", k1, want)
+	}
 
 	// Parallelism does not change result bytes, so it must not change the
 	// content address.

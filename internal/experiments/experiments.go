@@ -222,8 +222,8 @@ type traceCall struct {
 	err  error
 }
 
-// traceBudget is the default record budget: 4M records (64 MiB of parallel
-// records). It holds a quick campaign's whole working set — fig6-quick is
+// traceBudget is the default record budget: 4M records (96 MiB of 24-byte
+// parallel records). It holds a quick campaign's whole working set — fig6-quick is
 // nine traces of 8 threads × 6000 accesses — while a paper-scale trace (32
 // threads × 200k accesses) streams.
 const traceBudget = 1 << 22
@@ -300,9 +300,6 @@ func (tc *traceCache) get(spec workload.Spec, opts workload.Options) (trace.Sour
 		tc.order = append(tc.order, key)
 	}
 	tc.mu.Unlock()
-	if err != nil {
-		src = nil
-	}
 	call.src, call.err = src, err
 	close(call.done)
 	return src, err
