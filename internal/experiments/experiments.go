@@ -40,10 +40,9 @@ type Config struct {
 	// builds (empty = the socket count's default: p2p for 2, ring beyond).
 	// The scaling experiment sweeps its own topology grid and ignores it.
 	Topology interconnect.Topology
-	// Threads is the number of workload threads (and cores used).
+	// Threads is the number of workload threads (and cores used); each
+	// socket gets Threads/Sockets cores, rounded up.
 	Threads int
-	// CoresPerSocket is derived from Threads/Sockets when zero.
-	CoresPerSocket int
 	// Scale divides cache capacities and workload footprints together.
 	Scale int
 	// AccessesPerThread overrides each workload's default when positive.
@@ -177,11 +176,7 @@ func (c Config) machineConfig(sockets int, design machine.Design, policy numa.Po
 	mc.Topology = c.Topology
 	mc.Scale = c.Scale
 	mc.MemPolicy = policy
-	if c.CoresPerSocket > 0 {
-		mc.CoresPerSocket = c.CoresPerSocket
-	} else {
-		mc.CoresPerSocket = (c.Threads + sockets - 1) / sockets
-	}
+	mc.CoresPerSocket = (c.Threads + sockets - 1) / sockets
 	return mc
 }
 
@@ -189,11 +184,11 @@ func (c Config) machineConfig(sockets int, design machine.Design, policy numa.Po
 // workload through many machine configurations, and generation is a
 // measurable fraction of a quick run.
 //
-// The memo is bounded by records, not entries. A trace whose threads ×
-// accesses exceeds the budget is never materialised: its jobs stream from
-// the generator, so paper-scale campaigns run at bounded memory. Smaller
-// traces stay resident, least recently used evicted first, while their
-// records total at most the budget. Results are bit-identical either way — a
+// The memo is bounded by records, not entries; a trace's records are its
+// init section plus threads × accesses. A trace over the budget is never
+// materialised: its jobs stream from the generator, so campaigns of any
+// length run at bounded memory. Smaller traces stay resident, least recently
+// used evicted first, while their records total at most the budget. Results are bit-identical either way — a
 // replayed trace and its generator emit the same records.
 type traceCache struct {
 	mu      sync.Mutex
@@ -222,11 +217,13 @@ type traceCall struct {
 	err  error
 }
 
-// traceBudget is the default record budget: 4M records (96 MiB of 24-byte
-// parallel records). It holds a quick campaign's whole working set — fig6-quick is
-// nine traces of 8 threads × 6000 accesses — while a paper-scale trace (32
-// threads × 200k accesses) streams.
-const traceBudget = 1 << 22
+// traceBudget is the default record budget: 16M records (384 MiB of 24-byte
+// records). It holds a quick campaign's whole working set — fig6-quick is
+// nine traces of 8 threads × 6000 accesses plus a 9000-record init — and two
+// paper-scale traces (32 threads × 200k accesses plus a 300k init, 6.7M
+// records each), so the default campaigns replay memoised traces as workers
+// move from one workload to the next. Longer runs stream.
+const traceBudget = 1 << 24
 
 // sharedTraces is the process-wide memo every campaign uses. Tests swap it
 // for one with another budget.
@@ -275,9 +272,7 @@ func (tc *traceCache) get(spec workload.Spec, opts workload.Options) (trace.Sour
 	src, err := workload.NewSource(spec, opts)
 	records := 0
 	if err == nil {
-		for t := range src.Threads() {
-			records += src.ThreadLen(t)
-		}
+		records = traceRecords(src)
 		if records <= tc.budget {
 			var tr *trace.Trace
 			if tr, err = trace.Materialize(src); err == nil {
@@ -303,6 +298,16 @@ func (tc *traceCache) get(spec workload.Spec, opts workload.Options) (trace.Sour
 	call.src, call.err = src, err
 	close(call.done)
 	return src, err
+}
+
+// traceRecords is the number of records a materialised src keeps resident:
+// its init section and every thread's stream.
+func traceRecords(src trace.Source) int {
+	n := src.InitLen()
+	for t := range src.Threads() {
+		n += src.ThreadLen(t)
+	}
+	return n
 }
 
 // touch moves key to the most-recently-used end. Callers hold tc.mu.

@@ -8,18 +8,28 @@ import (
 	"c3d/internal/workload"
 )
 
-// cacheOpts generates a 2-thread trace: 2 × accesses records.
+// cacheOpts generates a 2-thread streamcluster trace: 2 × accesses parallel
+// records plus an init section of 1.5 × accesses, so 3.5 × accesses resident
+// once materialised (350 records for 100 accesses).
 func cacheOpts(accesses int) workload.Options {
 	return workload.Options{Threads: 2, Scale: 512, AccessesPerThread: accesses}
 }
 
-// checkResident asserts the memo's record count is the sum of its entries,
-// within budget, and that the recency list and map agree.
+// checkResident asserts the memo's record count is the sum of its entries'
+// init and parallel records, within budget, and that the recency list and
+// map agree.
 func checkResident(t *testing.T, tc *traceCache) {
 	t.Helper()
 	sum := 0
-	for _, e := range tc.traces {
-		sum += e.records
+	for k, e := range tc.traces {
+		n := e.src.InitLen()
+		for th := range e.src.Threads() {
+			n += e.src.ThreadLen(th)
+		}
+		if e.records != n {
+			t.Fatalf("entry %s counts %d records, its trace holds %d", k, e.records, n)
+		}
+		sum += n
 	}
 	if sum != tc.records || tc.records > tc.budget {
 		t.Fatalf("resident records %d (entries sum to %d), budget %d", tc.records, sum, tc.budget)
@@ -37,11 +47,11 @@ func checkResident(t *testing.T, tc *traceCache) {
 // TestTraceCacheLRUEviction checks the cache keeps recently used traces and
 // evicts the least recently used one — not the whole map — when full.
 func TestTraceCacheLRUEviction(t *testing.T) {
-	// 700 records hold three of the ~200-record traces below, not four.
-	tc := newTraceCache(700)
+	// 1100 records hold three of the ~355-record traces below, not four.
+	tc := newTraceCache(1100)
 	spec := workload.MustGet("streamcluster")
 
-	// Fill: a(100) b(101) c(102), LRU order a, b, c.
+	// Fill: a(350 records) b(353) c(357), LRU order a, b, c.
 	a, err := tc.get(spec, cacheOpts(100))
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +104,7 @@ func TestTraceCacheLRUEviction(t *testing.T) {
 // TestTraceCacheOrderConsistency checks the recency list and map never
 // diverge across a mixed hit/miss/evict sequence.
 func TestTraceCacheOrderConsistency(t *testing.T) {
-	tc := newTraceCache(450) // two ~200-record traces
+	tc := newTraceCache(750) // two ~355-record traces
 	spec := workload.MustGet("streamcluster")
 	for _, accesses := range []int{100, 101, 100, 102, 103, 101, 100} {
 		if _, err := tc.get(spec, cacheOpts(accesses)); err != nil {
@@ -104,12 +114,12 @@ func TestTraceCacheOrderConsistency(t *testing.T) {
 	}
 }
 
-// TestTraceCacheRecordBudget checks eviction goes by records, not entries:
-// one large trace makes room for two small ones, resident records never
-// exceed the budget, and a trace over the whole budget is streamed, never
-// materialised.
+// TestTraceCacheRecordBudget checks eviction goes by records, not entries,
+// and that a trace's records include its init section: one large trace makes
+// room for two small ones, resident records never exceed the budget, and a
+// trace over the whole budget is streamed, never materialised.
 func TestTraceCacheRecordBudget(t *testing.T) {
-	tc := newTraceCache(1000)
+	tc := newTraceCache(1750)
 	spec := workload.MustGet("streamcluster")
 	get := func(accesses int) trace.Source {
 		t.Helper()
@@ -120,23 +130,26 @@ func TestTraceCacheRecordBudget(t *testing.T) {
 		checkResident(t, tc)
 		return src
 	}
-	get(400) // 800 records
-	get(100) // 200: exactly at budget, nothing evicted
-	if len(tc.traces) != 2 || tc.records != 1000 {
-		t.Fatalf("%d traces, %d records resident; want 2 and 1000", len(tc.traces), tc.records)
+	get(400) // 800 parallel + 600 init = 1400 records
+	if tc.records != 1400 {
+		t.Fatalf("%d records resident, want 1400: the init section must count", tc.records)
 	}
-	get(101) // 202: the 800-record trace (least recently used) must go
-	if len(tc.traces) != 2 || tc.records != 402 {
-		t.Fatalf("%d traces, %d records resident; want 2 and 402", len(tc.traces), tc.records)
+	get(100) // 350: exactly at budget, nothing evicted
+	if len(tc.traces) != 2 || tc.records != 1750 {
+		t.Fatalf("%d traces, %d records resident; want 2 and 1750", len(tc.traces), tc.records)
+	}
+	get(101) // 353: the 1400-record trace (least recently used) must go
+	if len(tc.traces) != 2 || tc.records != 703 {
+		t.Fatalf("%d traces, %d records resident; want 2 and 703", len(tc.traces), tc.records)
 	}
 	if _, ok := tc.traces[traceKey(spec, cacheOpts(400))]; ok {
 		t.Fatal("large trace survived; eviction did not go by records")
 	}
 
-	// 1200 records is over the whole budget: streamed every time, and the
+	// 2100 records is over the whole budget: streamed every time, and the
 	// resident set is untouched.
 	huge := get(600)
-	if len(tc.traces) != 2 || tc.records != 402 {
+	if len(tc.traces) != 2 || tc.records != 703 {
 		t.Fatalf("over-budget trace changed the resident set: %d traces, %d records", len(tc.traces), tc.records)
 	}
 	if again := get(600); again == huge {
@@ -149,7 +162,7 @@ func TestTraceCacheRecordBudget(t *testing.T) {
 // streams: every caller must get a trace of the length it asked for, and the
 // resident set must stay consistent and within budget.
 func TestTraceCacheConcurrent(t *testing.T) {
-	tc := newTraceCache(700)
+	tc := newTraceCache(1100)
 	spec := workload.MustGet("streamcluster")
 	var wg sync.WaitGroup
 	for g := range 8 {
@@ -159,7 +172,7 @@ func TestTraceCacheConcurrent(t *testing.T) {
 			for i := range 20 {
 				accesses := 100 + (g+i)%4
 				if i%5 == 0 {
-					accesses = 400 // 800 records: over budget, streamed
+					accesses = 400 // 1400 records: over budget, streamed
 				}
 				src, err := tc.get(spec, cacheOpts(accesses))
 				if err != nil {
@@ -175,4 +188,35 @@ func TestTraceCacheConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	checkResident(t, tc)
+}
+
+// TestTraceBudgetHoldsPaperScale pins where the default budget puts the
+// paper's campaigns: two paper-scale traces of any workload fit at once, so
+// the default campaigns replay memoised traces, and the quick fig6 working
+// set fits whole, so a quick campaign never regenerates a trace. A trace of
+// thrice the paper's length is over budget and streams.
+func TestTraceBudgetHoldsPaperScale(t *testing.T) {
+	records := func(cfg Config, name string, accesses int) int {
+		t.Helper()
+		src, err := workload.NewSource(workload.MustGet(name), workload.Options{Threads: cfg.Threads, Scale: cfg.Scale, AccessesPerThread: accesses})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return traceRecords(src)
+	}
+	def := DefaultConfig().withDefaults()
+	quick := QuickConfig().withDefaults()
+	quickSet := 0
+	for _, name := range def.workloadNames() {
+		if n := records(def, name, 0); 2*n > traceBudget {
+			t.Errorf("paper-scale %s trace is %d records; two do not fit the %d-record budget", name, n, traceBudget)
+		}
+		quickSet += records(quick, name, quick.AccessesPerThread)
+	}
+	if quickSet > traceBudget {
+		t.Errorf("quick working set is %d records, over the %d-record budget", quickSet, traceBudget)
+	}
+	if n := records(def, "streamcluster", 600_000); n <= traceBudget {
+		t.Errorf("a %d-record trace fits the budget; the streaming side is untested", n)
+	}
 }
