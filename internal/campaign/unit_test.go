@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -93,12 +94,12 @@ func TestResultCacheLRU(t *testing.T) {
 }
 
 func TestPolicyRegistry(t *testing.T) {
-	names := Policies()
-	if len(names) < 2 || names[0] != "round-robin" || names[1] != "least-loaded" {
-		t.Fatalf("registered policies = %v", names)
+	if names := Policies(); !reflect.DeepEqual(names, []string{"round-robin", "least-loaded"}) {
+		t.Fatalf("Policies() = %q", names)
 	}
-	if _, err := LookupPolicy("carrier-pigeon"); err == nil {
-		t.Error("unknown policy looked up successfully")
+	const unknown = `campaign: unknown routing policy "carrier-pigeon" (have [round-robin least-loaded])`
+	if _, err := LookupPolicy("carrier-pigeon"); err == nil || err.Error() != unknown {
+		t.Errorf("LookupPolicy(carrier-pigeon) error = %v, want %s", err, unknown)
 	}
 	spec, err := LookupPolicy(DefaultPolicy)
 	if err != nil || spec.New() == nil {

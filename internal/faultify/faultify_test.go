@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -52,20 +53,12 @@ func TestScheduleDeterministic(t *testing.T) {
 // TestPlanRegistryAndParse covers lookup, the built-in list, and the
 // "<plan>:<seed>" flag syntax.
 func TestPlanRegistryAndParse(t *testing.T) {
-	names := Plans()
-	for _, want := range []string{"flaky", "hang", "partial", "mayhem"} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("built-in plan %q not registered (have %v)", want, names)
-		}
+	if names := Plans(); !reflect.DeepEqual(names, []string{"flaky", "hang", "partial", "mayhem"}) {
+		t.Fatalf("Plans() = %q", names)
 	}
-	if _, err := Lookup("gremlins"); err == nil {
-		t.Error("unknown plan looked up successfully")
+	const unknown = `faultify: unknown plan "gremlins" (have [flaky hang mayhem partial])`
+	if _, err := Lookup("gremlins"); err == nil || err.Error() != unknown {
+		t.Errorf("Lookup(gremlins) error = %v, want %s", err, unknown)
 	}
 	in, err := Parse("flaky:42")
 	if err != nil || in.Seed() != 42 || in.Plan().Name != "flaky" {
@@ -77,8 +70,8 @@ func TestPlanRegistryAndParse(t *testing.T) {
 	if _, err = Parse("flaky:banana"); err == nil {
 		t.Error("bad seed parsed successfully")
 	}
-	if _, err = Parse("gremlins:1"); err == nil {
-		t.Error("unknown plan parsed successfully")
+	if _, err = Parse("gremlins:1"); err == nil || err.Error() != unknown {
+		t.Errorf("Parse(gremlins:1) error = %v, want %s", err, unknown)
 	}
 }
 

@@ -116,8 +116,9 @@ func TestParseTopologyAndListing(t *testing.T) {
 			t.Errorf("ParseTopology(%q) = %v, %v", topo, parsed, err)
 		}
 	}
-	if _, err := ParseTopology("moebius"); err == nil {
-		t.Error("unknown topology name should fail to parse")
+	const unknown = `interconnect: unknown topology "moebius" (known: [p2p ring mesh full])`
+	if _, err := ParseTopology("moebius"); err == nil || err.Error() != unknown {
+		t.Errorf("ParseTopology(moebius) error = %v, want %s", err, unknown)
 	}
 }
 

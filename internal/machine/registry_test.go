@@ -38,6 +38,10 @@ func TestDesignsOrderAndRegistration(t *testing.T) {
 			t.Fatalf("Designs() = %v, want %v", got, want)
 		}
 	}
+	evaluated := []Design{Baseline, Snoopy, FullDir, C3D, C3DFullDir}
+	if got := EvaluatedDesigns(); !reflect.DeepEqual(got, evaluated) {
+		t.Fatalf("EvaluatedDesigns() = %v, want %v", got, evaluated)
+	}
 	parsed, err := ParseDesign("test-echo")
 	if err != nil || parsed != testEchoDesign {
 		t.Errorf("ParseDesign(test-echo) = %v, %v", parsed, err)

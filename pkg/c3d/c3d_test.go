@@ -306,3 +306,35 @@ func TestWorkloadsListing(t *testing.T) {
 		t.Errorf("suite size %d, want the paper's nine", suite)
 	}
 }
+
+// TestCapabilitiesBytes pins the capabilities document the daemon and the
+// coordinator serve: apart from the build version, its JSON encoding is part
+// of the wire contract and must not move when the listings are refactored.
+func TestCapabilitiesBytes(t *testing.T) {
+	const want = `{"version":"","designs":["baseline","snoopy","full-dir","c3d","c3d-full-dir","shared"],"topologies":["p2p","ring","mesh","full"],"experiments":[` +
+		`{"id":"table1","paper":"Table I","description":"fraction of memory accesses satisfied by remote memory (4-socket baseline)"},` +
+		`{"id":"fig2","paper":"Fig. 2","description":"NUMA bottleneck analysis: idealised latency/bandwidth configurations"},` +
+		`{"id":"fig3","paper":"Fig. 3","description":"memory accesses versus LLC capacity, normalised to a 16MB LLC"},` +
+		`{"id":"fig6","paper":"Fig. 6","description":"4-socket performance comparison of the coherence designs"},` +
+		`{"id":"fig7","paper":"Fig. 7","description":"2-socket performance comparison of the coherence designs"},` +
+		`{"id":"fig8","paper":"Fig. 8","description":"C3D remote memory traffic normalised to the baseline"},` +
+		`{"id":"fig9","paper":"Fig. 9","description":"inter-socket traffic of each design normalised to the baseline"},` +
+		`{"id":"fig10","paper":"Fig. 10","description":"sensitivity to DRAM cache latency (30/40/50ns)"},` +
+		`{"id":"fig11","paper":"Fig. 11","description":"sensitivity to inter-socket latency (5/10/20/30ns)"},` +
+		`{"id":"sec6c","paper":"§VI-C","description":"broadcast reduction from the TLB private-page filter (suite + mcf)"},` +
+		`{"id":"verify","paper":"§IV-C","description":"model-check the C3D protocol (SWMR, data-value, deadlock freedom)"},` +
+		`{"id":"shared","paper":"§II-C","description":"private versus shared DRAM cache organisation"},` +
+		`{"id":"ablation","paper":"§IV (ext.)","description":"isolate the clean property, the non-inclusive directory and the miss predictor"},` +
+		`{"id":"scaling","paper":"§V (ext.)","description":"socket-scaling study: speedup and off-socket traffic vs socket count x topology x design"},` +
+		`{"id":"scaling-sampled","paper":"§V (ext.)","description":"sampled socket-scaling study: the same sweep via SMARTS-style sampling, every metric with 95% error bars"}],` +
+		`"workloads":["facesim","streamcluster","freqmine","fluidanimate","canneal","tunkrank","nutch","cassandra","classification","mcf","bursty-tail","multitenant-mix","phase-shift"]}`
+	caps := CurrentCapabilities()
+	caps.Version = ""
+	got, err := json.Marshal(caps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want {
+		t.Errorf("capabilities JSON changed:\ngot  %s\nwant %s", got, want)
+	}
+}
