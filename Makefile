@@ -97,11 +97,13 @@ trace-roundtrip:
 	@echo "trace generate → encode → decode round trip bit-identical"
 
 # Short fuzz passes over the hostile-input parsers — the trace decoder, the
-# workload-spec DSL and the sampling schedule: corrupt and truncated inputs
-# must produce errors, never panics or unbounded allocations.
+# workload-spec DSL, the text-trace ingester and the sampling schedule:
+# corrupt and truncated inputs must produce errors, never panics or unbounded
+# allocations, and an ingested text trace must round-trip through WriteText.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=10s ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=10s ./internal/wspec
+	$(GO) test -run=^$$ -fuzz=FuzzIngest -fuzztime=10s ./internal/wspec
 	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=10s ./internal/sample
 
 # Daemon gate through the real binary: build c3dd, start it, and drive it end

@@ -267,7 +267,7 @@ func BenchmarkMachineSimulation(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Reset()
-		if _, err := m.Run(context.Background(), tr, machine.DefaultRunOptions()); err != nil {
+		if _, err := m.RunSource(context.Background(), tr.Source(), machine.DefaultRunOptions()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -298,12 +298,12 @@ func BenchmarkMachineSimulationSampled(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e0 := b.Elapsed()
 		m.Reset()
-		if _, err := m.Run(context.Background(), tr, sampled); err != nil {
+		if _, err := m.RunSource(context.Background(), tr.Source(), sampled); err != nil {
 			b.Fatal(err)
 		}
 		e1 := b.Elapsed()
 		m.Reset()
-		if _, err := m.Run(context.Background(), tr, machine.DefaultRunOptions()); err != nil {
+		if _, err := m.RunSource(context.Background(), tr.Source(), machine.DefaultRunOptions()); err != nil {
 			b.Fatal(err)
 		}
 		sampledTime += e1 - e0
@@ -387,7 +387,7 @@ func BenchmarkMachineSimulationManyCores(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Reset()
-		if _, err := m.Run(context.Background(), tr, machine.DefaultRunOptions()); err != nil {
+		if _, err := m.RunSource(context.Background(), tr.Source(), machine.DefaultRunOptions()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -43,7 +43,7 @@ func main() {
 		cfg.CoresPerSocket = opts.Threads / cfg.Sockets
 		cfg.MemPolicy = spec.PreferredPolicy
 		m := machine.New(cfg)
-		res, err := m.Run(context.Background(), trace, machine.DefaultRunOptions())
+		res, err := m.RunSource(context.Background(), trace.Source(), machine.DefaultRunOptions())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -40,7 +40,7 @@ func main() {
 			mutate(&cfg)
 		}
 		m := machine.New(cfg)
-		res, err := m.Run(context.Background(), trace, machine.DefaultRunOptions())
+		res, err := m.RunSource(context.Background(), trace.Source(), machine.DefaultRunOptions())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -13,7 +13,7 @@
 //	              sweep, experiments, stats, trace, pkg/c3d)
 //	ctxcheck      long-running loops in machine/mc/sweep/campaign must stay
 //	              cancellable (ctx.Err/ctx.Done or a ctx-threaded call)
-//	registry      Register-style calls only at package initialisation
+//	registry      workload Register calls only at package initialisation
 //	wirecompat    pkg/c3d/api: explicit json tag on every exported field,
 //	              stdlib-only imports
 //	errenvelope   API errors only through the writeError envelope helper
@@ -40,8 +40,7 @@
 //
 // # Adding an analyzer
 //
-// Mirroring the design-registry extension guide in internal/machine: write
-// one file in this package with an *Analyzer and its Run function,
+// Write one file in this package with an *Analyzer and its Run function,
 //
 //	var FrobAnalyzer = &Analyzer{
 //		Name: "frobcheck",

@@ -8,21 +8,22 @@ import (
 	"unicode/utf8"
 )
 
-// RegistryAnalyzer preserves the self-registration idiom from PR 5/6: every
-// registry (designs, topologies, routing policies, fault plans) panics on
+// RegistryAnalyzer guards the one open registry left in the module: the
+// workload registry (workload.Register), which wspec.RegisterPresets extends
+// from another package with the preset library. Register panics on
 // duplicates, which is only safe because registration happens exactly once,
-// at package initialisation. A Register call from ordinary runtime code
-// turns that panic into a latent crash and makes the registry's contents
-// order-dependent.
+// at package initialisation. A Register call from ordinary runtime code turns
+// that panic into a latent crash and makes the registry's contents
+// order-dependent. (Designs, topologies, routing policies and fault plans are
+// static tables with nothing to register.)
 var RegistryAnalyzer = &Analyzer{
 	Name: "registry",
 	Doc: `Register-style calls may only appear in init functions
 
-Calls to module functions named Register or RegisterXxx (machine.RegisterDesign,
-interconnect.RegisterTopology, campaign.RegisterPolicy, faultify.Register, ...)
-must be made from a func init() or from another Register wrapper that init
-calls. Test files are not analyzed, so test-local registration (the
-registry_test clone-design pattern) stays legal.`,
+Calls to module functions named Register or RegisterXxx (workload.Register,
+wspec.RegisterPresets) must be made from a func init() or from another
+Register wrapper that init calls. Test files are not analyzed, so test-local
+registration stays legal.`,
 	Run: runRegistry,
 }
 
@@ -67,7 +68,7 @@ func runRegistry(pass *Pass) error {
 
 // registrationContextOK reports whether the innermost enclosing FuncDecl is
 // a legal registration site: func init(), or a Register wrapper itself
-// (RegisterDesign validating then storing, a registerBuiltins helper named
+// (RegisterPresets compiling then storing, a registerBuiltins helper named
 // accordingly).
 func registrationContextOK(stack []*ast.FuncDecl) bool {
 	if len(stack) == 0 {

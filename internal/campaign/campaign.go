@@ -17,7 +17,8 @@
 // keyed by a hash of the canonical spec (CacheKey), so a repeated campaign —
 // or any campaign sharing jobs with an earlier one — is answered without
 // dispatching anything. Admission is token-bucket limited at the door: a
-// campaign takes one token per job or is rejected whole with 429.
+// campaign takes one token per job or is rejected whole with 429, and a
+// campaign with more jobs than the bucket's burst is rejected with 400.
 package campaign
 
 import (
@@ -40,7 +41,8 @@ type Config struct {
 	// Policy names the routing policy (default DefaultPolicy).
 	Policy string
 	// RatePerSec and Burst shape the admission token bucket: a campaign
-	// submission takes one token per job (defaults 50/s, burst 200).
+	// submission takes one token per job (defaults 50/s, burst 200), and a
+	// campaign of more than Burst jobs is invalid.
 	RatePerSec float64
 	Burst      int
 	// CacheEntries bounds the content-addressed result cache (default 1024).
@@ -411,13 +413,24 @@ type campaignJob struct {
 	result   []byte
 }
 
-// Submit admits a campaign: validates every spec against the fleet's
-// capabilities, charges the token bucket one token per job (atomically —
-// admit all or reject all), and starts the runner. Errors are *api.Error so
+// Submit admits a campaign: rejects one larger than the admission burst,
+// validates every spec against the fleet's capabilities, charges the token
+// bucket one token per job (atomically — admit all or reject all), and starts
+// the runner. Errors are *api.Error so
 // the HTTP layer maps them directly.
 func (c *Coordinator) Submit(spec api.CampaignSpec) (*api.SubmitResponse, error) {
 	if len(spec.Jobs) == 0 {
 		return nil, &api.Error{Code: api.CodeInvalidSpec, Message: "campaign has no jobs", HTTPStatus: http.StatusBadRequest}
+	}
+	// The bucket never holds more than Burst tokens, so a larger campaign
+	// could never be admitted: retrying it is pointless, so it is a bad
+	// spec, not a rate limit.
+	if len(spec.Jobs) > c.cfg.Burst {
+		return nil, &api.Error{
+			Code:       api.CodeInvalidSpec,
+			Message:    fmt.Sprintf("campaign has %d jobs but the admission burst is %d; split it into campaigns of at most %d jobs", len(spec.Jobs), c.cfg.Burst, c.cfg.Burst),
+			HTTPStatus: http.StatusBadRequest,
+		}
 	}
 	for i, js := range spec.Jobs {
 		if err := c.caps.SupportsSpec(js); err != nil {
@@ -676,7 +689,10 @@ func (c *Coordinator) dispatchHedged(cp *campaign, idx int, j *campaignJob, prim
 			}
 		case <-hedgeC:
 			hedgeC = nil
-			hw := c.pickHedge(primary)
+			// The hedge goes through the policy without a load refresh: it
+			// is opportunistic, so if no other worker is routable right now
+			// there simply is no hedge.
+			hw := c.route(time.Now(), primary)
 			if hw == nil {
 				continue // no second worker free; keep waiting on the primary
 			}
@@ -693,41 +709,6 @@ func (c *Coordinator) dispatchHedged(cp *campaign, idx int, j *campaignJob, prim
 	return nil, false, firstErr
 }
 
-// pickHedge chooses a second worker for a hedged dispatch: routable and not
-// the primary, through the policy but without a load refresh — a hedge is
-// opportunistic, so if no other worker is routable right now there simply is
-// no hedge.
-func (c *Coordinator) pickHedge(primary *worker) *worker {
-	now := time.Now()
-	var views []WorkerView
-	for _, w := range c.workers {
-		if w == primary || !w.healthy(now) {
-			continue
-		}
-		w.mu.Lock()
-		views = append(views, WorkerView{
-			Index:    w.index,
-			URL:      w.url,
-			Healthy:  true,
-			Queued:   w.queued,
-			Running:  w.running,
-			Inflight: w.inflight,
-			Assigned: w.assigned,
-		})
-		w.mu.Unlock()
-	}
-	if len(views) == 0 {
-		return nil
-	}
-	c.policyMu.Lock()
-	i := c.policy.Pick(views)
-	c.policyMu.Unlock()
-	if i < 0 || i >= len(views) {
-		return nil
-	}
-	return c.workers[views[i].Index]
-}
-
 // pick chooses a worker through the routing policy, refreshing /healthz
 // counters first when the policy needs load data. When every worker is
 // benched it waits for the earliest cooldown to lapse rather than failing —
@@ -740,30 +721,8 @@ func (c *Coordinator) pick(ctx context.Context) *worker {
 			c.refreshLoads(ctx)
 			now = time.Now()
 		}
-		var views []WorkerView
-		for _, w := range c.workers {
-			if !w.healthy(now) {
-				continue
-			}
-			w.mu.Lock()
-			views = append(views, WorkerView{
-				Index:    w.index,
-				URL:      w.url,
-				Healthy:  true,
-				Queued:   w.queued,
-				Running:  w.running,
-				Inflight: w.inflight,
-				Assigned: w.assigned,
-			})
-			w.mu.Unlock()
-		}
-		if len(views) > 0 {
-			c.policyMu.Lock()
-			i := c.policy.Pick(views)
-			c.policyMu.Unlock()
-			if i >= 0 && i < len(views) {
-				return c.workers[views[i].Index]
-			}
+		if w := c.route(now, nil); w != nil {
+			return w
 		}
 		// All benched (or the policy abstained): wait for the earliest
 		// cooldown to lapse, then retry.
@@ -781,6 +740,30 @@ func (c *Coordinator) pick(ctx context.Context) *worker {
 			return nil
 		}
 	}
+}
+
+// route asks the policy to choose among the workers healthy at now, leaving
+// out skip. It returns nil when none is healthy or the policy abstains.
+func (c *Coordinator) route(now time.Time, skip *worker) *worker {
+	var views []WorkerView
+	for _, w := range c.workers {
+		if w == skip || !w.healthy(now) {
+			continue
+		}
+		w.mu.Lock()
+		views = append(views, WorkerView{Index: w.index, Queued: w.queued, Running: w.running, Inflight: w.inflight})
+		w.mu.Unlock()
+	}
+	if len(views) == 0 {
+		return nil
+	}
+	c.policyMu.Lock()
+	i := c.policy.Pick(views)
+	c.policyMu.Unlock()
+	if i < 0 || i >= len(views) {
+		return nil
+	}
+	return c.workers[views[i].Index]
 }
 
 // refreshLoads probes every routable worker's /healthz so load-aware

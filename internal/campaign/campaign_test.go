@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -109,9 +110,9 @@ func runCampaign(t *testing.T, cl *api.Client, spec api.CampaignSpec) (*api.Camp
 }
 
 // TestAssemblyByteIdenticalAcrossFleets is the distribution-invisibility
-// gate: the same campaign, run through every registered routing policy at
-// worker counts 1, 2 and 4, must assemble result documents byte-identical to
-// running each job directly on a single worker.
+// gate: the same campaign, run through every routing policy at worker counts
+// 1, 2 and 4, must assemble result documents byte-identical to running each
+// job directly on a single worker.
 func TestAssemblyByteIdenticalAcrossFleets(t *testing.T) {
 	spec := testCampaign(4)
 	want := referenceResults(t, spec.Jobs)
@@ -315,10 +316,13 @@ func TestAdmissionRateLimit(t *testing.T) {
 	})
 	cl = api.NewClient(cl.BaseURL(), api.WithRetries(0))
 
+	// A campaign larger than the burst can never be admitted, so it is an
+	// invalid spec rather than a retryable rate limit.
 	_, err := cl.SubmitCampaign(t.Context(), testCampaign(3))
 	var apiErr *api.Error
-	if !errors.As(err, &apiErr) || apiErr.Code != api.CodeRateLimited || apiErr.HTTPStatus != http.StatusTooManyRequests {
-		t.Fatalf("oversized campaign: %v, want rate_limited envelope with HTTP 429", err)
+	if !errors.As(err, &apiErr) || apiErr.Code != api.CodeInvalidSpec || apiErr.HTTPStatus != http.StatusBadRequest ||
+		!strings.Contains(apiErr.Message, "3 jobs") || !strings.Contains(apiErr.Message, "burst is 2") {
+		t.Fatalf("oversized campaign: %v, want invalid_spec envelope with HTTP 400 naming 3 jobs and burst 2", err)
 	}
 
 	if _, res := runCampaign(t, cl, testCampaign(2)); len(res.Results) != 2 {

@@ -28,7 +28,8 @@ const (
 //	DELETE /v1/campaigns/{id}         cancel a campaign
 //
 // Errors use the same uniform api.ErrorEnvelope as the worker daemons;
-// admission rejections answer 429 with code rate_limited.
+// admission rejections answer 429 with code rate_limited, except a campaign
+// larger than the admission burst, which answers 400 invalid_spec.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", c.handleHealth)

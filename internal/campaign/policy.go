@@ -1,23 +1,18 @@
 package campaign
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
-// WorkerView is the routing-time snapshot of one worker a Policy chooses
-// from. Index is the worker's position in the coordinator's configured
-// fleet; Queued/Running are the worker's own scheduler counters from its
-// last /healthz probe (refreshed before Pick when the policy declares
-// NeedsLoad); Inflight and Assigned are the coordinator's bookkeeping.
+// WorkerView is the routing-time snapshot of one healthy worker a Policy
+// chooses from. Index is the worker's position in the coordinator's
+// configured fleet; Queued/Running are the worker's own scheduler counters
+// from its last /healthz probe (refreshed before Pick when the policy
+// declares NeedsLoad); Inflight is the coordinator's own count of jobs
+// dispatched to it and not yet finished.
 type WorkerView struct {
 	Index    int
-	URL      string
-	Healthy  bool
 	Queued   int
 	Running  int
 	Inflight int64
-	Assigned int64
 }
 
 // Load is the worker's total outstanding work as seen by the coordinator:
@@ -37,18 +32,16 @@ func (v WorkerView) Load() int64 {
 // Routing never affects results: campaign output is assembled in job order
 // and every job is deterministic, so a policy is purely a performance
 // choice. The fleet tests pin byte-identical campaign results across every
-// registered policy at worker counts 1, 2 and 4.
+// policy at worker counts 1, 2 and 4.
 type Policy interface {
 	Pick(views []WorkerView) int
 }
 
-// PolicySpec describes a registered routing policy: identity, whether the
-// coordinator must refresh worker /healthz counters before each Pick, and
-// the factory producing a fresh (stateful) instance per coordinator.
+// PolicySpec describes a routing policy: its name, whether the coordinator
+// must refresh worker /healthz counters before each Pick, and the factory
+// producing a fresh (stateful) instance per coordinator.
 type PolicySpec struct {
 	Name string
-	// Description is a one-line summary for listings.
-	Description string
 	// NeedsLoad asks the coordinator to probe worker /healthz before Pick,
 	// so Queued/Running in the views are fresh rather than zero.
 	NeedsLoad bool
@@ -56,62 +49,36 @@ type PolicySpec struct {
 	New func() Policy
 }
 
-var (
-	policyMu    sync.RWMutex
-	policyOrder []string
-	policies    = make(map[string]PolicySpec)
-)
-
-// RegisterPolicy adds a routing policy to the registry (same pattern as the
-// design and topology registries: built-ins self-register in init, external
-// packages can add their own). Registering a duplicate name panics — it is
-// a programming error, not an input error.
-func RegisterPolicy(spec PolicySpec) {
-	if spec.Name == "" || spec.New == nil {
-		panic("campaign: policy spec needs a name and a factory")
-	}
-	policyMu.Lock()
-	defer policyMu.Unlock()
-	if _, dup := policies[spec.Name]; dup {
-		panic(fmt.Sprintf("campaign: duplicate policy %q", spec.Name))
-	}
-	policies[spec.Name] = spec
-	policyOrder = append(policyOrder, spec.Name)
-}
-
-// Policies lists registered policy names in registration order.
-func Policies() []string {
-	policyMu.RLock()
-	defer policyMu.RUnlock()
-	return append([]string(nil), policyOrder...)
-}
-
-// LookupPolicy returns a registered policy spec by name.
-func LookupPolicy(name string) (PolicySpec, error) {
-	policyMu.RLock()
-	defer policyMu.RUnlock()
-	spec, ok := policies[name]
-	if !ok {
-		return PolicySpec{}, fmt.Errorf("campaign: unknown routing policy %q (have %v)", name, policyOrder)
-	}
-	return spec, nil
+// policies is the routing-policy table; its order is the listing order of
+// Policies().
+var policies = []PolicySpec{
+	// Cycle through healthy workers in fleet order.
+	{Name: DefaultPolicy, New: func() Policy { return &roundRobin{} }},
+	// Pick the healthy worker with the fewest queued+running+in-flight jobs
+	// (via /healthz).
+	{Name: "least-loaded", NeedsLoad: true, New: func() Policy { return leastLoaded{} }},
 }
 
 // DefaultPolicy is the routing policy used when none is configured.
 const DefaultPolicy = "round-robin"
 
-func init() {
-	RegisterPolicy(PolicySpec{
-		Name:        "round-robin",
-		Description: "cycle through healthy workers in fleet order",
-		New:         func() Policy { return &roundRobin{} },
-	})
-	RegisterPolicy(PolicySpec{
-		Name:        "least-loaded",
-		Description: "pick the healthy worker with the fewest queued+running+in-flight jobs (via /healthz)",
-		NeedsLoad:   true,
-		New:         func() Policy { return leastLoaded{} },
-	})
+// Policies lists the policy names in table order.
+func Policies() []string {
+	out := make([]string, len(policies))
+	for i, spec := range policies {
+		out[i] = spec.Name
+	}
+	return out
+}
+
+// LookupPolicy returns a policy spec by name.
+func LookupPolicy(name string) (PolicySpec, error) {
+	for _, spec := range policies {
+		if spec.Name == name {
+			return spec, nil
+		}
+	}
+	return PolicySpec{}, fmt.Errorf("campaign: unknown routing policy %q (have %v)", name, Policies())
 }
 
 // roundRobin cycles a cursor over the fleet, skipping unhealthy workers by

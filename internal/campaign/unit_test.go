@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -107,10 +106,28 @@ func TestPolicyRegistry(t *testing.T) {
 	}
 }
 
+// TestPolicyTableInvariants checks every entry of the routing-policy table is
+// well-formed: a non-empty unique name and a factory that builds a policy.
+func TestPolicyTableInvariants(t *testing.T) {
+	seen := map[string]bool{}
+	for _, spec := range policies {
+		if spec.Name == "" {
+			t.Errorf("policy table entry with an empty name: %+v", spec)
+		}
+		if seen[spec.Name] {
+			t.Errorf("policy %q listed twice", spec.Name)
+		}
+		seen[spec.Name] = true
+		if spec.New == nil || spec.New() == nil {
+			t.Errorf("policy %q has no usable factory", spec.Name)
+		}
+	}
+}
+
 func views(indexes ...int) []WorkerView {
 	out := make([]WorkerView, len(indexes))
 	for i, idx := range indexes {
-		out[i] = WorkerView{Index: idx, URL: fmt.Sprintf("w%d", idx), Healthy: true}
+		out[i] = WorkerView{Index: idx}
 	}
 	return out
 }

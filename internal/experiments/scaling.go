@@ -53,7 +53,7 @@ type ScalingPoint struct {
 // fabrics.
 type ScalingResult struct {
 	// Points holds one entry per (sockets, topology, design), in sweep
-	// order: socket count ascending, topologies in registry order, designs
+	// order: socket count ascending, topologies in table order, designs
 	// in evaluation order.
 	Points []ScalingPoint
 }
@@ -102,8 +102,8 @@ func scalingJobs(cfg Config, tag string, shapes []scalingShape, names []string) 
 	return jobs
 }
 
-// scalingShapes enumerates the (sockets, topology) grid: every registered
-// topology that can host each socket count, in deterministic registry order.
+// scalingShapes enumerates the (sockets, topology) grid: every topology that
+// can host each socket count, in table order.
 func scalingShapes(cfg Config) []scalingShape {
 	var shapes []scalingShape
 	for _, n := range scalingSocketCounts(cfg) {

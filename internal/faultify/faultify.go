@@ -14,8 +14,8 @@
 // a read error, a hang is bounded by the caller's deadline — so an injected
 // run must finish with byte-identical results, never different ones.
 //
-// Plans are named and registered (same idiom as the design, topology and
-// routing-policy registries): look one up with Lookup, or parse a
+// Plans are named entries of a static table (the same shape as the design,
+// topology and routing-policy tables): look one up with Lookup, or parse a
 // "<plan>:<seed>" flag value with Parse. c3dd exposes the whole package
 // behind its -chaos flag — server-side faults in worker mode, dispatch-path
 // transport faults in coordinator mode.
@@ -34,7 +34,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -84,8 +83,7 @@ func (f Fault) String() string {
 // order reset, 5xx, hang, partial, delay; the probabilities must sum to at
 // most 1, with the remainder passing the request through clean.
 type Plan struct {
-	Name        string
-	Description string
+	Name string
 
 	// Per-request fault probabilities, each in [0, 1].
 	Reset       float64
@@ -151,76 +149,39 @@ func splitmix64(x uint64) uint64 {
 // unit maps a 64-bit hash to [0, 1).
 func unit(h uint64) float64 { return float64(h>>11) / float64(1<<53) }
 
-// ---- plan registry ----
+// ---- plan table ----
 
-var (
-	planMu    sync.RWMutex
-	planOrder []string
-	plans     = make(map[string]Plan)
-)
-
-// Register adds a fault plan to the registry. Duplicate names panic — a
-// programming error, not an input error (same contract as the design,
-// topology and policy registries).
-func Register(p Plan) {
-	if p.Name == "" {
-		panic("faultify: plan needs a name")
-	}
-	if err := p.validate(); err != nil {
-		panic(err.Error())
-	}
-	planMu.Lock()
-	defer planMu.Unlock()
-	if _, dup := plans[p.Name]; dup {
-		panic(fmt.Sprintf("faultify: duplicate plan %q", p.Name))
-	}
-	plans[p.Name] = p
-	planOrder = append(planOrder, p.Name)
+// plans is the fault-plan table; its order is the listing order of Plans().
+var plans = []Plan{
+	// Transport flaps: resets, 503s and delays.
+	{Name: "flaky", Reset: 0.10, ServerError: 0.15, Delay: 0.20, MaxDelay: 100 * time.Millisecond},
+	// Hung workers: requests parked until the caller's deadline, plus resets.
+	{Name: "hang", Hang: 0.12, Reset: 0.08},
+	// Truncated response bodies and 503s.
+	{Name: "partial", Partial: 0.15, ServerError: 0.10},
+	// Everything at once: resets, 503s, hangs, truncations, delays.
+	{Name: "mayhem", Reset: 0.08, ServerError: 0.10, Hang: 0.06, Partial: 0.08, Delay: 0.16, MaxDelay: 150 * time.Millisecond},
 }
 
-// Plans lists registered plan names in registration order.
+// Plans lists the plan names in table order.
 func Plans() []string {
-	planMu.RLock()
-	defer planMu.RUnlock()
-	return append([]string(nil), planOrder...)
-}
-
-// Lookup returns a registered plan by name.
-func Lookup(name string) (Plan, error) {
-	planMu.RLock()
-	defer planMu.RUnlock()
-	p, ok := plans[name]
-	if !ok {
-		names := append([]string(nil), planOrder...)
-		sort.Strings(names)
-		return Plan{}, fmt.Errorf("faultify: unknown plan %q (have %v)", name, names)
+	out := make([]string, len(plans))
+	for i, p := range plans {
+		out[i] = p.Name
 	}
-	return p, nil
+	return out
 }
 
-func init() {
-	Register(Plan{
-		Name:        "flaky",
-		Description: "transport flaps: resets, 503s and delays",
-		Reset:       0.10, ServerError: 0.15, Delay: 0.20,
-		MaxDelay: 100 * time.Millisecond,
-	})
-	Register(Plan{
-		Name:        "hang",
-		Description: "hung workers: requests parked until the caller's deadline, plus resets",
-		Hang:        0.12, Reset: 0.08,
-	})
-	Register(Plan{
-		Name:        "partial",
-		Description: "truncated response bodies and 503s",
-		Partial:     0.15, ServerError: 0.10,
-	})
-	Register(Plan{
-		Name:        "mayhem",
-		Description: "everything at once: resets, 503s, hangs, truncations, delays",
-		Reset:       0.08, ServerError: 0.10, Hang: 0.06, Partial: 0.08, Delay: 0.16,
-		MaxDelay: 150 * time.Millisecond,
-	})
+// Lookup returns a plan by name.
+func Lookup(name string) (Plan, error) {
+	for _, p := range plans {
+		if p.Name == name {
+			return p, nil
+		}
+	}
+	names := Plans()
+	sort.Strings(names)
+	return Plan{}, fmt.Errorf("faultify: unknown plan %q (have %v)", name, names)
 }
 
 // Parse resolves a "<plan>:<seed>" flag value (seed optional, default 1) into

@@ -75,6 +75,24 @@ func TestPlanRegistryAndParse(t *testing.T) {
 	}
 }
 
+// TestPlanTableInvariants checks every entry of the plan table is
+// well-formed: a non-empty unique name and probabilities that validate.
+func TestPlanTableInvariants(t *testing.T) {
+	seen := map[string]bool{}
+	for _, p := range plans {
+		if p.Name == "" {
+			t.Errorf("plan table entry with an empty name: %+v", p)
+		}
+		if seen[p.Name] {
+			t.Errorf("plan %q listed twice", p.Name)
+		}
+		seen[p.Name] = true
+		if err := p.validate(); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
 func okHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

@@ -3,13 +3,12 @@
 // matching Table II of the C3D paper (20 ns per hop, 25.6 GB/s per link,
 // 16-byte control packets and 80-byte data packets).
 //
-// Topologies are pluggable: a registry maps names to TopologySpecs, and the
-// built-ins cover the paper's two shapes (point-to-point for 2 sockets, ring
-// for 4) plus generalized mesh and fully-connected fabrics for 2-16 sockets.
-// A spec instantiates into a Layout — the directed link set plus a
-// precomputed next-hop table — so routing on the message hot path is two
-// array reads per hop regardless of topology. See TopologySpec for how to
-// register a new topology without touching this package's dispatch.
+// Topologies are a static table of TopologySpecs covering the paper's two
+// shapes (point-to-point for 2 sockets, ring for 4) plus generalized mesh and
+// fully-connected fabrics for 2-16 sockets. A spec instantiates into a
+// Layout — the directed link set plus a precomputed next-hop table — so
+// routing on the message hot path is two array reads per hop regardless of
+// topology, and a new topology is one table entry with no dispatch to touch.
 //
 // The fabric is where the NUMA bottleneck lives: every remote-memory access,
 // directory lookup, forwarded block, snoop and invalidation crosses it, and
@@ -78,7 +77,7 @@ type Config struct {
 	LinkBandwidthGBs float64
 }
 
-// Validate checks that the topology is registered and can host the socket
+// Validate checks that the topology is known and can host the socket
 // count.
 func (c Config) Validate() error {
 	if c.Sockets < 1 {
@@ -133,7 +132,7 @@ type Fabric struct {
 }
 
 // New builds a fabric from cfg. It panics when the configuration does not
-// validate (an unregistered topology, or a socket count the topology cannot
+// validate (an unknown topology, or a socket count the topology cannot
 // host) — fabric construction happens inside machine construction, where the
 // configuration has already been validated.
 func New(cfg Config) *Fabric {
@@ -161,7 +160,7 @@ func New(cfg Config) *Fabric {
 	}
 	f.hops = hopTable(layout)
 	// Every routed hop must have a link, or Send would dereference nil deep
-	// in the hot loop; catch a malformed registration here instead.
+	// in the hot loop; catch a malformed table entry here instead.
 	for from := 0; from < n; from++ {
 		for to := 0; to < n; to++ {
 			if from == to {

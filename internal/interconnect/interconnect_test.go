@@ -85,7 +85,7 @@ func TestDefaultConfigAndValidateRejectUnsupportedShapes(t *testing.T) {
 		}
 	}
 
-	// Every registered topology validates across its full declared range.
+	// Every topology validates across its full declared range.
 	for _, topo := range Topologies() {
 		spec, err := topologySpec(topo)
 		if err != nil {
@@ -119,6 +119,28 @@ func TestParseTopologyAndListing(t *testing.T) {
 	const unknown = `interconnect: unknown topology "moebius" (known: [p2p ring mesh full])`
 	if _, err := ParseTopology("moebius"); err == nil || err.Error() != unknown {
 		t.Errorf("ParseTopology(moebius) error = %v, want %s", err, unknown)
+	}
+}
+
+// TestTopologyTableInvariants checks every entry of the topology table is
+// well-formed: a non-empty unique name, a Build function and sane socket
+// bounds.
+func TestTopologyTableInvariants(t *testing.T) {
+	seen := map[Topology]bool{}
+	for _, spec := range topologies {
+		if spec.Name == "" {
+			t.Errorf("topology table entry with an empty name: %+v", spec)
+		}
+		if seen[spec.Name] {
+			t.Errorf("topology %q listed twice", spec.Name)
+		}
+		seen[spec.Name] = true
+		if spec.Build == nil {
+			t.Errorf("topology %q has no Build function", spec.Name)
+		}
+		if spec.MinSockets < 1 || spec.MaxSockets < spec.MinSockets {
+			t.Errorf("topology %q has invalid socket bounds [%d,%d]", spec.Name, spec.MinSockets, spec.MaxSockets)
+		}
 	}
 }
 
@@ -270,7 +292,7 @@ func TestLinkCounts(t *testing.T) {
 	}
 }
 
-// TestRingTieBreaksClockwise pins the pre-registry routing rule: at equal
+// TestRingTieBreaksClockwise pins the original ring routing rule: at equal
 // distance the ring routes clockwise (ascending socket ids), so the 0->1
 // link carries the tied 0->2 message on a 4-ring.
 func TestRingTieBreaksClockwise(t *testing.T) {

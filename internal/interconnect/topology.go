@@ -1,15 +1,10 @@
 package interconnect
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-)
+import "fmt"
 
-// Topology names a registered fabric topology. The value is the registry key:
-// comparing, printing and parsing all go through the same string, so a
-// topology added by RegisterTopology is immediately usable everywhere a
-// built-in one is (machine configs, CLI flags, the daemon's JobSpec).
+// Topology names a fabric topology. The value is the key of the topology
+// table: comparing, printing and parsing all go through the same string
+// (machine configs, CLI flags, the daemon's JobSpec).
 type Topology string
 
 // The built-in topologies.
@@ -47,33 +42,11 @@ type Layout struct {
 	Next []int
 }
 
-// TopologySpec describes one registered topology: its identity, the socket
-// counts it can host, and how to build a Layout for one of them.
-//
-// To add a topology, register a spec from an init function:
-//
-//	func init() {
-//		interconnect.RegisterTopology(interconnect.TopologySpec{
-//			Name:        "torus",
-//			Description: "2D torus with wraparound links",
-//			MinSockets:  4,
-//			MaxSockets:  16,
-//			Build:       buildTorus,
-//		})
-//	}
-//
-// Nothing else changes: ParseTopology accepts the new name, Topologies()
-// lists it, machine.Config.Topology / c3dsim -topology / the daemon JobSpec
-// route to it, and the fabric drives it through the same precomputed
-// next-hop tables as the built-ins.
+// TopologySpec describes one topology: its name, the socket counts it can
+// host, and how to build a Layout for one of them.
 type TopologySpec struct {
-	// Name is the registry key ("p2p", "ring", ...).
+	// Name is the table key ("p2p", "ring", ...).
 	Name Topology
-	// Description is a one-line summary for listings.
-	Description string
-	// Rank orders Topologies(): lower first, ties broken by name. The
-	// built-ins use 0-3; unset (0) third-party specs sort with them by name.
-	Rank int
 	// MinSockets and MaxSockets bound the socket counts the topology hosts.
 	MinSockets, MaxSockets int
 	// Build returns the layout for a socket count within the bounds. It is
@@ -81,46 +54,35 @@ type TopologySpec struct {
 	Build func(sockets int) Layout
 }
 
-var (
-	topoMu  sync.RWMutex
-	topoReg = make(map[Topology]TopologySpec)
-)
-
-// RegisterTopology adds a topology to the registry. It panics on a duplicate
-// name or a malformed spec — registration happens in init functions, where
-// misconfiguration should fail loudly.
-func RegisterTopology(spec TopologySpec) {
-	if spec.Name == "" {
-		panic("interconnect: RegisterTopology with empty name")
-	}
-	if spec.Build == nil {
-		panic(fmt.Sprintf("interconnect: topology %q has no Build function", spec.Name))
-	}
-	if spec.MinSockets < 1 || spec.MaxSockets < spec.MinSockets {
-		panic(fmt.Sprintf("interconnect: topology %q has invalid socket bounds [%d,%d]",
-			spec.Name, spec.MinSockets, spec.MaxSockets))
-	}
-	topoMu.Lock()
-	defer topoMu.Unlock()
-	if _, dup := topoReg[spec.Name]; dup {
-		panic(fmt.Sprintf("interconnect: topology %q registered twice", spec.Name))
-	}
-	topoReg[spec.Name] = spec
+// topologies is the topology table. Its order is the listing order of
+// Topologies(). Adding a topology is one entry here: ParseTopology,
+// machine.Config.Topology, c3dsim -topology and the daemon JobSpec all read
+// this table, and the fabric drives every entry through the same
+// precomputed next-hop tables.
+var topologies = []TopologySpec{
+	// Direct link between two sockets (the paper's 2-socket shape).
+	{Name: PointToPoint, MinSockets: 1, MaxSockets: 2, Build: buildFullyConnected},
+	// Bidirectional ring, shorter direction wins, ties clockwise (the
+	// paper's 4-socket shape).
+	{Name: Ring, MinSockets: 3, MaxSockets: maxFabricSockets, Build: buildRing},
+	// 2D mesh with XY routing (column first, then row).
+	{Name: Mesh, MinSockets: 2, MaxSockets: maxFabricSockets, Build: buildMesh},
+	// Every socket pair directly linked: one hop everywhere.
+	{Name: FullyConnected, MinSockets: 2, MaxSockets: maxFabricSockets, Build: buildFullyConnected},
 }
 
-// topologySpec returns the spec registered under t.
+// topologySpec returns the table entry for t.
 func topologySpec(t Topology) (TopologySpec, error) {
-	topoMu.RLock()
-	spec, ok := topoReg[t]
-	topoMu.RUnlock()
-	if !ok {
-		return TopologySpec{}, fmt.Errorf("unknown topology %q (known: %v)", string(t), Topologies())
+	for _, spec := range topologies {
+		if spec.Name == t {
+			return spec, nil
+		}
 	}
-	return spec, nil
+	return TopologySpec{}, fmt.Errorf("unknown topology %q (known: %v)", string(t), Topologies())
 }
 
 // ParseTopology converts a topology name back into a Topology, mirroring
-// machine.ParseDesign: only registered names parse.
+// machine.ParseDesign: only names in the topology table parse.
 func ParseTopology(s string) (Topology, error) {
 	if _, err := topologySpec(Topology(s)); err != nil {
 		return "", fmt.Errorf("interconnect: %w", err)
@@ -128,24 +90,11 @@ func ParseTopology(s string) (Topology, error) {
 	return Topology(s), nil
 }
 
-// Topologies returns every registered topology in deterministic order:
-// ascending Rank, ties broken by name.
+// Topologies returns every topology in table order.
 func Topologies() []Topology {
-	topoMu.RLock()
-	specs := make([]TopologySpec, 0, len(topoReg))
-	for _, spec := range topoReg {
-		specs = append(specs, spec)
-	}
-	topoMu.RUnlock()
-	sort.Slice(specs, func(i, j int) bool {
-		if specs[i].Rank != specs[j].Rank {
-			return specs[i].Rank < specs[j].Rank
-		}
-		return specs[i].Name < specs[j].Name
-	})
-	out := make([]Topology, len(specs))
-	for i, s := range specs {
-		out[i] = s.Name
+	out := make([]Topology, len(topologies))
+	for i, spec := range topologies {
+		out[i] = spec.Name
 	}
 	return out
 }
@@ -183,46 +132,11 @@ func DefaultTopology(sockets int) (Topology, error) {
 }
 
 // maxFabricSockets is the ceiling of the built-in topologies. It bounds the
-// precomputed route tables, not anything fundamental: a registered topology
-// may set its own MaxSockets.
+// precomputed route tables, not anything fundamental: a new table entry may
+// set its own MaxSockets.
 const maxFabricSockets = 16
 
-// --- built-in layout builders ---
-
-func init() {
-	RegisterTopology(TopologySpec{
-		Name:        PointToPoint,
-		Description: "direct link between two sockets (the paper's 2-socket shape)",
-		Rank:        0,
-		MinSockets:  1,
-		MaxSockets:  2,
-		Build:       buildFullyConnected,
-	})
-	RegisterTopology(TopologySpec{
-		Name:        Ring,
-		Description: "bidirectional ring, shorter direction wins, ties clockwise (the paper's 4-socket shape)",
-		Rank:        1,
-		MinSockets:  3,
-		MaxSockets:  maxFabricSockets,
-		Build:       buildRing,
-	})
-	RegisterTopology(TopologySpec{
-		Name:        Mesh,
-		Description: "2D mesh with XY routing (column first, then row)",
-		Rank:        2,
-		MinSockets:  2,
-		MaxSockets:  maxFabricSockets,
-		Build:       buildMesh,
-	})
-	RegisterTopology(TopologySpec{
-		Name:        FullyConnected,
-		Description: "every socket pair directly linked: one hop everywhere",
-		Rank:        3,
-		MinSockets:  2,
-		MaxSockets:  maxFabricSockets,
-		Build:       buildFullyConnected,
-	})
-}
+// --- layout builders ---
 
 // buildFullyConnected links every pair directly; the next hop is always the
 // destination. It also serves the degenerate 1- and 2-socket point-to-point
@@ -241,7 +155,7 @@ func buildFullyConnected(n int) Layout {
 }
 
 // buildRing links socket i to (i±1) mod n and routes along the shorter
-// direction, breaking ties clockwise — exactly the walk the pre-registry
+// direction, breaking ties clockwise — exactly the walk the original
 // fabric performed, so ring results are bit-identical to it.
 func buildRing(n int) Layout {
 	l := Layout{Sockets: n, Next: make([]int, n*n)}

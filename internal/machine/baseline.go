@@ -14,19 +14,6 @@ type baselineEngine struct {
 	m *Machine
 }
 
-func init() {
-	RegisterDesign(DesignSpec{
-		Name:           Baseline,
-		Description:    "reference machine without DRAM caches (§V-A)",
-		Rank:           0,
-		Evaluated:      true,
-		NewEngine:      func(m *Machine) Engine { return &baselineEngine{m: m} },
-		NewDirectories: SparseGenericDirectory,
-	})
-}
-
-func (e *baselineEngine) Name() string { return "baseline" }
-
 // dirLookupAt models the request's trip to the home directory: the control
 // message (if the home is remote) plus the directory access latency.
 func dirRequestArrival(m *Machine, now sim.Time, sock, home *Socket) sim.Time {

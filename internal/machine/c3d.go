@@ -27,49 +27,25 @@ type c3dEngine struct {
 	m *Machine
 }
 
-func init() {
-	RegisterDesign(DesignSpec{
-		Name:             C3D,
-		Description:      "clean private DRAM caches plus a non-inclusive directory with broadcast invalidations (§IV)",
-		Rank:             3,
-		Evaluated:        true,
-		HasDRAMCache:     true,
-		PrivateDRAMCache: true,
-		CleanDRAMCache:   true,
-		NewEngine:        func(m *Machine) Engine { return &c3dEngine{m: m} },
-		NewDirectories: func(id int, cfg Config) SocketDirectories {
-			return SocketDirectories{C3D: core.NewDirectory(core.DirConfig{
-				Name:    fmt.Sprintf("gdir.%d", id),
-				Sockets: cfg.Sockets,
-				Entries: cfg.DirEntries(),
-				Ways:    cfg.DirWays,
-			})}
-		},
-	})
-	RegisterDesign(DesignSpec{
-		Name:             C3DFullDir,
-		Description:      "C3D with an idealised full directory that also tracks DRAM cache blocks (§V-A)",
-		Rank:             4,
-		Evaluated:        true,
-		HasDRAMCache:     true,
-		PrivateDRAMCache: true,
-		CleanDRAMCache:   true,
-		NewEngine:        func(m *Machine) Engine { return &c3dEngine{m: m} },
-		NewDirectories: func(id int, cfg Config) SocketDirectories {
-			return SocketDirectories{C3D: core.NewDirectory(core.DirConfig{
-				Name:           fmt.Sprintf("gdir.%d", id),
-				Sockets:        cfg.Sockets,
-				TrackDRAMCache: true,
-			})}
-		},
-	})
+// c3dDirectories builds C3D's non-inclusive directory slice: sized like the
+// baseline's sparse directory, tracking on-chip copies only.
+func c3dDirectories(id int, cfg Config) SocketDirectories {
+	return SocketDirectories{C3D: core.NewDirectory(core.DirConfig{
+		Name:    fmt.Sprintf("gdir.%d", id),
+		Sockets: cfg.Sockets,
+		Entries: cfg.DirEntries(),
+		Ways:    cfg.DirWays,
+	})}
 }
 
-func (e *c3dEngine) Name() string {
-	if e.m.cfg.Design == C3DFullDir {
-		return "c3d-full-dir"
-	}
-	return "c3d"
+// c3dFullDirectories builds c3d-full-dir's idealised directory slice:
+// unbounded, and tracking DRAM cache blocks too.
+func c3dFullDirectories(id int, cfg Config) SocketDirectories {
+	return SocketDirectories{C3D: core.NewDirectory(core.DirConfig{
+		Name:           fmt.Sprintf("gdir.%d", id),
+		Sockets:        cfg.Sockets,
+		TrackDRAMCache: true,
+	})}
 }
 
 func (e *c3dEngine) ReadMiss(now sim.Time, sock *Socket, coreID int, b addr.Block) sim.Time {

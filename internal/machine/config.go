@@ -1,18 +1,16 @@
 // Package machine composes the substrates — cores, caches, DRAM caches,
 // directories, interconnect, memory — into a multi-socket NUMA machine and
-// runs workload traces through it under one of the registered coherence
-// designs. The built-ins are the paper's six (§V-A): the baseline without
-// DRAM caches, the naive snoopy and full-directory DRAM cache designs, C3D,
-// the idealised c3d-full-dir, and a shared (memory-side) DRAM cache
-// organisation.
+// runs workload traces through it under one of the paper's six coherence
+// designs (§V-A): the baseline without DRAM caches, the naive snoopy and
+// full-directory DRAM cache designs, C3D, the idealised c3d-full-dir, and a
+// shared (memory-side) DRAM cache organisation.
 //
-// Designs are pluggable: a registry maps names to DesignSpecs, each bundling
-// the design's structural traits with the factories for its coherence engine
-// and per-socket directory slices. Machine construction dispatches purely
-// through the registry — there is no design switch to extend — so a new
-// design is one RegisterDesign call in an init function; see DesignSpec for
-// the recipe. The fabric topology is equally pluggable through
-// interconnect.RegisterTopology, selected by Config.Topology.
+// Designs are a static table: each entry of designs bundles a design's
+// structural traits with the factories for its coherence engine and
+// per-socket directory slices, and machine construction dispatches purely
+// through it — there is no design switch to extend — so a new design is one
+// entry in that table. Fabric topologies are interconnect's table in the same
+// shape, selected by Config.Topology.
 //
 // The timing model follows the paper's own simulator: simple 1-IPC in-order
 // cores with blocking loads and a store queue, and a memory system whose
@@ -32,11 +30,9 @@ import (
 	"c3d/internal/sim"
 )
 
-// Design names a registered coherence design. The value is the registry key:
-// comparing, printing and parsing all go through the same string, so a
-// design added by RegisterDesign is immediately usable everywhere a built-in
-// one is (machine configs, experiment campaigns, CLI flags, the daemon's
-// JobSpec).
+// Design names a coherence design. The value is the key of the design table:
+// comparing, printing and parsing all go through the same string (machine
+// configs, experiment campaigns, CLI flags, the daemon's JobSpec).
 type Design string
 
 // The built-in designs (§V-A).
@@ -64,8 +60,8 @@ const (
 
 func (d Design) String() string { return string(d) }
 
-// ParseDesign converts a design name back into a Design. Only registered
-// names parse.
+// ParseDesign converts a design name back into a Design. Only names in the
+// design table parse.
 func ParseDesign(s string) (Design, error) {
 	if _, err := designSpec(Design(s)); err != nil {
 		return "", err
@@ -73,24 +69,22 @@ func ParseDesign(s string) (Design, error) {
 	return Design(s), nil
 }
 
-// Designs returns every registered design in deterministic order: ascending
-// DesignSpec.Rank, ties broken by name. For the built-ins that is the
-// evaluation order of the paper's figures.
+// Designs returns every design in table order: the evaluation order of the
+// paper's figures.
 func Designs() []Design {
-	specs := designSpecs()
-	out := make([]Design, len(specs))
-	for i, spec := range specs {
+	out := make([]Design, len(designs))
+	for i, spec := range designs {
 		out[i] = spec.Name
 	}
 	return out
 }
 
-// EvaluatedDesigns returns the designs compared in Figs. 6-9 (the specs
-// registered with Evaluated set): the baseline plus the four DRAM cache
-// coherence schemes.
+// EvaluatedDesigns returns the designs compared in Figs. 6-9 (the entries
+// with Evaluated set): the baseline plus the four DRAM cache coherence
+// schemes.
 func EvaluatedDesigns() []Design {
 	var out []Design
-	for _, spec := range designSpecs() {
+	for _, spec := range designs {
 		if spec.Evaluated {
 			out = append(out, spec.Name)
 		}
@@ -99,7 +93,7 @@ func EvaluatedDesigns() []Design {
 }
 
 // HasDRAMCache reports whether the design includes per-socket DRAM caches
-// (false for unregistered designs).
+// (false for unknown designs).
 func (d Design) HasDRAMCache() bool {
 	spec, err := designSpec(d)
 	return err == nil && spec.HasDRAMCache
@@ -243,7 +237,7 @@ func DefaultConfig(sockets int, design Design) Config {
 }
 
 // Validate checks that the configuration is internally consistent: the
-// design and topology must be registered, the selected (or default) topology
+// design and topology must be known, the selected (or default) topology
 // must host the socket count, and the capacities must be sane.
 func (c Config) Validate() error {
 	switch {

@@ -74,7 +74,7 @@ func runDesign(t *testing.T, design Design, tr *trace.Trace) RunResult {
 	t.Helper()
 	cfg := testConfig(design)
 	m := New(cfg)
-	res, err := m.Run(context.Background(), tr, DefaultRunOptions())
+	res, err := m.RunSource(context.Background(), tr.Source(), DefaultRunOptions())
 	if err != nil {
 		t.Fatalf("running %v: %v", design, err)
 	}
@@ -238,15 +238,15 @@ func TestEveryDesignRunsEveryRegistryWorkload(t *testing.T) {
 func TestRunRejectsBadInputs(t *testing.T) {
 	m := New(testConfig(C3D))
 	empty := &trace.Trace{Name: "empty"}
-	if _, err := m.Run(context.Background(), empty, DefaultRunOptions()); err == nil {
+	if _, err := m.RunSource(context.Background(), empty.Source(), DefaultRunOptions()); err == nil {
 		t.Error("running an empty trace should fail")
 	}
 	tooWide := &trace.Trace{Name: "wide", Parallel: make([][]trace.Record, 1000)}
-	if _, err := m.Run(context.Background(), tooWide, DefaultRunOptions()); err == nil {
+	if _, err := m.RunSource(context.Background(), tooWide.Source(), DefaultRunOptions()); err == nil {
 		t.Error("running a trace with more threads than cores should fail")
 	}
 	tr := testTrace(t, cacheFriendlySpec(), 8)
-	if _, err := m.Run(context.Background(), tr, RunOptions{WarmupFraction: 1.5}); err == nil {
+	if _, err := m.RunSource(context.Background(), tr.Source(), RunOptions{WarmupFraction: 1.5}); err == nil {
 		t.Error("an out-of-range warm-up fraction should fail")
 	}
 }
@@ -260,7 +260,7 @@ func TestSingleThreadedWorkloadRuns(t *testing.T) {
 	cfg := testConfig(C3D)
 	cfg.EnableBroadcastFilter = true
 	m := New(cfg)
-	res, err := m.Run(context.Background(), tr, DefaultRunOptions())
+	res, err := m.RunSource(context.Background(), tr.Source(), DefaultRunOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

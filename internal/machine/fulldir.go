@@ -23,24 +23,6 @@ type fullDirEngine struct {
 	m *Machine
 }
 
-func init() {
-	RegisterDesign(DesignSpec{
-		Name:             FullDir,
-		Description:      "private dirty DRAM caches tracked by an idealised inclusive full directory (§III-B)",
-		Rank:             2,
-		Evaluated:        true,
-		HasDRAMCache:     true,
-		PrivateDRAMCache: true,
-		NewEngine:        func(m *Machine) Engine { return &fullDirEngine{m: m} },
-		// The paper models the naive full directory without recalls
-		// (unbounded) and with the baseline's 10-cycle latency, an
-		// optimistic assumption it calls out explicitly.
-		NewDirectories: UnboundedGenericDirectory,
-	})
-}
-
-func (e *fullDirEngine) Name() string { return "full-dir" }
-
 func (e *fullDirEngine) ReadMiss(now sim.Time, sock *Socket, coreID int, b addr.Block) sim.Time {
 	m := e.m
 	res := sock.dramCache.Access(now, b, false)

@@ -36,7 +36,7 @@ type Machine struct {
 // New builds a machine from cfg. It panics on an invalid configuration
 // (construction happens at experiment-setup time where misconfiguration
 // should fail loudly). The design and the fabric topology both resolve
-// through their registries: there is no design or topology switch here to
+// through their tables: there is no design or topology switch here to
 // extend.
 func New(cfg Config) *Machine {
 	if err := cfg.Validate(); err != nil {
@@ -101,9 +101,6 @@ func (m *Machine) PageTable() *numa.PageTable { return m.pageTable }
 
 // Classifier returns the OS page classifier used by the §IV-D filter.
 func (m *Machine) Classifier() *tlb.Classifier { return m.classifier }
-
-// EngineName returns the name of the active coherence engine.
-func (m *Machine) EngineName() string { return m.engine.Name() }
 
 // socketOf returns the socket owning the given global core id.
 func (m *Machine) socketOf(coreID int) *Socket {

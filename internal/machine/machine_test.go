@@ -234,18 +234,6 @@ func TestSnoopyProbesRemoteDRAMCaches(t *testing.T) {
 	}
 }
 
-func TestEngineNames(t *testing.T) {
-	want := map[Design]string{
-		Baseline: "baseline", Snoopy: "snoopy", FullDir: "full-dir",
-		C3D: "c3d", C3DFullDir: "c3d-full-dir", SharedDRAM: "shared",
-	}
-	for design, name := range want {
-		if got := New(testConfig(design)).EngineName(); got != name {
-			t.Errorf("%v engine name = %q, want %q", design, got, name)
-		}
-	}
-}
-
 func TestNewPanicsOnInvalidConfig(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -1,79 +1,49 @@
 package machine
 
 import (
-	"context"
 	"reflect"
 	"strings"
 	"testing"
-
-	"c3d/internal/workload"
 )
 
-// testEchoDesign is a third-party design registered by this test file's init:
-// a baseline clone that proves the registry carries unknown-to-the-core
-// designs through parsing, listing, construction and simulation. Because the
-// registry is package-global, the design also flows through every
-// Designs()-iterating test in this package (engines_test, reset_test) — by
-// design: a registered design must survive everything a built-in does.
-const testEchoDesign Design = "test-echo"
-
-func init() {
-	RegisterDesign(DesignSpec{
-		Name:           testEchoDesign,
-		Description:    "baseline clone registered by machine tests",
-		Rank:           99,
-		NewEngine:      func(m *Machine) Engine { return &baselineEngine{m: m} },
-		NewDirectories: SparseGenericDirectory,
-	})
-}
-
 func TestDesignsOrderAndRegistration(t *testing.T) {
-	want := []Design{Baseline, Snoopy, FullDir, C3D, C3DFullDir, SharedDRAM, testEchoDesign}
-	got := Designs()
-	if len(got) != len(want) {
+	want := []Design{Baseline, Snoopy, FullDir, C3D, C3DFullDir, SharedDRAM}
+	if got := Designs(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Designs() = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Designs() = %v, want %v", got, want)
-		}
 	}
 	evaluated := []Design{Baseline, Snoopy, FullDir, C3D, C3DFullDir}
 	if got := EvaluatedDesigns(); !reflect.DeepEqual(got, evaluated) {
 		t.Fatalf("EvaluatedDesigns() = %v, want %v", got, evaluated)
 	}
-	parsed, err := ParseDesign("test-echo")
-	if err != nil || parsed != testEchoDesign {
-		t.Errorf("ParseDesign(test-echo) = %v, %v", parsed, err)
+	for _, d := range want {
+		if parsed, err := ParseDesign(string(d)); err != nil || parsed != d {
+			t.Errorf("ParseDesign(%q) = %v, %v", d, parsed, err)
+		}
 	}
 }
 
-func TestRegisterDesignRejectsDuplicatesAndMalformedSpecs(t *testing.T) {
-	mustPanic := func(name string, spec DesignSpec) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: expected panic", name)
-			}
-		}()
-		RegisterDesign(spec)
+// TestDesignTableInvariants checks every entry of the design table is
+// well-formed: a non-empty unique name and both factories.
+func TestDesignTableInvariants(t *testing.T) {
+	seen := map[Design]bool{}
+	for _, spec := range designs {
+		if spec.Name == "" {
+			t.Errorf("design table entry with an empty name: %+v", spec)
+		}
+		if seen[spec.Name] {
+			t.Errorf("design %q listed twice", spec.Name)
+		}
+		seen[spec.Name] = true
+		if spec.NewEngine == nil || spec.NewDirectories == nil {
+			t.Errorf("design %q is missing a factory", spec.Name)
+		}
 	}
-	mustPanic("duplicate", DesignSpec{
-		Name:           Baseline,
-		NewEngine:      func(m *Machine) Engine { return &baselineEngine{m: m} },
-		NewDirectories: SparseGenericDirectory,
-	})
-	mustPanic("no engine", DesignSpec{Name: "no-engine", NewDirectories: SparseGenericDirectory})
-	mustPanic("no directories", DesignSpec{
-		Name:      "no-dirs",
-		NewEngine: func(m *Machine) Engine { return &baselineEngine{m: m} },
-	})
-	mustPanic("empty name", DesignSpec{})
 }
 
 func TestUnknownDesignIsRejectedEverywhere(t *testing.T) {
-	if _, err := ParseDesign("warp-drive"); err == nil || !strings.Contains(err.Error(), "unknown design") {
-		t.Errorf("ParseDesign(warp-drive) = %v", err)
+	const unknown = `machine: unknown design "warp-drive" (known: [baseline snoopy full-dir c3d c3d-full-dir shared])`
+	if _, err := ParseDesign("warp-drive"); err == nil || err.Error() != unknown {
+		t.Errorf("ParseDesign(warp-drive) error = %v, want %s", err, unknown)
 	}
 	cfg := DefaultConfig(4, "warp-drive")
 	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "unknown design") {
@@ -84,32 +54,6 @@ func TestUnknownDesignIsRejectedEverywhere(t *testing.T) {
 		t.Error("empty design should not validate")
 	}
 	if Design("warp-drive").HasDRAMCache() || Design("").CleanDRAMCache() {
-		t.Error("unregistered designs must report no traits")
-	}
-}
-
-// TestRegisteredDesignSimulatesLikeItsEngine runs the test-registered
-// baseline clone and the real baseline on the same trace: every statistic
-// except the design name must be identical, proving construction and
-// dispatch go purely through the registry.
-func TestRegisteredDesignSimulatesLikeItsEngine(t *testing.T) {
-	tr, err := workload.Generate(workload.MustGet("streamcluster"),
-		workload.Options{Threads: 8, Scale: 512, AccessesPerThread: 2000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(d Design) RunResult {
-		cfg := DefaultConfig(4, d)
-		cfg.Scale = 512
-		res, err := New(cfg).Run(context.Background(), tr, DefaultRunOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	echo, base := run(testEchoDesign), run(Baseline)
-	echo.Design = Baseline // the only allowed difference
-	if !reflect.DeepEqual(echo, base) {
-		t.Errorf("registered clone diverged from baseline:\nclone:    %+v\nbaseline: %+v", echo, base)
+		t.Error("unknown designs must report no traits")
 	}
 }

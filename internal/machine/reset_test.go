@@ -25,18 +25,18 @@ func TestResetMatchesFreshMachine(t *testing.T) {
 		}
 
 		fresh := New(cfg)
-		want, err := fresh.Run(context.Background(), tr, DefaultRunOptions())
+		want, err := fresh.RunSource(context.Background(), tr.Source(), DefaultRunOptions())
 		if err != nil {
 			t.Fatalf("%v: fresh run: %v", design, err)
 		}
 
 		// Dirty a machine with a full run, reset it, and rerun.
 		reused := New(cfg)
-		if _, err := reused.Run(context.Background(), tr, DefaultRunOptions()); err != nil {
+		if _, err := reused.RunSource(context.Background(), tr.Source(), DefaultRunOptions()); err != nil {
 			t.Fatalf("%v: dirtying run: %v", design, err)
 		}
 		reused.Reset()
-		got, err := reused.Run(context.Background(), tr, DefaultRunOptions())
+		got, err := reused.RunSource(context.Background(), tr.Source(), DefaultRunOptions())
 		if err != nil {
 			t.Fatalf("%v: reset run: %v", design, err)
 		}
@@ -58,7 +58,7 @@ func TestResetClearsState(t *testing.T) {
 	cfg.Scale = 512
 	cfg.CoresPerSocket = 2
 	m := New(cfg)
-	if _, err := m.Run(context.Background(), tr, DefaultRunOptions()); err != nil {
+	if _, err := m.RunSource(context.Background(), tr.Source(), DefaultRunOptions()); err != nil {
 		t.Fatal(err)
 	}
 	m.Reset()

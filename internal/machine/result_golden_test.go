@@ -50,7 +50,7 @@ func TestRunResultJSONMatchesGolden(t *testing.T) {
 						opts.Sampling = sample.Spec{Stretch: 700, Warm: 60, Window: 60, Seed: 1}
 						mode = "sampled"
 					}
-					res, err := New(cfg).Run(context.Background(), tr, opts)
+					res, err := New(cfg).RunSource(context.Background(), tr.Source(), opts)
 					if err != nil {
 						t.Fatalf("%s/%s filter=%v %s: %v", wl, design, filter, mode, err)
 					}

@@ -31,14 +31,6 @@ type RunOptions struct {
 // without dominating run time.
 func DefaultRunOptions() RunOptions { return RunOptions{WarmupFraction: 0.25} }
 
-// Run executes the trace's parallel region on the machine and returns the
-// measured-region results. It is a thin adapter over RunSource: the
-// materialised trace is wrapped in its streaming view, so both paths share
-// one execution engine and produce bit-identical results.
-func (m *Machine) Run(ctx context.Context, tr *trace.Trace, opts RunOptions) (RunResult, error) {
-	return m.RunSource(ctx, tr.Source(), opts)
-}
-
 // RunSource executes a streaming trace's parallel region on the machine and
 // returns the measured-region results. The init section is used only for page
 // placement (FT1) — it is not executed for timing, matching the paper's
@@ -128,16 +120,6 @@ func (m *Machine) RunSource(ctx context.Context, src trace.Source, opts RunOptio
 	}
 	res := m.result(src.Name(), cores, uint64(cycles), instr, m.tally(), 1)
 	return res, m.CheckInvariants()
-}
-
-// MustRun is Run for callers that treat failures as programming errors
-// (benchmarks, examples).
-func (m *Machine) MustRun(ctx context.Context, tr *trace.Trace, opts RunOptions) RunResult {
-	res, err := m.Run(ctx, tr, opts)
-	if err != nil {
-		panic(err)
-	}
-	return res
 }
 
 // cancelCheckMask throttles context checks in the simulation hot loops: one

@@ -30,7 +30,7 @@ func TestSampledRunDeterministicAndAccounted(t *testing.T) {
 		tr := workload.MustGenerate(workload.MustGet("streamcluster"), opts)
 
 		run := func() RunResult {
-			res, err := New(cfg).Run(context.Background(), tr, sampledOpts(spec))
+			res, err := New(cfg).RunSource(context.Background(), tr.Source(), sampledOpts(spec))
 			if err != nil {
 				t.Fatalf("%v: sampled run: %v", design, err)
 			}
@@ -82,7 +82,7 @@ func TestSampledRunSeedChangesSchedule(t *testing.T) {
 	tr := workload.MustGenerate(workload.MustGet("mcf"), opts)
 
 	run := func(seed int64) RunResult {
-		res, err := New(cfg).Run(context.Background(), tr,
+		res, err := New(cfg).RunSource(context.Background(), tr.Source(),
 			sampledOpts(sample.Spec{Stretch: 500, Warm: 40, Window: 50, Seed: seed}))
 		if err != nil {
 			t.Fatal(err)
@@ -105,7 +105,7 @@ func TestSampledRunTooShortStream(t *testing.T) {
 	cfg.Scale = 512
 	cfg.CoresPerSocket = 1
 	tr := workload.MustGenerate(workload.MustGet("streamcluster"), opts)
-	_, err := New(cfg).Run(context.Background(), tr,
+	_, err := New(cfg).RunSource(context.Background(), tr.Source(),
 		sampledOpts(sample.Spec{Stretch: 5000, Warm: 100, Window: 100}))
 	if err == nil {
 		t.Fatal("sampled run over a too-short stream succeeded")
@@ -119,7 +119,7 @@ func TestSampledRunSpecValidation(t *testing.T) {
 	cfg.CoresPerSocket = 1
 	tr := workload.MustGenerate(workload.MustGet("streamcluster"),
 		workload.Options{Threads: 2, Scale: 512, AccessesPerThread: 100})
-	_, err := New(cfg).Run(context.Background(), tr,
+	_, err := New(cfg).RunSource(context.Background(), tr.Source(),
 		sampledOpts(sample.Spec{Stretch: -1, Window: 10}))
 	if err == nil {
 		t.Fatal("invalid sampling spec accepted")
@@ -157,7 +157,7 @@ func TestWarmupSizedPerThreadOnSkewedTrace(t *testing.T) {
 	cfg := DefaultConfig(2, Baseline)
 	cfg.Scale = 512
 	cfg.CoresPerSocket = 1
-	res, err := New(cfg).Run(context.Background(), asymTrace(short, long), RunOptions{WarmupFraction: 0.25})
+	res, err := New(cfg).RunSource(context.Background(), asymTrace(short, long).Source(), RunOptions{WarmupFraction: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,19 +19,6 @@ type sharedEngine struct {
 	m *Machine
 }
 
-func init() {
-	RegisterDesign(DesignSpec{
-		Name:           SharedDRAM,
-		Description:    "memory-side DRAM caches fronting each socket's memory: no coherence, no traffic reduction (§II-C)",
-		Rank:           5,
-		HasDRAMCache:   true,
-		NewEngine:      func(m *Machine) Engine { return &sharedEngine{m: m} },
-		NewDirectories: SparseGenericDirectory,
-	})
-}
-
-func (e *sharedEngine) Name() string { return "shared" }
-
 // memOrDRAMCacheRead reads the block at its home socket, checking the home's
 // memory-side DRAM cache before memory, and returns the completion time.
 func (e *sharedEngine) memOrDRAMCacheRead(now sim.Time, home, requester *Socket, b addr.Block) sim.Time {

@@ -17,21 +17,6 @@ type snoopyEngine struct {
 	m *Machine
 }
 
-func init() {
-	RegisterDesign(DesignSpec{
-		Name:             Snoopy,
-		Description:      "private dirty DRAM caches kept coherent by snooping every remote socket (§III-A)",
-		Rank:             1,
-		Evaluated:        true,
-		HasDRAMCache:     true,
-		PrivateDRAMCache: true,
-		NewEngine:        func(m *Machine) Engine { return &snoopyEngine{m: m} },
-		NewDirectories:   SparseGenericDirectory,
-	})
-}
-
-func (e *snoopyEngine) Name() string { return "snoopy" }
-
 // probeSocket models a snoop arriving at a remote socket: the socket checks
 // its on-chip hierarchy and its DRAM cache (both must be consulted because
 // the DRAM cache can hold dirty data under the write-back policy) and sends

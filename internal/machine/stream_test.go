@@ -11,9 +11,9 @@ import (
 	"c3d/internal/workload"
 )
 
-// The tentpole contract of the streaming runner: for every registry workload,
+// The contract of the streaming runner: for every registry workload,
 // RunSource over the incremental generator produces results bit-identical to
-// Run over the materialised trace, and replaying the same streams from a
+// RunSource over the materialised trace, and replaying the same streams from a
 // chunked trace file is bit-identical again. Simulated stream length dictates
 // memory in none of the three paths' runner — only the materialised input
 // itself does.
@@ -27,7 +27,7 @@ func TestRunSourceMatchesRun(t *testing.T) {
 			cfg.CoresPerSocket = 2
 
 			tr := workload.MustGenerate(spec, opts)
-			want, err := New(cfg).Run(context.Background(), tr, DefaultRunOptions())
+			want, err := New(cfg).RunSource(context.Background(), tr.Source(), DefaultRunOptions())
 			if err != nil {
 				t.Fatalf("%s/%v: materialised run: %v", name, design, err)
 			}
@@ -64,7 +64,7 @@ func TestRunSourceMatchesRun(t *testing.T) {
 	}
 }
 
-// RunSource must enforce the same preconditions Run does.
+// RunSource rejects traces the machine cannot run and bad run options.
 func TestRunSourceValidation(t *testing.T) {
 	cfg := DefaultConfig(2, Baseline)
 	cfg.Scale = 512

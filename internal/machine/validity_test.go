@@ -56,11 +56,11 @@ func TestSampledIntervalsCoverFullRun(t *testing.T) {
 			cfg.Scale = 512
 			cfg.CoresPerSocket = 2
 
-			full, err := New(cfg).Run(context.Background(), tr, DefaultRunOptions())
+			full, err := New(cfg).RunSource(context.Background(), tr.Source(), DefaultRunOptions())
 			if err != nil {
 				t.Fatalf("%s/%v: full run: %v", name, design, err)
 			}
-			sampled, err := New(cfg).Run(context.Background(), tr, sampledOpts(spec))
+			sampled, err := New(cfg).RunSource(context.Background(), tr.Source(), sampledOpts(spec))
 			if err != nil {
 				t.Fatalf("%s/%v: sampled run: %v", name, design, err)
 			}

@@ -118,6 +118,11 @@ func (s *TextSource) OpenInit() trace.RecordReader { return s.open(0) }
 func (s *TextSource) OpenThread(t int) trace.RecordReader { return s.open(t + 1) }
 
 func (s *TextSource) open(section int) trace.RecordReader {
+	if s.lens[section] == 0 {
+		// An empty section never reaches its last record, so a reader
+		// holding the file would never close it.
+		return &textReader{}
+	}
 	f, err := os.Open(s.path)
 	if err != nil {
 		return &errReader{err: fmt.Errorf("wspec: %w", err)}

@@ -69,26 +69,41 @@ func TestTextRoundTrip(t *testing.T) {
 	}
 }
 
+// hostileTraces are malformed text traces: each must fail OpenText with an
+// error containing want.
+var hostileTraces = []struct {
+	name     string
+	contents string
+	want     string
+}{
+	{"empty", "", "no trace records"},
+	{"comments only", "# name: ghost\n\n  \n", "no trace records"},
+	{"short line", "0 r\n", "got 2 fields"},
+	{"long line", "0 r 0x10 4 extra\n", "got 5 fields"},
+	{"bad section", "boss r 0x10\n", "bad thread index"},
+	{"bad kind", "0 x 0x10\n", "bad access kind"},
+	{"bad address", "0 r lots\n", "bad address"},
+	{"bad gap", "0 r 0x10 -3\n", "bad gap"},
+	{"thread over cap", fmt.Sprintf("%d r 0x10\n", trace.MaxThreads), "exceeds"},
+}
+
+// mixedTrace interleaves records from different threads, with hex and
+// decimal addresses, comma separators and inline comments.
+var mixedTrace = strings.Join([]string{
+	"# name: handmade",
+	"init w 0x100",
+	"1 r 0x200 7",
+	"0,read,512",
+	"init w 0x140 # touch the second line",
+	"1 w 0x208",
+	"0 store 0x240 2",
+}, "\n")
+
 // TestOpenTextRejectsHostileFiles drives the scanner with malformed traces:
 // every defect must surface at OpenText time with the offending line in the
 // error, never mid-replay.
 func TestOpenTextRejectsHostileFiles(t *testing.T) {
-	cases := []struct {
-		name     string
-		contents string
-		want     string
-	}{
-		{"empty", "", "no trace records"},
-		{"comments only", "# name: ghost\n\n  \n", "no trace records"},
-		{"short line", "0 r\n", "got 2 fields"},
-		{"long line", "0 r 0x10 4 extra\n", "got 5 fields"},
-		{"bad section", "boss r 0x10\n", "bad thread index"},
-		{"bad kind", "0 x 0x10\n", "bad access kind"},
-		{"bad address", "0 r lots\n", "bad address"},
-		{"bad gap", "0 r 0x10 -3\n", "bad gap"},
-		{"thread over cap", fmt.Sprintf("%d r 0x10\n", trace.MaxThreads), "exceeds"},
-	}
-	for _, tc := range cases {
+	for _, tc := range hostileTraces {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := OpenText(writeTemp(t, "bad.txt", tc.contents))
 			if err == nil {
@@ -101,19 +116,9 @@ func TestOpenTextRejectsHostileFiles(t *testing.T) {
 	}
 }
 
-// TestTextSourceShape checks section accounting over an interleaved file:
-// records from different threads may arrive in any order, with hex and
-// decimal addresses, comma separators and inline comments.
+// TestTextSourceShape checks section accounting over mixedTrace.
 func TestTextSourceShape(t *testing.T) {
-	src, err := OpenText(writeTemp(t, "mix.txt", strings.Join([]string{
-		"# name: handmade",
-		"init w 0x100",
-		"1 r 0x200 7",
-		"0,read,512",
-		"init w 0x140 # touch the second line",
-		"1 w 0x208",
-		"0 store 0x240 2",
-	}, "\n")))
+	src, err := OpenText(writeTemp(t, "mix.txt", mixedTrace))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,6 +142,24 @@ func TestTextSourceShape(t *testing.T) {
 	}
 	if _, ok := r.Next(); ok || r.Err() != nil {
 		t.Fatalf("thread 0 stream did not end cleanly: err=%v", r.Err())
+	}
+}
+
+// TestEmptySectionsHoldNoFile checks readers over empty sections (no init
+// records, thread holes) never open the file: they end before a last record
+// that would close it.
+func TestEmptySectionsHoldNoFile(t *testing.T) {
+	src, err := OpenText(writeTemp(t, "holes.txt", "2 r 0x10\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []trace.RecordReader{src.OpenInit(), src.OpenThread(0), src.OpenThread(1)} {
+		if r.(*textReader).f != nil {
+			t.Fatal("reader over an empty section holds the trace file open")
+		}
+		if _, ok := r.Next(); ok || r.Err() != nil {
+			t.Fatalf("empty section yielded a record or error %v", r.Err())
+		}
 	}
 }
 
@@ -211,4 +234,60 @@ func TestTextReplayMemoryFlat(t *testing.T) {
 	if big > small*1.5+16 {
 		t.Fatalf("allocations scale with file length: %.1f allocs on 2k records vs %.1f on 200k", small, big)
 	}
+}
+
+// FuzzIngest feeds arbitrary files to OpenText and trace.Materialize. Neither
+// may panic, a file OpenText accepts must replay without error, and every
+// accepted trace must survive WriteText -> OpenText with identical records
+// and name.
+func FuzzIngest(f *testing.F) {
+	f.Add([]byte(mixedTrace))
+	for _, tc := range hostileTraces {
+		f.Add([]byte(tc.contents))
+	}
+	src, err := workload.NewSource(workload.MustGet("nutch"),
+		workload.Options{Threads: 2, Scale: 512, AccessesPerThread: 20})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var generated bytes.Buffer
+	if err := WriteText(&generated, src); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(generated.Bytes())
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		in := filepath.Join(dir, "in.txt")
+		if err := os.WriteFile(in, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		src, err := OpenText(in)
+		if err != nil {
+			return
+		}
+		want, err := trace.Materialize(src)
+		if err != nil {
+			t.Fatalf("OpenText accepted the file but replay failed: %v", err)
+		}
+		var text bytes.Buffer
+		if err := WriteText(&text, src); err != nil {
+			t.Fatal(err)
+		}
+		out := filepath.Join(dir, "out.txt")
+		if err := os.WriteFile(out, text.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		back, err := OpenText(out)
+		if err != nil {
+			t.Fatalf("re-reading the exported trace: %v", err)
+		}
+		got, err := trace.Materialize(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("WriteText -> OpenText changed the trace: name %q -> %q", want.Name, got.Name)
+		}
+	})
 }

@@ -16,13 +16,6 @@ var (
 	presetOrder []string
 )
 
-// RegisterDoc parses, validates, compiles and registers a single spec
-// document, making it a first-class named workload. It is intended for init
-// functions; errors are returned so non-init callers can surface them.
-func RegisterDoc(raw []byte) error {
-	return RegisterPresets([][]byte{raw})
-}
-
 // RegisterPresets compiles a batch of spec documents — which may reference
 // each other as bases — and registers every compiled workload plus its
 // document bytes. The embedded preset library loads through here.

@@ -117,13 +117,13 @@ func ParseDesign(s string) (Design, error) { return machine.ParseDesign(s) }
 func ParsePolicy(s string) (Policy, error) { return numa.ParsePolicy(s) }
 
 // ParseTopology converts a topology name (p2p, ring, mesh, full) into a
-// Topology. Only registered topologies parse.
+// Topology. Only names in the topology table parse.
 func ParseTopology(s string) (Topology, error) { return interconnect.ParseTopology(s) }
 
-// Designs returns every registered design in evaluation order.
+// Designs returns every design in evaluation order.
 func Designs() []Design { return machine.Designs() }
 
-// Topologies returns every registered fabric topology in registry order.
+// Topologies returns every fabric topology in table order.
 func Topologies() []Topology { return interconnect.Topologies() }
 
 // Session is the facade in front of the simulator: a validated Params that

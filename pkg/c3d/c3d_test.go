@@ -95,7 +95,7 @@ func TestSimulateStreamingMatchesMaterialised(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := machine.New(mcfg).Run(t.Context(), tr, machine.DefaultRunOptions())
+	want, err := machine.New(mcfg).RunSource(t.Context(), tr.Source(), machine.DefaultRunOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 // CurrentCapabilities reports what this build of the simulator can run —
-// registered designs, fabric topologies, experiments and workloads, plus the
+// its designs, fabric topologies, experiments and workloads, plus the
 // build version — in the wire shape served by GET /v1/capabilities. The
 // daemon and the campaign coordinator both publish exactly this document,
 // and remote clients use it to validate job specs eagerly, the way
