@@ -416,14 +416,13 @@ type campaignJob struct {
 // Submit admits a campaign: rejects one larger than the admission burst,
 // validates every spec against the fleet's capabilities, charges the token
 // bucket one token per job (atomically — admit all or reject all), and starts
-// the runner. Errors are *api.Error so
-// the HTTP layer maps them directly.
+// the runner. Errors are *api.Error so the HTTP layer maps them directly.
 func (c *Coordinator) Submit(spec api.CampaignSpec) (*api.SubmitResponse, error) {
 	if len(spec.Jobs) == 0 {
 		return nil, &api.Error{Code: api.CodeInvalidSpec, Message: "campaign has no jobs", HTTPStatus: http.StatusBadRequest}
 	}
 	// The bucket never holds more than Burst tokens, so a larger campaign
-	// could never be admitted: retrying it is pointless, so it is a bad
+	// could never be admitted and retrying it is pointless: it is a bad
 	// spec, not a rate limit.
 	if len(spec.Jobs) > c.cfg.Burst {
 		return nil, &api.Error{

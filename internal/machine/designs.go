@@ -64,7 +64,7 @@ var designs = []DesignSpec{
 		Name:           Baseline,
 		Evaluated:      true,
 		NewEngine:      func(m *Machine) Engine { return &baselineEngine{m: m} },
-		NewDirectories: SparseGenericDirectory,
+		NewDirectories: sparseDirectories,
 	},
 	// Private dirty DRAM caches kept coherent by snooping every remote
 	// socket (§III-A).
@@ -74,7 +74,7 @@ var designs = []DesignSpec{
 		HasDRAMCache:     true,
 		PrivateDRAMCache: true,
 		NewEngine:        func(m *Machine) Engine { return &snoopyEngine{m: m} },
-		NewDirectories:   SparseGenericDirectory,
+		NewDirectories:   sparseDirectories,
 	},
 	// Private dirty DRAM caches tracked by an idealised inclusive full
 	// directory (§III-B). The paper models it without recalls (unbounded)
@@ -86,7 +86,7 @@ var designs = []DesignSpec{
 		HasDRAMCache:     true,
 		PrivateDRAMCache: true,
 		NewEngine:        func(m *Machine) Engine { return &fullDirEngine{m: m} },
-		NewDirectories:   UnboundedGenericDirectory,
+		NewDirectories:   unboundedDirectories,
 	},
 	// Clean private DRAM caches plus a non-inclusive directory with
 	// broadcast invalidations (§IV).
@@ -116,7 +116,7 @@ var designs = []DesignSpec{
 		Name:           SharedDRAM,
 		HasDRAMCache:   true,
 		NewEngine:      func(m *Machine) Engine { return &sharedEngine{m: m} },
-		NewDirectories: SparseGenericDirectory,
+		NewDirectories: sparseDirectories,
 	},
 }
 
@@ -139,10 +139,10 @@ func mustDesignSpec(d Design) DesignSpec {
 	return spec
 }
 
-// SparseGenericDirectory builds the baseline's sparse, bounded generic
+// sparseDirectories builds the baseline's sparse, bounded generic
 // directory slice — the default directory organisation for designs without
 // protocol-aware tracking needs.
-func SparseGenericDirectory(socketID int, cfg Config) SocketDirectories {
+func sparseDirectories(socketID int, cfg Config) SocketDirectories {
 	return SocketDirectories{Generic: coherence.NewDirectory(coherence.DirConfig{
 		Name:    fmt.Sprintf("gdir.%d", socketID),
 		Entries: cfg.DirEntries(),
@@ -150,10 +150,10 @@ func SparseGenericDirectory(socketID int, cfg Config) SocketDirectories {
 	})}
 }
 
-// UnboundedGenericDirectory builds an idealised inclusive directory slice
+// unboundedDirectories builds an idealised inclusive directory slice
 // with unbounded capacity (no recalls) — the paper's deliberately optimistic
 // model of the naive full-directory design.
-func UnboundedGenericDirectory(socketID int, cfg Config) SocketDirectories {
+func unboundedDirectories(socketID int, cfg Config) SocketDirectories {
 	return SocketDirectories{Generic: coherence.NewDirectory(coherence.DirConfig{
 		Name: fmt.Sprintf("gdir.%d", socketID),
 	})}
