@@ -9,7 +9,9 @@
 package cache
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"c3d/internal/addr"
 )
@@ -443,6 +445,15 @@ func (c *Cache) ForEach(fn func(Line)) {
 			fn(c.lines[i])
 		}
 	}
+}
+
+// LRUOrder returns the valid lines of set s from least to most recently
+// used. Intended for tests that compare replacement state across runs; the
+// order, not the raw timestamps, is what replacement reads.
+func (c *Cache) LRUOrder(s int) []Line {
+	set := slices.DeleteFunc(slices.Clone(c.lines[s*c.ways:(s+1)*c.ways]), func(l Line) bool { return !l.valid })
+	slices.SortStableFunc(set, func(a, b Line) int { return cmp.Compare(a.lastUse, b.lastUse) })
+	return set
 }
 
 // Flush removes every line and returns the number of lines that were dirty.
