@@ -76,7 +76,7 @@ determinism:
 
 # Generalized-fabric gate through the real CLI: one quick workload on the
 # mesh and fully-connected topologies at 8 sockets, each byte-compared
-# across parallelism levels — the topology registry must be as deterministic
+# across parallelism levels — the topology table must be as deterministic
 # as the paper's shapes.
 topology-smoke:
 	$(GO) run ./cmd/c3dexp -exp fig8 -quick -sockets 8 -topology mesh -workloads streamcluster -accesses 2000 -json -parallel 1 > /tmp/c3d-topo-mesh-p1.json

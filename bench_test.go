@@ -280,7 +280,7 @@ func BenchmarkMachineSimulation(b *testing.B) {
 // with b.Elapsed snapshots, so ns/op covers the pair while the reported
 // metrics separate them: sampled accesses/s (the stream length divided by the
 // sampled half's wall-clock) and x-vs-full, the full/sampled wall-clock ratio
-// the bench JSON tracks as the sampling speedup.
+// that measures the sampling speedup.
 func BenchmarkMachineSimulationSampled(b *testing.B) {
 	b.ReportAllocs()
 	wspec := workload.MustGet("streamcluster")

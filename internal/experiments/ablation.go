@@ -51,7 +51,6 @@ func (r PrivateVsSharedResult) Table() *stats.Table {
 // PrivateVsShared runs the §II-C organisation comparison: a shared
 // (memory-side) DRAM cache versus C3D's private organisation.
 func PrivateVsShared(ctx context.Context, cfg Config) (PrivateVsSharedResult, error) {
-	cfg = cfg.withDefaults()
 	designs := []machine.Design{machine.Baseline, machine.SharedDRAM, machine.C3D}
 	var jobs []job
 	for _, name := range cfg.workloadNames() {
@@ -123,7 +122,6 @@ func (r AblationResult) Table() *stats.Table {
 
 // Ablation runs the design-choice ablation.
 func Ablation(ctx context.Context, cfg Config) (AblationResult, error) {
-	cfg = cfg.withDefaults()
 	var jobs []job
 	for _, name := range cfg.workloadNames() {
 		spec := cfg.mustWorkload(name)

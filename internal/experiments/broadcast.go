@@ -54,7 +54,6 @@ func (r BroadcastFilterResult) Table() *stats.Table {
 // Sec6C runs the broadcast-filter study over the configured workloads plus
 // mcf.
 func Sec6C(ctx context.Context, cfg Config) (BroadcastFilterResult, error) {
-	cfg = cfg.withDefaults()
 	names := append(append([]string{}, cfg.workloadNames()...), "mcf")
 	var jobs []job
 	for _, name := range names {

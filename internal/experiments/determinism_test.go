@@ -127,7 +127,7 @@ func TestStreamingMatchesMaterialised(t *testing.T) {
 		t.Fatalf("a zero budget memoised %d traces", n)
 	}
 	memoised := run(traceBudget)
-	cfg := QuickConfig().withDefaults()
+	cfg := QuickConfig()
 	for _, name := range cfg.workloadNames() {
 		opts := workload.Options{Threads: cfg.Threads, Scale: cfg.Scale, AccessesPerThread: cfg.AccessesPerThread}
 		if _, ok := sharedTraces.traces[traceKey(workload.MustGet(name), opts)]; !ok {

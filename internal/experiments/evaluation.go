@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"c3d/internal/machine"
 	"c3d/internal/sample"
@@ -11,8 +12,8 @@ import (
 )
 
 // evaluatedDesigns are the DRAM-cache coherence designs compared against the
-// baseline in Figs. 6-9, in the paper's legend order.
-var evaluatedDesigns = []machine.Design{machine.Snoopy, machine.FullDir, machine.C3D, machine.C3DFullDir}
+// baseline in Figs. 6-9, in the design table's (the paper's legend) order.
+var evaluatedDesigns = slices.DeleteFunc(machine.EvaluatedDesigns(), func(d machine.Design) bool { return d == machine.Baseline })
 
 // SpeedupResult is the shared shape of the Fig. 6 / Fig. 7 performance
 // comparisons: per-workload speedup of each design over the no-DRAM-cache
@@ -70,18 +71,15 @@ func (r SpeedupResult) Table() *stats.Table {
 // designComparison runs every evaluated design plus the baseline on every
 // workload for the given socket count, returning the raw results keyed by
 // (workload, design).
-func designComparison(ctx context.Context, cfg Config, sockets int, tag string, mutate func(*machine.Config)) (map[string]machine.RunResult, error) {
-	cfg = cfg.withDefaults()
-	designs := append([]machine.Design{machine.Baseline}, evaluatedDesigns...)
+func designComparison(ctx context.Context, cfg Config, sockets int, tag string) (map[string]machine.RunResult, error) {
 	var jobs []job
 	for _, name := range cfg.workloadNames() {
 		spec := cfg.mustWorkload(name)
-		for _, d := range designs {
+		for _, d := range machine.EvaluatedDesigns() {
 			jobs = append(jobs, job{
-				key:    key(tag, name, d),
-				spec:   spec,
-				mcfg:   cfg.machineConfig(sockets, d, spec.PreferredPolicy),
-				mutate: mutate,
+				key:  key(tag, name, d),
+				spec: spec,
+				mcfg: cfg.machineConfig(sockets, d, spec.PreferredPolicy),
 			})
 		}
 	}
@@ -148,8 +146,7 @@ func geomeanBar(geomean float64, names []string, est func(name string) sample.Es
 
 // Fig6 runs the 4-socket (8 cores/socket) performance comparison.
 func Fig6(ctx context.Context, cfg Config) (SpeedupResult, error) {
-	cfg = cfg.withDefaults()
-	results, err := designComparison(ctx, cfg, 4, "fig6", nil)
+	results, err := designComparison(ctx, cfg, 4, "fig6")
 	if err != nil {
 		return SpeedupResult{}, err
 	}
@@ -158,8 +155,7 @@ func Fig6(ctx context.Context, cfg Config) (SpeedupResult, error) {
 
 // Fig7 runs the 2-socket (16 cores/socket) performance comparison.
 func Fig7(ctx context.Context, cfg Config) (SpeedupResult, error) {
-	cfg = cfg.withDefaults()
-	results, err := designComparison(ctx, cfg, 2, "fig7", nil)
+	results, err := designComparison(ctx, cfg, 2, "fig7")
 	if err != nil {
 		return SpeedupResult{}, err
 	}
@@ -199,7 +195,6 @@ func (r Fig8Result) Table() *stats.Table {
 
 // Fig8 runs the memory-traffic study (4-socket, C3D versus baseline).
 func Fig8(ctx context.Context, cfg Config) (Fig8Result, error) {
-	cfg = cfg.withDefaults()
 	var jobs []job
 	for _, name := range cfg.workloadNames() {
 		spec := cfg.mustWorkload(name)
@@ -268,11 +263,11 @@ func (r Fig9Result) Table() *stats.Table {
 	return t
 }
 
-// Fig9 runs the inter-socket traffic study. It reuses the same runs as
-// Fig. 6 (the paper derives both from one experiment campaign).
+// Fig9 runs the inter-socket traffic study: the Fig. 6 machine (4 sockets,
+// every evaluated design plus the baseline) in simulations of its own, tagged
+// "fig9".
 func Fig9(ctx context.Context, cfg Config) (Fig9Result, error) {
-	cfg = cfg.withDefaults()
-	results, err := designComparison(ctx, cfg, 4, "fig9", nil)
+	results, err := designComparison(ctx, cfg, 4, "fig9")
 	if err != nil {
 		return Fig9Result{}, err
 	}

@@ -16,7 +16,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -98,25 +97,6 @@ func QuickConfig() Config {
 	cfg.AccessesPerThread = 6000
 	cfg.Scale = 512
 	return cfg
-}
-
-func (c Config) withDefaults() Config {
-	if c.Sockets <= 0 {
-		c.Sockets = 4
-	}
-	if c.Threads <= 0 {
-		c.Threads = 32
-	}
-	if c.Scale <= 0 {
-		c.Scale = workload.DefaultScale
-	}
-	if c.WarmupFraction <= 0 {
-		c.WarmupFraction = 0.25
-	}
-	if c.Parallelism <= 0 {
-		c.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	return c
 }
 
 // workloadNames returns the workload set for this config.
@@ -337,7 +317,6 @@ type job struct {
 // aborts the sweep early (in-flight simulations stop between accesses) and
 // surfaces ctx's error.
 func (c Config) runJobs(ctx context.Context, jobs []job) (map[string]machine.RunResult, error) {
-	c = c.withDefaults()
 	sjobs := make([]sweep.Job[machine.RunResult], len(jobs))
 	for i, j := range jobs {
 		j := j

@@ -206,16 +206,13 @@ func TestVerifyPasses(t *testing.T) {
 }
 
 func TestQuickAndDefaultConfigs(t *testing.T) {
-	def := DefaultConfig().withDefaults()
+	def := DefaultConfig()
 	if def.Threads != 32 || def.Sockets != 4 || def.Scale != workload.DefaultScale {
 		t.Errorf("DefaultConfig = %+v, want the paper's 32-thread 4-socket setup", def)
 	}
-	quick := QuickConfig().withDefaults()
+	quick := QuickConfig()
 	if quick.AccessesPerThread >= 50_000 {
 		t.Error("QuickConfig should use short access streams")
-	}
-	if quick.Parallelism < 1 {
-		t.Error("withDefaults should set a positive parallelism")
 	}
 	mc := def.machineConfig(4, machine.C3D, workload.MustGet("streamcluster").PreferredPolicy)
 	if mc.CoresPerSocket != 8 {

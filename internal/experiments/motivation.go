@@ -33,7 +33,6 @@ func (r TableIResult) Table() *stats.Table {
 
 // TableI runs the Table I characterisation.
 func TableI(ctx context.Context, cfg Config) (TableIResult, error) {
-	cfg = cfg.withDefaults()
 	var jobs []job
 	for _, name := range cfg.workloadNames() {
 		spec := cfg.mustWorkload(name)
@@ -98,7 +97,6 @@ func (r Fig2Result) Table() *stats.Table {
 
 // Fig2 runs the NUMA bottleneck analysis.
 func Fig2(ctx context.Context, cfg Config) (Fig2Result, error) {
-	cfg = cfg.withDefaults()
 	mutations := map[string]func(*machine.Config){
 		"baseline":   nil,
 		"0_qpi_lat":  func(m *machine.Config) { m.ZeroHopLatency = true },
@@ -188,7 +186,6 @@ func (r Fig3Result) Table() *stats.Table {
 
 // Fig3 runs the LLC capacity sweep.
 func Fig3(ctx context.Context, cfg Config) (Fig3Result, error) {
-	cfg = cfg.withDefaults()
 	var jobs []job
 	for _, name := range cfg.workloadNames() {
 		spec := cfg.mustWorkload(name)

@@ -124,7 +124,6 @@ func scalingShapes(cfg Config) []scalingShape {
 // remote access crosses the selected fabric. Results are deterministic at
 // any Config.Parallelism.
 func Scaling(ctx context.Context, cfg Config) (ScalingResult, error) {
-	cfg = cfg.withDefaults()
 	shapes := scalingShapes(cfg)
 	names := cfg.workloadNames()
 	results, err := cfg.runJobs(ctx, scalingJobs(cfg, "scaling", shapes, names))
@@ -261,7 +260,6 @@ func (r SampledScalingResult) Table() *stats.Table {
 // half-width. Results are deterministic at any Config.Parallelism for a
 // fixed (config, seed, spec).
 func SampledScaling(ctx context.Context, cfg Config) (SampledScalingResult, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Sampling == "" {
 		cfg.Sampling = cfg.defaultSamplingSpec()
 	}

@@ -66,7 +66,6 @@ func Fig11(ctx context.Context, cfg Config) (SensitivityResult, error) {
 
 func latencySensitivity(ctx context.Context, cfg Config, parameter, tag string, values []float64,
 	apply func(*machine.Config, float64)) (SensitivityResult, error) {
-	cfg = cfg.withDefaults()
 	designs := append([]machine.Design{machine.Baseline}, sensitivityDesigns...)
 	var jobs []job
 	for _, name := range cfg.workloadNames() {

@@ -204,8 +204,8 @@ func TestTraceBudgetHoldsPaperScale(t *testing.T) {
 		}
 		return traceRecords(src)
 	}
-	def := DefaultConfig().withDefaults()
-	quick := QuickConfig().withDefaults()
+	def := DefaultConfig()
+	quick := QuickConfig()
 	quickSet := 0
 	for _, name := range def.workloadNames() {
 		if n := records(def, name, 0); 2*n > traceBudget {

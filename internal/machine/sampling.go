@@ -37,97 +37,16 @@ type SamplingResult struct {
 	Estimates sample.Estimates
 }
 
-// ffPageMemoSize is the per-core page-memo table size (a power of two).
-const ffPageMemoSize = 256
-
-// ffCore is the per-core state of the functional-warming fast path: the
-// socket and L1 resolved once per run instead of per record, plus two memos.
-//
-// The page memo records pages this core has already pushed through the
-// classifier. Skipping repeats is exact because the classifier's transitions
-// are absorbing for a pinned thread: after this core's first Access the page
-// is either private-to-this-core or shared, and in both states every later
-// Access by this core mutates nothing (private→shared transitions are
-// triggered by the *other* core's first touch, which the memo never skips).
-// The memo therefore survives stretches and detailed phases alike. The TLB
-// is not warmed at all: its contents are miss-statistics-only (they never
-// feed timing, and no sampled estimate reports them), so fast-forward
-// traffic through it would be pure cost.
-//
-// The block memo is exact for the cache hierarchy: after any touch of block
-// b, b is at the MRU position of this core's L1, so an immediately repeated
-// read would only renumber (not reorder) the set's LRU sequence, and an
-// immediately repeated write after a write finds the line Modified with the
-// LLC copy already dirty. Cores fast-forward one at a time, so no other
-// core's invalidations can interleave with the memo's lifetime; it resets at
-// every stretch because detailed phases reorder what it summarises.
+// ffCore is the per-core state of functional warming: the socket, L1 and
+// DRAM cache resolved once per run instead of per record. The TLB is not
+// warmed: its contents are miss-statistics-only (they never feed timing, and
+// no sampled estimate reports them). Every design with a DRAM cache runs it
+// as an LLC victim cache, so warming feeds it through Warm, WarmWrite and
+// WarmInvalidate.
 type ffCore struct {
 	sock *Socket
 	l1   *cache.Cache
 	dc   *dramcache.Cache // nil for designs without a DRAM cache
-	// pageMemo holds page+1 (so the zero value misses) in a direct-mapped
-	// table; collisions just repeat a harmless classifier no-op.
-	pageMemo [ffPageMemoSize]uint64
-	// lastBlock is the most recently touched block; lastBlockMod records
-	// whether this core is known to hold it Modified (set by the write path).
-	lastBlock    addr.Block
-	lastBlockMod bool
-	hasLastB     bool
-	// privMemo caches IsPrivateTo verdicts for this core's writes. "Not
-	// private to me" is absorbing (a page never re-privatizes), so false
-	// verdicts live forever; "private to me" is guarded by the classifier's
-	// reclassification epoch, which advances on exactly the transitions that
-	// could revoke it. Direct-mapped on the page number.
-	privMemo [ffPrivMemoSize]privEntry
-	// l1Filter is a one-sided presence filter over every L1 of this core's
-	// socket: a clear bit proves no local L1 holds the block, a set bit means
-	// "maybe". It is rebuilt from the actual L1 contents at the start of each
-	// fast-forward segment and only ever gains bits afterwards (from this
-	// core's own fills — the one way lines appear while it runs, since cores
-	// fast-forward serially and sweeps only remove lines), so it stays
-	// conservative and lets the eviction/write sweeps skip scanning eight
-	// L1 sets for blocks provably absent.
-	l1Filter [l1FilterWords]uint64
-}
-
-// l1FilterWords sizes the per-socket L1 presence filter (4096 bits — an
-// order of magnitude above the lines eight quick-scale L1s can hold).
-const l1FilterWords = 64
-
-// ffPrivMemoSize is the direct-mapped privacy-memo size (a power of two).
-const ffPrivMemoSize = 256
-
-// privEntry is one privacy-memo slot; page holds page+1 so zero is empty.
-type privEntry struct {
-	page  uint64
-	epoch uint64
-	priv  bool
-}
-
-func l1Slot(b addr.Block) (int, uint64) {
-	h := uint64(b) * 0x9e3779b97f4a7c15
-	h >>= 64 - 12 // log2(l1FilterWords*64) bits
-	return int(h >> 6), 1 << (h & 63)
-}
-
-// noteL1 records b as possibly held by a local L1.
-func (ff *ffCore) noteL1(b addr.Block) {
-	w, bit := l1Slot(b)
-	ff.l1Filter[w] |= bit
-}
-
-// l1MayHold reports whether a local L1 could hold b; false is exact.
-func (ff *ffCore) l1MayHold(b addr.Block) bool {
-	w, bit := l1Slot(b)
-	return ff.l1Filter[w]&bit != 0
-}
-
-// rebuildL1Filter resets the filter to the socket's current L1 contents.
-func (ff *ffCore) rebuildL1Filter() {
-	ff.l1Filter = [l1FilterWords]uint64{}
-	for _, l1 := range ff.sock.l1s {
-		l1.ForEach(func(l cache.Line) { ff.noteL1(l.Block) })
-	}
 }
 
 // touch is the functional-warming path used during fast-forward stretches: it
@@ -140,59 +59,36 @@ func (ff *ffCore) rebuildL1Filter() {
 // tracked-but-evicted block downgrades to a no-op).
 func (m *Machine) touch(ff *ffCore, coreID int, rec trace.Record) {
 	b := addr.BlockOf(rec.Addr)
-	// Same block as the previous record: a repeated read is a no-op (the
-	// line is already MRU everywhere it lives) and a repeated write to an
-	// already-Modified line likewise; see the ffCore memo-exactness note.
-	if ff.hasLastB && b == ff.lastBlock {
-		if rec.Kind != trace.Write {
-			return
-		}
-		if ff.lastBlockMod {
-			return
-		}
-		m.touchWrite(ff, coreID, b)
-		ff.lastBlockMod = true
-		return
-	}
-	page := addr.PageOf(rec.Addr)
-	if slot := &ff.pageMemo[uint64(page)&(ffPageMemoSize-1)]; *slot != uint64(page)+1 {
-		// Threads are pinned in this simulator, so the thread id equals the
-		// core id and migrations never occur.
-		m.classifier.Access(page, coreID, coreID)
-		*slot = uint64(page) + 1
-	}
-	ff.lastBlock = b
-	ff.hasLastB = true
+	// Threads are pinned in this simulator, so the thread id equals the core
+	// id and migrations never occur.
+	m.classifier.Access(addr.PageOf(rec.Addr), coreID, coreID)
 	if rec.Kind == trace.Write {
-		ff.lastBlockMod = true
 		m.touchWrite(ff, coreID, b)
 		return
 	}
-	ff.lastBlockMod = false
 	// Touch installs on miss, so an L1 hit is the whole fast path; an L1 miss
 	// leaves b installed there and only the LLC remains. L1 victims are
 	// dropped silently (the L1s are write-through into the inclusive LLC).
-	ff.noteL1(b)
 	if _, hit := ff.l1.Touch(b, coherence.LineShared); hit {
 		return
 	}
 	if victim, hit := ff.sock.llc.Touch(b, coherence.LineShared); !hit && victim.Valid {
-		// Keep the hierarchy inclusive; the write-back (if the victim was
-		// dirty) is only a statistic, and fast-forward produces none. The
-		// victim is usually the set's coldest line and long gone from every
-		// L1, so the filter skips most of these eight-way sweeps.
-		if ff.l1MayHold(victim.Block) {
-			for _, l1 := range ff.sock.l1s {
-				l1.Invalidate(victim.Block)
-			}
-		}
-		// Every design with a DRAM cache runs it as an LLC victim cache, so
-		// fast-forwarded evictions must land there too — a cold DRAM cache
-		// is the single largest warming bias (every measured-window miss
-		// would pay the memory path a full run's warm giga-cache absorbs).
-		if ff.dc != nil {
-			ff.dc.Warm(victim.Block, victim.State, victim.Dirty)
-		}
+		ff.evictLLC(victim)
+	}
+}
+
+// evictLLC keeps the hierarchy inclusive after an LLC victim and hands the
+// victim to the DRAM cache; the write-back (if the victim was dirty) is only
+// a statistic, and fast-forward produces none. Fast-forwarded evictions must
+// land in the DRAM cache because a cold one is the single largest warming
+// bias (every measured-window miss would pay the memory path a full run's
+// warm giga-cache absorbs).
+func (ff *ffCore) evictLLC(victim cache.Victim) {
+	for _, l1 := range ff.sock.l1s {
+		l1.Invalidate(victim.Block)
+	}
+	if ff.dc != nil {
+		ff.dc.Warm(victim.Block, victim.State, victim.Dirty)
 	}
 }
 
@@ -204,39 +100,20 @@ func (m *Machine) touch(ff *ffCore, coreID int, rec trace.Record) {
 // copy on the machine is dropped, the same end state the detailed engines
 // converge to, produced without any coherence, fabric or statistic events.
 func (m *Machine) touchWrite(ff *ffCore, coreID int, b addr.Block) {
-	// Sampled before this write plants its own copy: does any local L1
-	// possibly hold b? A clear bit makes the local sweep below a proven
-	// no-op even when the page is shared.
-	mayLocal := ff.l1MayHold(b)
 	// One scan takes the line Modified in the L1 whether it was held Shared,
 	// held Modified or absent. Ownership already exclusive (the common
 	// write-hit fast path) means only the LLC dirty bit needs refreshing.
-	if prior, hit := ff.l1.TouchState(b, coherence.LineModified); hit {
-		if prior == coherence.LineModified {
-			if l, ok := ff.sock.llc.Probe(b); ok {
-				l.Dirty = true
-			}
-			return
+	if prior, hit := ff.l1.TouchState(b, coherence.LineModified); hit && prior == coherence.LineModified {
+		if l, ok := ff.sock.llc.Probe(b); ok {
+			l.Dirty = true
 		}
-	} else {
-		ff.noteL1(b)
+		return
 	}
 	// §IV-D's insight applies to warming too: a page still private to this
 	// thread has never been touched by any other thread, so no cache on the
 	// machine can hold a copy of b and the whole invalidation sweep is
-	// provably a no-op. The verdict is memoised per core under the
-	// classifier's reclassification epoch (see privEntry), which invalidates
-	// a cached "private" the moment another thread's first touch ends it.
-	page := addr.PageOfBlock(b)
-	var priv bool
-	if e := &ff.privMemo[uint64(page)&(ffPrivMemoSize-1)]; e.page == uint64(page)+1 &&
-		(!e.priv || e.epoch == m.classifier.Epoch()) {
-		priv = e.priv
-	} else {
-		priv = m.classifier.IsPrivateTo(page, coreID)
-		*e = privEntry{page: uint64(page) + 1, epoch: m.classifier.Epoch(), priv: priv}
-	}
-	if !priv {
+	// provably a no-op.
+	if !m.classifier.IsPrivateTo(addr.PageOfBlock(b), coreID) {
 		for _, other := range m.sockets {
 			if other == ff.sock {
 				continue
@@ -257,22 +134,13 @@ func (m *Machine) touchWrite(ff *ffCore, coreID int, b addr.Block) {
 				other.dramCache.WarmInvalidate(b)
 			}
 		}
-		if mayLocal {
-			ff.sock.invalidateL1sExcept(coreID, b)
-		}
+		ff.sock.invalidateL1sExcept(coreID, b)
 	}
 	if ff.dc != nil {
 		ff.dc.WarmWrite(b)
 	}
 	if victim, hit := ff.sock.llc.TouchDirty(b, coherence.LineModified); !hit && victim.Valid {
-		if ff.l1MayHold(victim.Block) {
-			for _, l1 := range ff.sock.l1s {
-				l1.Invalidate(victim.Block)
-			}
-		}
-		if ff.dc != nil {
-			ff.dc.Warm(victim.Block, victim.State, victim.Dirty)
-		}
+		ff.evictLLC(victim)
 	}
 }
 
@@ -303,43 +171,6 @@ func (m *Machine) runSampled(ctx context.Context, src trace.Source, cores []*cor
 	}
 
 	ffOne := func(cr *coreRunner, ffc *ffCore, target int) error {
-		// A detailed phase ran since the last stretch and may have reordered
-		// the TLB LRU, so the first record always classifies in full.
-		ffc.hasLastB = false
-		ffc.lastBlockMod = false
-		// Other cores (and detailed phases) changed the socket's L1s since
-		// this core last ran, so the presence filter restarts from truth.
-		ffc.rebuildL1Filter()
-		// Drain the record exhausted() may have prefetched, then fast-forward
-		// in slices when the reader supports it: one bounds-checked window
-		// per stretch instead of an interface call per record.
-		if cr.hasPending && cr.consumed < target {
-			rec := cr.pending
-			cr.hasPending = false
-			cr.consumed++
-			m.touch(ffc, cr.idx, rec)
-			ffInstr += uint64(rec.Gap) + 1
-			ffAccesses++
-		}
-		if br, ok := cr.rr.(trace.BulkReader); ok {
-			for cr.consumed < target {
-				recs := br.NextN(target - cr.consumed)
-				if len(recs) == 0 {
-					break
-				}
-				cr.consumed += len(recs)
-				for i := range recs {
-					m.touch(ffc, cr.idx, recs[i])
-					ffInstr += uint64(recs[i].Gap) + 1
-				}
-				ffAccesses += uint64(len(recs))
-				// One check per window bounds cancellation latency to a
-				// stretch, the same order as the masked per-record check.
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-		}
 		for cr.consumed < target {
 			if !cr.fill() {
 				if cr.rdErr != nil {

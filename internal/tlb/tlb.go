@@ -80,12 +80,6 @@ type pageClass struct {
 type Classifier struct {
 	pages map[addr.Page]pageClass
 	stats ClassifierStats
-	// epoch increments on every private→shared reclassification. Because
-	// pages never re-privatize, a cached "private to thread T" verdict is
-	// still valid exactly while the epoch is unchanged (and a cached "not
-	// private to T" verdict is valid forever), which lets hot callers memoise
-	// IsPrivateTo without a map lookup.
-	epoch uint64
 }
 
 // NewClassifier builds an empty classifier.
@@ -111,11 +105,7 @@ func (c *Classifier) ResetStats() {
 func (c *Classifier) Reset() {
 	clear(c.pages)
 	c.stats = ClassifierStats{}
-	c.epoch = 0
 }
-
-// Epoch returns the reclassification epoch; see the field comment.
-func (c *Classifier) Epoch() uint64 { return c.epoch }
 
 // AccessResult describes what happened on a classification query.
 type AccessResult struct {
@@ -161,7 +151,6 @@ func (c *Classifier) Access(p addr.Page, thread, core int) AccessResult {
 	// down.
 	e.class = ClassShared
 	c.pages[p] = e
-	c.epoch++
 	c.stats.PrivatePages--
 	c.stats.SharedPages++
 	c.stats.Reclassifications++

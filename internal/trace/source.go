@@ -42,18 +42,6 @@ type Source interface {
 	OpenThread(t int) RecordReader
 }
 
-// BulkReader is an optional RecordReader extension for readers that can hand
-// out a window of consecutive records without per-record calls. NextN returns
-// up to n records as a slice the reader will not mutate (valid until the next
-// read call) and advances past them; an empty slice means the section is
-// exhausted or only per-record reading is possible right now. Hot loops (the
-// sampled simulator's fast-forward) type-assert for it; every consumer must
-// still handle plain RecordReaders.
-type BulkReader interface {
-	RecordReader
-	NextN(n int) []Record
-}
-
 // sliceReader is a RecordReader over an in-memory record slice.
 type sliceReader struct {
 	recs []Record
@@ -67,21 +55,6 @@ func (r *sliceReader) Next() (Record, bool) {
 	rec := r.recs[r.i]
 	r.i++
 	return rec, true
-}
-
-// NextN returns the next min(n, remaining) records as a sub-slice of the
-// backing array, advancing past them.
-func (r *sliceReader) NextN(n int) []Record {
-	rest := len(r.recs) - r.i
-	if n > rest {
-		n = rest
-	}
-	if n <= 0 {
-		return nil
-	}
-	out := r.recs[r.i : r.i+n]
-	r.i += n
-	return out
 }
 
 func (r *sliceReader) Err() error { return nil }

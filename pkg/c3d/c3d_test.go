@@ -180,6 +180,27 @@ func TestExperimentMatchesInternalRun(t *testing.T) {
 	}
 }
 
+// TestExperimentHonoursZeroWarmup checks an explicit zero warm-up reaches the
+// experiment as zero, as it does for Simulate, rather than being read as
+// "unset" and replaced by the 0.25 default.
+func TestExperimentHonoursZeroWarmup(t *testing.T) {
+	fig6 := func(warmup float64) []byte {
+		sess := session(t, Params{Quick: true, Workloads: []string{"streamcluster"}, Accesses: 2000, Warmup: &warmup})
+		res, err := sess.Experiment(t.Context(), "fig6")
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(res.Table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if zero, def := fig6(0), fig6(0.25); bytes.Equal(zero, def) {
+		t.Fatalf("fig6 with warm-up 0 matches warm-up 0.25:\n%s", zero)
+	}
+}
+
 // TestTraceRoundTripThroughSDK checks TraceSource -> TraceEncode ->
 // OpenTrace preserves the stream statistics, and that encoding observes
 // cancellation.
