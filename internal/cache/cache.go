@@ -451,7 +451,8 @@ func (c *Cache) ForEach(fn func(Line)) {
 // used. Intended for tests that compare replacement state across runs; the
 // order, not the raw timestamps, is what replacement reads.
 func (c *Cache) LRUOrder(s int) []Line {
-	set := slices.DeleteFunc(slices.Clone(c.lines[s*c.ways:(s+1)*c.ways]), func(l Line) bool { return !l.valid })
+	set := slices.Clone(c.lines[s*c.ways : (s+1)*c.ways])
+	set = slices.DeleteFunc(set, func(l Line) bool { return !l.valid })
 	slices.SortStableFunc(set, func(a, b Line) int { return cmp.Compare(a.lastUse, b.lastUse) })
 	return set
 }
