@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"c3d/internal/trace"
 	"c3d/pkg/c3d/api"
 )
 
@@ -179,4 +181,85 @@ func TestWorkloadHelpers(t *testing.T) {
 	if !byName["facesim"].InSuite {
 		t.Error("facesim not marked as a suite member")
 	}
+}
+
+// TestTraceFixturesOpenAlike opens the committed v1 and v2 golden trace
+// fixtures two ways each — OpenTrace, and a workload-spec document whose
+// "trace" field names the file — and requires all four sources to yield the
+// same records, section by section and record by record.
+func TestTraceFixturesOpenAlike(t *testing.T) {
+	var want [][]trace.Record
+	var wantFrom string
+	for _, file := range []string{"golden-v1.c3dt", "golden-v2.c3dt"} {
+		path, err := filepath.Abs(filepath.Join("..", "..", "internal", "trace", "testdata", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tf, err := OpenTrace(path)
+		if err != nil {
+			t.Fatalf("OpenTrace(%s): %v", file, err)
+		}
+		defer tf.Close()
+
+		doc, err := json.Marshal(map[string]any{"version": 1, "name": "fixture", "trace": path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		viaSpec, err := session(t, Params{Spec: doc}).TraceSource("")
+		if err != nil {
+			t.Fatalf("spec over %s: %v", file, err)
+		}
+
+		for _, tc := range []struct {
+			how string
+			src TraceSource
+		}{{"OpenTrace", tf}, {"spec", viaSpec}} {
+			from := file + " via " + tc.how
+			got := traceSections(t, from, tc.src)
+			if want == nil {
+				want, wantFrom = got, from
+				continue
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s has %d sections, %s has %d", from, len(got), wantFrom, len(want))
+			}
+			for s := range want {
+				if len(got[s]) != len(want[s]) {
+					t.Fatalf("%s section %d has %d records, %s has %d", from, s, len(got[s]), wantFrom, len(want[s]))
+				}
+				for i := range want[s] {
+					if got[s][i] != want[s][i] {
+						t.Fatalf("%s section %d record %d = %+v, %s has %+v", from, s, i, got[s][i], wantFrom, want[s][i])
+					}
+				}
+			}
+		}
+	}
+	if len(want) < 2 || len(want[1]) == 0 {
+		t.Fatalf("fixture decoded to %d sections; want an init section and at least one non-empty thread", len(want))
+	}
+}
+
+// traceSections drains every section of src: index 0 is the init section,
+// index t+1 is thread t.
+func traceSections(t *testing.T, from string, src TraceSource) [][]trace.Record {
+	t.Helper()
+	readers := []trace.RecordReader{src.OpenInit()}
+	for th := 0; th < src.Threads(); th++ {
+		readers = append(readers, src.OpenThread(th))
+	}
+	out := make([][]trace.Record, len(readers))
+	for s, rr := range readers {
+		for {
+			rec, ok := rr.Next()
+			if !ok {
+				break
+			}
+			out[s] = append(out[s], rec)
+		}
+		if err := rr.Err(); err != nil {
+			t.Fatalf("%s section %d: %v", from, s, err)
+		}
+	}
+	return out
 }
