@@ -88,13 +88,18 @@ topology-smoke:
 	@echo "mesh@8 and fully-connected@8 results bit-identical across parallelism levels"
 
 # Trace codec round-trip gate through the real CLI: generate → encode →
-# decode must preserve every stream statistic bit-for-bit.
+# decode must preserve every stream statistic bit-for-bit, and the committed
+# v1 and v2 golden fixtures must replay to the same summary and records (the
+# v1 reader has no writer left, so this keeps it exercised end to end).
 trace-roundtrip:
 	$(GO) run ./cmd/c3dtrace -workload streamcluster -threads 8 -accesses 2000 -summary=false -out /tmp/c3d-trace.c3dt
 	$(GO) run ./cmd/c3dtrace -workload streamcluster -threads 8 -accesses 2000 > /tmp/c3d-trace-gen.txt
 	$(GO) run ./cmd/c3dtrace -in /tmp/c3d-trace.c3dt > /tmp/c3d-trace-dec.txt
 	cmp /tmp/c3d-trace-gen.txt /tmp/c3d-trace-dec.txt
-	@echo "trace generate → encode → decode round trip bit-identical"
+	$(GO) run ./cmd/c3dtrace -in internal/trace/testdata/golden-v1.c3dt -dump 3 > /tmp/c3d-trace-v1.txt
+	$(GO) run ./cmd/c3dtrace -in internal/trace/testdata/golden-v2.c3dt -dump 3 > /tmp/c3d-trace-v2.txt
+	cmp /tmp/c3d-trace-v1.txt /tmp/c3d-trace-v2.txt
+	@echo "trace generate → encode → decode round trip bit-identical; v1 and v2 fixtures replay alike"
 
 # Short fuzz passes over the hostile-input parsers — the trace decoder, the
 # workload-spec DSL, the text-trace ingester and the sampling schedule:

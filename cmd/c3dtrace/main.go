@@ -1,15 +1,15 @@
 // Command c3dtrace generates, inspects and converts the synthetic workload
 // traces that drive the simulator. Everything flows through the SDK's
-// streaming TraceSource interface, so generation, summarising and (v2)
-// conversion run at bounded memory however long the trace is.
+// streaming TraceSource interface, so generation, summarising and conversion
+// run at bounded memory however long the trace is. -out always writes the
+// chunked v2 format; -in reads v2 and older flat v1 files alike.
 //
 // Usage:
 //
 //	c3dtrace -list                                   # show the workload registry and spec presets
 //	c3dtrace -workload canneal -summary              # generate and summarise
 //	c3dtrace -workload canneal -out canneal.c3dt     # write the binary trace (chunked v2)
-//	c3dtrace -workload canneal -out c.c3dt -format v1  # write the legacy flat format
-//	c3dtrace -in canneal.c3dt -summary               # summarise an existing file
+//	c3dtrace -in canneal.c3dt -summary               # summarise an existing file (v1 or v2)
 //	c3dtrace -workload nutch -dump 20                # print the first records
 //	c3dtrace -spec preset:bursty-tail -summary       # compile and run a workload spec
 //	c3dtrace -ingest app.trace -out app.c3dt         # ingest an external text trace
@@ -33,9 +33,8 @@ func main() {
 		specArg      = flag.String("spec", "", "workload-spec document to compile and generate: a file path or preset:<name>")
 		inPath       = flag.String("in", "", "read an existing binary trace instead of generating")
 		ingestPath   = flag.String("ingest", "", "read an external text-format memory trace instead of generating (see the internal/wspec format reference)")
-		outPath      = flag.String("out", "", "write the trace in the binary format")
+		outPath      = flag.String("out", "", "write the trace in the chunked v2 binary format")
 		textOut      = flag.String("text-out", "", "write the trace in the text format (lossless round trip with -ingest)")
-		format       = flag.String("format", "v2", "binary format for -out: v2 (chunked, streamable) or v1 (legacy flat)")
 		threads      = flag.Int("threads", 0, "threads (default: the workload's native count)")
 		accesses     = flag.Int("accesses", 0, "accesses per thread (default: the workload's native count)")
 		scale        = flag.Int("scale", 0, "footprint scale factor (default 64)")
@@ -67,17 +66,6 @@ func main() {
 			}
 		}
 		return
-	}
-
-	traceFormat, err := c3d.ParseTraceFormat(*format)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "c3dtrace:", err)
-		os.Exit(2)
-	}
-	if *outPath == "" && setFlags["format"] {
-		// -format only affects -out; reject the silently-ignored combination.
-		fmt.Fprintln(os.Stderr, "c3dtrace: -format has no effect without -out")
-		os.Exit(2)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -169,7 +157,7 @@ func main() {
 	if *outPath != "" {
 		f, err := os.Create(*outPath)
 		exitOn(err)
-		exitOn(c3d.TraceEncode(ctx, f, src, traceFormat))
+		exitOn(c3d.TraceEncode(ctx, f, src))
 		exitOn(f.Close())
 		fmt.Printf("wrote %s\n", *outPath)
 	}

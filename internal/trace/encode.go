@@ -3,7 +3,6 @@ package trace
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 
@@ -11,6 +10,9 @@ import (
 )
 
 // Binary trace formats
+//
+// EncodeSource writes only version 2. Version 1 is read-only: Scan, Decode
+// and OpenSource still accept it, and its golden fixture pins the reader.
 //
 // Version 1 (flat, materialised):
 //
@@ -80,61 +82,9 @@ const (
 	maxChunkBytes = maxChunkRecords * 2 * binary.MaxVarintLen64
 )
 
-// ErrLegacyVersion is returned by OpenSource for a valid version-1 file,
-// which has no chunk framing and therefore cannot be streamed per thread;
-// callers should fall back to Decode.
-var ErrLegacyVersion = errors.New("trace: version 1 file has no chunk framing (decode it instead)")
-
-// Encode serialises the trace to w in the flat version-1 binary format.
-// EncodeSource writes the chunked streaming format and should be preferred
-// for new files; Encode remains for compatibility and as the fixture-pinned
-// legacy layout.
-func (t *Trace) Encode(w io.Writer) error {
-	if len(t.Name) > MaxNameLen {
-		return fmt.Errorf("trace: name length %d exceeds %d", len(t.Name), MaxNameLen)
-	}
-	if len(t.Parallel) > MaxThreads {
-		return fmt.Errorf("trace: %d threads exceed %d", len(t.Parallel), MaxThreads)
-	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return err
-	}
-	if err := bw.WriteByte(formatVersion1); err != nil {
-		return err
-	}
-	writeUvarint(bw, uint64(len(t.Name)))
-	if _, err := bw.WriteString(t.Name); err != nil {
-		return err
-	}
-	writeRecords(bw, t.Init)
-	writeUvarint(bw, uint64(len(t.Parallel)))
-	for _, recs := range t.Parallel {
-		writeRecords(bw, recs)
-	}
-	return bw.Flush()
-}
-
-func writeRecords(bw *bufio.Writer, recs []Record) {
-	writeUvarint(bw, uint64(len(recs)))
-	prev := uint64(0)
-	for _, r := range recs {
-		writeUvarint(bw, uint64(r.Gap)<<1|uint64(r.Kind))
-		delta := int64(uint64(r.Addr)) - int64(prev)
-		writeVarint(bw, delta)
-		prev = uint64(r.Addr)
-	}
-}
-
 func writeUvarint(bw *bufio.Writer, v uint64) {
 	var buf [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(buf[:], v)
-	bw.Write(buf[:n]) //nolint:errcheck // bufio.Writer errors surface at Flush
-}
-
-func writeVarint(bw *bufio.Writer, v int64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], v)
 	bw.Write(buf[:n]) //nolint:errcheck // bufio.Writer errors surface at Flush
 }
 

@@ -13,11 +13,11 @@ type chunkMeta struct {
 	byteLen int
 }
 
-// FileSource is a Source backed by a chunked (version 2) trace file. Opening
+// fileSource is a Source backed by a chunked (version 2) trace file. Opening
 // it scans the chunk headers once — validating every field and computing the
 // per-section record counts — after which each section can be replayed any
 // number of times through independent readers that hold at most one chunk.
-type FileSource struct {
+type fileSource struct {
 	ra      io.ReaderAt
 	name    string
 	threads int
@@ -52,12 +52,13 @@ func (p *posReader) discard(n int) error {
 	return err
 }
 
-// OpenSource opens a chunked (version 2) trace file of the given size as a
-// streaming Source. The whole file is validated structurally up front — chunk
-// by chunk, against the format caps and the file size — but payloads are only
-// decoded when a reader consumes them. A version-1 file returns
-// ErrLegacyVersion so callers can fall back to Decode.
-func OpenSource(ra io.ReaderAt, size int64) (*FileSource, error) {
+// OpenSource opens a trace file of the given size, in either binary format,
+// as a Source. A chunked (version 2) file is streamed: the whole file is
+// validated structurally up front — chunk by chunk, against the format caps
+// and the file size — but payloads are only decoded when a reader consumes
+// them. A flat (version 1) file has no chunk framing to stream from, so it is
+// decoded whole into memory.
+func OpenSource(ra io.ReaderAt, size int64) (Source, error) {
 	pr := &posReader{br: bufio.NewReaderSize(io.NewSectionReader(ra, 0, size), 64<<10)}
 	name, version, err := readHeader(pr)
 	if err != nil {
@@ -65,7 +66,11 @@ func OpenSource(ra io.ReaderAt, size int64) (*FileSource, error) {
 	}
 	switch version {
 	case formatVersion1:
-		return nil, ErrLegacyVersion
+		t, err := Decode(io.NewSectionReader(ra, 0, size))
+		if err != nil {
+			return nil, err
+		}
+		return t.Source(), nil
 	case formatVersion2:
 	default:
 		return nil, fmt.Errorf("trace: unsupported format version %d", version)
@@ -78,7 +83,7 @@ func OpenSource(ra io.ReaderAt, size int64) (*FileSource, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &FileSource{
+	f := &fileSource{
 		ra:      ra,
 		name:    name,
 		threads: int(threads),
@@ -107,22 +112,22 @@ func OpenSource(ra io.ReaderAt, size int64) (*FileSource, error) {
 }
 
 // Name returns the workload name recorded in the file.
-func (f *FileSource) Name() string { return f.name }
+func (f *fileSource) Name() string { return f.name }
 
 // Threads returns the number of parallel threads in the file.
-func (f *FileSource) Threads() int { return f.threads }
+func (f *fileSource) Threads() int { return f.threads }
 
 // InitLen returns the number of init-section records.
-func (f *FileSource) InitLen() int { return f.lens[0] }
+func (f *fileSource) InitLen() int { return f.lens[0] }
 
 // ThreadLen returns the number of records in thread t's parallel stream.
-func (f *FileSource) ThreadLen(t int) int { return f.lens[t+1] }
+func (f *fileSource) ThreadLen(t int) int { return f.lens[t+1] }
 
 // OpenInit returns a fresh reader over the init section.
-func (f *FileSource) OpenInit() RecordReader { return &fileReader{f: f, chunks: f.chunks[0]} }
+func (f *fileSource) OpenInit() RecordReader { return &fileReader{f: f, chunks: f.chunks[0]} }
 
 // OpenThread returns a fresh reader over thread t's parallel stream.
-func (f *FileSource) OpenThread(t int) RecordReader {
+func (f *fileSource) OpenThread(t int) RecordReader {
 	return &fileReader{f: f, chunks: f.chunks[t+1]}
 }
 
@@ -131,7 +136,7 @@ func (f *FileSource) OpenThread(t int) RecordReader {
 // reader's resident memory is bounded by the chunk caps however long the
 // section is.
 type fileReader struct {
-	f       *FileSource
+	f       *fileSource
 	chunks  []chunkMeta
 	ci      int // next chunk to load
 	buf     []Record

@@ -2,7 +2,8 @@ package trace
 
 import (
 	"bytes"
-	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -11,23 +12,26 @@ import (
 //
 //  1. Neither Decode nor OpenSource panics or attempts input-proportional-
 //     plus allocations on hostile input (the caps turn lies into errors);
-//  2. anything Decode accepts survives an encode/decode round trip exactly;
-//  3. on chunked (v2) input, the sequential decoder and the indexed file
-//     source agree record for record.
+//  2. anything Decode accepts survives an EncodeSource/Decode round trip
+//     exactly;
+//  3. Decode and OpenSource agree record for record: on chunked (v2) input
+//     the sequential decoder against the indexed file source, on flat (v1)
+//     input Decode against the whole-file decode behind OpenSource.
 func FuzzDecode(f *testing.F) {
 	// Seeds stay small (the multi-chunk seed barely crosses one chunk
 	// boundary) so the fuzzing engine gets a high exec rate; the large-trace
 	// paths are covered by the deterministic tests.
-	var v1, v2 bytes.Buffer
-	if err := sampleTrace().Encode(&v1); err != nil {
+	v1, err := os.ReadFile(filepath.Join("testdata", "golden-v1.c3dt"))
+	if err != nil {
 		f.Fatal(err)
 	}
+	var v2 bytes.Buffer
 	if err := EncodeSource(&v2, chunkyTrace(chunkRecords+5).Source()); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(v1.Bytes())
+	f.Add(v1)
 	f.Add(v2.Bytes())
-	f.Add(v1.Bytes()[:v1.Len()/2])
+	f.Add(v1[:len(v1)/2])
 	f.Add(v2.Bytes()[:v2.Len()/3])
 	f.Add([]byte("C3DT"))
 	f.Add([]byte{})
@@ -36,7 +40,7 @@ func FuzzDecode(f *testing.F) {
 		tr, err := Decode(bytes.NewReader(data))
 		if err == nil {
 			var buf bytes.Buffer
-			if err := tr.Encode(&buf); err != nil {
+			if err := EncodeSource(&buf, tr.Source()); err != nil {
 				t.Fatalf("re-encoding a decoded trace: %v", err)
 			}
 			tr2, err := Decode(&buf)
@@ -48,13 +52,8 @@ func FuzzDecode(f *testing.F) {
 			}
 		}
 		fs, ferr := OpenSource(bytes.NewReader(data), int64(len(data)))
-		if errors.Is(ferr, ErrLegacyVersion) {
-			return // v1: the indexed source does not apply by design
-		}
-		// On v2 input the decoders must agree exactly on acceptance, in both
-		// directions: err == nil implies a valid magic+version prefix, so
-		// data[4] is the version byte.
-		if err == nil && data[4] == formatVersion2 && ferr != nil {
+		// The decoders must agree exactly on acceptance, in both directions.
+		if err == nil && ferr != nil {
 			t.Fatalf("sequential decoder accepted what OpenSource rejected: %v", ferr)
 		}
 		if ferr != nil {
@@ -65,7 +64,7 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("decoder disagreement: Decode err=%v, Materialize err=%v", err, merr)
 		}
 		if err == nil && !reflect.DeepEqual(tr, mat) {
-			t.Fatal("sequential and indexed v2 decoders disagree on content")
+			t.Fatal("Decode and OpenSource disagree on content")
 		}
 	})
 }

@@ -36,40 +36,34 @@ func goldenTrace() *Trace {
 	}
 }
 
-// TestGoldenFixtures pins the exact bytes of both on-disk formats. A codec
-// change that alters the encoding breaks this test, which is the point: the
-// fixtures make format changes deliberate (bump the version and regenerate
-// with -update rather than silently breaking old files).
+// TestGoldenFixtures pins the exact bytes of both on-disk formats. The v2
+// fixture is what EncodeSource writes: a codec change that alters the
+// encoding breaks this test, which is the point — the fixture makes format
+// changes deliberate (bump the version and regenerate with -update rather
+// than silently breaking old files). Nothing writes v1 any more, so its
+// fixture is frozen: it is only decoded, and -update leaves it alone.
 func TestGoldenFixtures(t *testing.T) {
-	cases := []struct {
-		file   string
-		encode func(*Trace, *bytes.Buffer) error
-	}{
-		{"golden-v1.c3dt", func(tr *Trace, buf *bytes.Buffer) error { return tr.Encode(buf) }},
-		{"golden-v2.c3dt", func(tr *Trace, buf *bytes.Buffer) error { return EncodeSource(buf, tr.Source()) }},
+	var v2 bytes.Buffer
+	if err := EncodeSource(&v2, goldenTrace().Source()); err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		t.Run(tc.file, func(t *testing.T) {
-			path := filepath.Join("testdata", tc.file)
-			var buf bytes.Buffer
-			if err := tc.encode(goldenTrace(), &buf); err != nil {
+	if *update {
+		if err := os.WriteFile(filepath.Join("testdata", "golden-v2.c3dt"), v2.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, file := range []string{"golden-v1.c3dt", "golden-v2.c3dt"} {
+		t.Run(file, func(t *testing.T) {
+			data, err := os.ReadFile(filepath.Join("testdata", file))
+			if err != nil {
 				t.Fatal(err)
 			}
-			if *update {
-				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("%v (run with -update to create the fixture)", err)
-			}
-			if !bytes.Equal(buf.Bytes(), want) {
+			if file == "golden-v2.c3dt" && !bytes.Equal(v2.Bytes(), data) {
 				t.Errorf("encoding of the golden trace changed (%d bytes, fixture %d bytes); "+
 					"if intentional, bump the format version and regenerate with -update",
-					buf.Len(), len(want))
+					v2.Len(), len(data))
 			}
-			got, err := Decode(bytes.NewReader(want))
+			got, err := Decode(bytes.NewReader(data))
 			if err != nil {
 				t.Fatalf("decoding fixture: %v", err)
 			}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -120,14 +122,27 @@ func TestOpenSourceRoundTrip(t *testing.T) {
 	}
 }
 
+// OpenSource reads the frozen v1 fixture whole and must yield what Decode
+// does.
 func TestOpenSourceLegacyVersion(t *testing.T) {
-	var buf bytes.Buffer
-	if err := sampleTrace().Encode(&buf); err != nil {
+	data, err := os.ReadFile(filepath.Join("testdata", "golden-v1.c3dt"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, err := OpenSource(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
-	if !errors.Is(err, ErrLegacyVersion) {
-		t.Errorf("OpenSource of a v1 file returned %v, want ErrLegacyVersion", err)
+	want, err := Decode(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := OpenSource(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatalf("OpenSource of the v1 fixture: %v", err)
+	}
+	got, err := Materialize(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("OpenSource of the v1 fixture yields\n%+v\nDecode yields\n%+v", got, want)
 	}
 }
 
@@ -303,7 +318,7 @@ func TestTruncationAtChunkBoundaryDetected(t *testing.T) {
 	}
 	// Cut immediately after thread 0's first chunk payload — a clean chunk
 	// boundary in the middle of the file.
-	c := fs.chunks[1][0]
+	c := fs.(*fileSource).chunks[1][0]
 	cut := c.off + int64(c.byteLen)
 	data := buf.Bytes()[:cut]
 	if _, err := OpenSource(bytes.NewReader(data), int64(len(data))); err == nil ||

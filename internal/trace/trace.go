@@ -142,18 +142,3 @@ func (t *Trace) Validate(memBytes uint64) error {
 	}
 	return nil
 }
-
-// Truncate returns a copy of the trace with each thread's parallel stream cut
-// to at most n records (the init section is kept whole). It is used to derive
-// quick-running variants of a workload for tests and CI-scale benchmarks.
-func (t *Trace) Truncate(n int) *Trace {
-	out := &Trace{Name: t.Name, Init: t.Init, Parallel: make([][]Record, len(t.Parallel))}
-	for i, recs := range t.Parallel {
-		if len(recs) > n {
-			out.Parallel[i] = recs[:n]
-		} else {
-			out.Parallel[i] = recs
-		}
-	}
-	return out
-}

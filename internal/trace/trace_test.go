@@ -90,22 +90,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestTruncate(t *testing.T) {
-	tr := sampleTrace()
-	cut := tr.Truncate(1)
-	if cut.Accesses() != 2 {
-		t.Errorf("truncated Accesses = %d, want 2 (one per thread)", cut.Accesses())
-	}
-	if cut.InitAccesses() != tr.InitAccesses() {
-		t.Error("Truncate must keep the init section intact")
-	}
-	// Truncating beyond the length is a no-op.
-	same := tr.Truncate(100)
-	if same.Accesses() != tr.Accesses() {
-		t.Error("over-long Truncate changed the trace")
-	}
-}
-
 func TestKindString(t *testing.T) {
 	if Read.String() != "R" || Write.String() != "W" {
 		t.Error("unexpected Kind names")
@@ -115,12 +99,12 @@ func TestKindString(t *testing.T) {
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	tr := sampleTrace()
 	var buf bytes.Buffer
-	if err := tr.Encode(&buf); err != nil {
-		t.Fatalf("WriteTo: %v", err)
+	if err := EncodeSource(&buf, tr.Source()); err != nil {
+		t.Fatalf("EncodeSource: %v", err)
 	}
 	got, err := Decode(&buf)
 	if err != nil {
-		t.Fatalf("ReadFrom: %v", err)
+		t.Fatalf("Decode: %v", err)
 	}
 	if !reflect.DeepEqual(tr, got) {
 		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, tr)
@@ -138,7 +122,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	// Truncated stream.
 	tr := sampleTrace()
 	var buf bytes.Buffer
-	if err := tr.Encode(&buf); err != nil {
+	if err := EncodeSource(&buf, tr.Source()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Decode(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
@@ -161,7 +145,7 @@ func TestEncodeDecodeLargeRandomTrace(t *testing.T) {
 		tr.Parallel[i] = recs
 	}
 	var buf bytes.Buffer
-	if err := tr.Encode(&buf); err != nil {
+	if err := EncodeSource(&buf, tr.Source()); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Decode(&buf)
@@ -190,7 +174,7 @@ func TestRoundTripProperty(t *testing.T) {
 		}
 		tr := &Trace{Name: name, Parallel: [][]Record{recs}}
 		var buf bytes.Buffer
-		if err := tr.Encode(&buf); err != nil {
+		if err := EncodeSource(&buf, tr.Source()); err != nil {
 			return false
 		}
 		got, err := Decode(&buf)

@@ -3,7 +3,6 @@ package wspec
 import (
 	"crypto/sha256"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -635,8 +634,8 @@ func (r *errReader) Err() error                 { return r.err }
 
 // traceSpec compiles an external-trace reference: the file is opened and
 // indexed once, held for the life of the compiled spec, and replayed as-is
-// through the streaming FileSource (or materialised for legacy v1 files,
-// which were in-memory formats to begin with).
+// through trace.OpenSource (which streams v2 files and decodes v1 files
+// whole).
 func traceSpec(d *Doc) (workload.Spec, error) {
 	f, err := os.Open(d.Trace)
 	if err != nil {
@@ -647,21 +646,7 @@ func traceSpec(d *Doc) (workload.Spec, error) {
 		f.Close()
 		return workload.Spec{}, fmt.Errorf("wspec: spec %q: %w", d.Name, err)
 	}
-	var src trace.Source
-	src, err = trace.OpenSource(f, st.Size())
-	if errors.Is(err, trace.ErrLegacyVersion) {
-		if _, serr := f.Seek(0, 0); serr != nil {
-			f.Close()
-			return workload.Spec{}, fmt.Errorf("wspec: spec %q: %w", d.Name, serr)
-		}
-		tr, derr := trace.Decode(f)
-		f.Close()
-		if derr != nil {
-			return workload.Spec{}, fmt.Errorf("wspec: spec %q: %s: %w", d.Name, d.Trace, derr)
-		}
-		src = tr.Source()
-		err = nil
-	}
+	src, err := trace.OpenSource(f, st.Size())
 	if err != nil {
 		f.Close()
 		return workload.Spec{}, fmt.Errorf("wspec: spec %q: %s: %w", d.Name, d.Trace, err)

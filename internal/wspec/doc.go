@@ -65,10 +65,10 @@
 //     tenant's weight, and the earliest clock (ties to the lowest tenant
 //     index) emits next. The merged stream is a pure function of
 //     (document, seed, options) at any parallelism.
-//   - A trace document replays an external v2 chunked file through the
-//     streaming FileSource; the file handle stays open for the life of the
-//     compiled spec. It takes no other knobs. Text-format traces must be
-//     ingested first (Ingest / `c3dtrace -ingest`).
+//   - A trace document replays an external binary trace file (v2 or v1)
+//     through trace.OpenSource; the file handle stays open for the life of
+//     the compiled spec. It takes no other knobs. Text-format traces must be
+//     converted first (`c3dtrace -ingest app.trace -out app.c3dt`).
 //
 // Determinism is the package's contract: compiled sources derive every
 // random stream from (spec seed, job seed-offset, phase/tenant salt,
@@ -79,9 +79,9 @@
 //
 // OpenText streams the external text trace format (one record per line:
 // `<init|thread> <r|w> <addr> [gap]`, '#' comments, optional `# name:`
-// directive) as a trace.Source without materialising it; Ingest pipes that
-// through trace.EncodeSource into the v2 chunked format; WriteText exports
-// any source back to text, making the round trip lossless.
+// directive) as a trace.Source without materialising it; trace.EncodeSource
+// writes that source in the v2 chunked format; WriteText exports any source
+// back to text, making the round trip lossless.
 //
 // # Adding a preset
 //

@@ -261,19 +261,7 @@ func parseTextLine(line string) (section int, rec trace.Record, ok bool, err err
 	return section, rec, true, nil
 }
 
-// Ingest converts a text-format trace file into the v2 chunked binary
-// format: OpenText's streaming source piped through trace.EncodeSource.
-// Nothing is materialised; memory stays bounded by one line plus one
-// encoder chunk at any trace length.
-func Ingest(w io.Writer, path string) error {
-	src, err := OpenText(path)
-	if err != nil {
-		return err
-	}
-	return trace.EncodeSource(w, src)
-}
-
-// WriteText exports any trace.Source in the text format Ingest reads,
+// WriteText exports any trace.Source in the text format OpenText reads,
 // making the two a lossless round trip (name, sections, kinds, addresses,
 // gaps).
 func WriteText(w io.Writer, src trace.Source) error {

@@ -28,7 +28,7 @@ func writeTemp(t *testing.T, name, contents string) string {
 
 // TestTextRoundTrip exports a generated workload as text, ingests it back,
 // and checks the v2 encodings match byte for byte: WriteText and
-// OpenText/Ingest are exact inverses, including the name directive.
+// OpenText are exact inverses, including the name directive.
 func TestTextRoundTrip(t *testing.T) {
 	src, err := workload.NewSource(workload.MustGet("nutch"),
 		workload.Options{Threads: 4, Scale: 512, AccessesPerThread: 300})
@@ -57,15 +57,6 @@ func TestTextRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Fatalf("ingested encoding (%d bytes) differs from direct encoding (%d bytes)", got.Len(), want.Len())
-	}
-
-	// Ingest is the same pipeline behind one call.
-	var viaIngest bytes.Buffer
-	if err := Ingest(&viaIngest, path); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(viaIngest.Bytes(), want.Bytes()) {
-		t.Fatal("Ingest output differs from EncodeSource over OpenText")
 	}
 }
 

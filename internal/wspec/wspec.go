@@ -22,7 +22,7 @@ const Version = 1
 //     the access stream.
 //   - Tenants: a weighted mix of per-tenant streams interleaved by seeded
 //     arrival processes.
-//   - Trace: an external v2 chunked trace file replayed as-is.
+//   - Trace: an external binary trace file (v2 or v1) replayed as-is.
 type Doc struct {
 	// Version must be 1.
 	Version int `json:"version"`
@@ -31,7 +31,7 @@ type Doc struct {
 	// Base names the underlying workload: a registry workload or a simple
 	// spec compiled in the same batch.
 	Base string `json:"base,omitempty"`
-	// Trace replays an external v2 chunked trace file (path) instead of
+	// Trace replays an external binary trace file (path, v2 or v1) instead of
 	// generating a stream. No other knobs may be combined with it.
 	Trace string `json:"trace,omitempty"`
 

@@ -219,7 +219,7 @@ func TestTraceRoundTripThroughSDK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := TraceEncode(t.Context(), f, src, TraceV2); err != nil {
+	if err := TraceEncode(t.Context(), f, src); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -242,7 +242,7 @@ func TestTraceRoundTripThroughSDK(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var buf bytes.Buffer
-	if err := TraceEncode(ctx, &buf, src, TraceV2); !errors.Is(err, context.Canceled) {
+	if err := TraceEncode(ctx, &buf, src); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled encode: err = %v, want context.Canceled", err)
 	}
 }

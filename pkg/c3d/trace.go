@@ -2,7 +2,6 @@ package c3d
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -78,28 +77,6 @@ func workloadInfoFor(spec workload.Spec) WorkloadInfo {
 	}
 }
 
-// TraceFormat selects the on-disk trace format for TraceEncode.
-type TraceFormat int
-
-const (
-	// TraceV2 is the chunked, streamable format (the default).
-	TraceV2 TraceFormat = iota
-	// TraceV1 is the legacy flat format.
-	TraceV1
-)
-
-// ParseTraceFormat converts "v1"/"v2" into a TraceFormat.
-func ParseTraceFormat(s string) (TraceFormat, error) {
-	switch s {
-	case "v2":
-		return TraceV2, nil
-	case "v1":
-		return TraceV1, nil
-	default:
-		return 0, fmt.Errorf("c3d: unknown trace format %q (want v1 or v2)", s)
-	}
-}
-
 // TraceSource builds a streaming generator source for a workload under the
 // session (threads, scale, accesses, seed): records are produced on demand,
 // so the source can drive paper-scale stream lengths at bounded memory.
@@ -124,16 +101,11 @@ type TraceFile struct {
 }
 
 // Close releases the underlying file.
-func (t *TraceFile) Close() error {
-	if t.f == nil {
-		return nil
-	}
-	return t.f.Close()
-}
+func (t *TraceFile) Close() error { return t.f.Close() }
 
 // OpenTrace opens a binary trace written by TraceEncode (or cmd/c3dtrace).
 // Chunked v2 files are streamed at bounded memory (one chunk per reader);
-// legacy v1 files have no chunk framing and are decoded whole.
+// older flat v1 files are decoded whole into memory.
 func OpenTrace(path string) (*TraceFile, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -145,41 +117,17 @@ func OpenTrace(path string) (*TraceFile, error) {
 		return nil, err
 	}
 	src, err := trace.OpenSource(f, fi.Size())
-	switch {
-	case errors.Is(err, trace.ErrLegacyVersion):
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			f.Close()
-			return nil, err
-		}
-		tr, err := trace.Decode(f)
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		f.Close()
-		return &TraceFile{TraceSource: tr.Source()}, nil
-	case err != nil:
+	if err != nil {
 		f.Close()
 		return nil, err
-	default:
-		return &TraceFile{TraceSource: src, f: f}, nil
 	}
+	return &TraceFile{TraceSource: src, f: f}, nil
 }
 
-// TraceEncode writes the source to w in the selected binary format.
+// TraceEncode writes the source to w in the chunked v2 binary format.
 // Cancelling the context aborts the walk between records.
-func TraceEncode(ctx context.Context, w io.Writer, src TraceSource, format TraceFormat) error {
-	src = withContext(ctx, src)
-	switch format {
-	case TraceV1:
-		tr, err := trace.Materialize(src)
-		if err != nil {
-			return err
-		}
-		return tr.Encode(w)
-	default:
-		return trace.EncodeSource(w, src)
-	}
+func TraceEncode(ctx context.Context, w io.Writer, src TraceSource) error {
+	return trace.EncodeSource(w, withContext(ctx, src))
 }
 
 // ComputeTraceStats walks every stream of the source and summarises it.
