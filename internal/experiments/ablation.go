@@ -132,14 +132,9 @@ func Ablation(ctx context.Context, cfg Config) (AblationResult, error) {
 				mcfg: cfg.machineConfig(cfg.Sockets, d, spec.PreferredPolicy),
 			})
 		}
-		jobs = append(jobs, job{
-			key:  key("abl", name, "nopred"),
-			spec: spec,
-			mcfg: cfg.machineConfig(cfg.Sockets, machine.C3D, spec.PreferredPolicy),
-			mutate: func(m *machine.Config) {
-				m.PredictorEntries = 0
-			},
-		})
+		noPred := cfg.machineConfig(cfg.Sockets, machine.C3D, spec.PreferredPolicy)
+		noPred.PredictorEntries = 0
+		jobs = append(jobs, job{key: key("abl", name, "nopred"), spec: spec, mcfg: noPred})
 	}
 	results, err := cfg.runJobs(ctx, jobs)
 	if err != nil {

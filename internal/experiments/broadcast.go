@@ -58,20 +58,12 @@ func Sec6C(ctx context.Context, cfg Config) (BroadcastFilterResult, error) {
 	var jobs []job
 	for _, name := range names {
 		spec := cfg.mustWorkload(name)
+		base := cfg.machineConfig(cfg.Sockets, machine.C3D, spec.PreferredPolicy)
+		filtered := base
+		filtered.EnableBroadcastFilter = true
 		jobs = append(jobs,
-			job{
-				key:  key("sec6c", name, "base"),
-				spec: spec,
-				mcfg: cfg.machineConfig(cfg.Sockets, machine.C3D, spec.PreferredPolicy),
-			},
-			job{
-				key:  key("sec6c", name, "filtered"),
-				spec: spec,
-				mcfg: cfg.machineConfig(cfg.Sockets, machine.C3D, spec.PreferredPolicy),
-				mutate: func(m *machine.Config) {
-					m.EnableBroadcastFilter = true
-				},
-			})
+			job{key: key("sec6c", name, "base"), spec: spec, mcfg: base},
+			job{key: key("sec6c", name, "filtered"), spec: spec, mcfg: filtered})
 	}
 	results, err := cfg.runJobs(ctx, jobs)
 	if err != nil {

@@ -306,7 +306,6 @@ type job struct {
 	key      string
 	spec     workload.Spec
 	mcfg     machine.Config
-	mutate   func(*machine.Config)
 	seedOff  int64
 	accesses int
 }
@@ -379,21 +378,17 @@ func (c Config) runOne(ctx context.Context, j job, seed int64) (machine.RunResul
 		return machine.RunResult{}, err
 	}
 	runOpts := machine.RunOptions{WarmupFraction: c.WarmupFraction, Sampling: sspec}
-	mcfg := j.mcfg
-	if j.mutate != nil {
-		j.mutate(&mcfg)
-	}
 	// Validate before construction: machine.New panics on a bad config, and
 	// a panic in a sweep worker kills the whole process (CLI or daemon). A
 	// session-level check cannot catch everything — experiments fix their
 	// own socket counts, so a topology that suits the session's shape can
 	// still be unhostable here (fig7's 2-socket machines under -topology
 	// ring) — and must surface as a job error, not a crash.
-	if err := mcfg.Validate(); err != nil {
+	if err := j.mcfg.Validate(); err != nil {
 		return machine.RunResult{}, err
 	}
-	m := acquireMachine(mcfg)
-	defer releaseMachine(mcfg, m)
+	m := acquireMachine(j.mcfg)
+	defer releaseMachine(j.mcfg, m)
 	src, err := sharedTraces.get(j.spec, opts)
 	if err != nil {
 		return machine.RunResult{}, err

@@ -97,8 +97,8 @@ func (r Fig2Result) Table() *stats.Table {
 
 // Fig2 runs the NUMA bottleneck analysis.
 func Fig2(ctx context.Context, cfg Config) (Fig2Result, error) {
-	mutations := map[string]func(*machine.Config){
-		"baseline":   nil,
+	edits := map[string]func(*machine.Config){
+		"baseline":   func(*machine.Config) {},
 		"0_qpi_lat":  func(m *machine.Config) { m.ZeroHopLatency = true },
 		"inf_mem_bw": func(m *machine.Config) { m.InfiniteMemBW = true },
 		"inf_qpi_bw": func(m *machine.Config) { m.InfiniteLinkBW = true },
@@ -113,13 +113,9 @@ func Fig2(ctx context.Context, cfg Config) (Fig2Result, error) {
 		// Jobs are built in the paper's presentation order, not map order:
 		// job order decides progress-event order, which is wire-visible.
 		for _, ideal := range append([]string{"baseline"}, Fig2Idealisations...) {
-			mutate := mutations[ideal]
-			jobs = append(jobs, job{
-				key:    key("fig2", name, ideal),
-				spec:   spec,
-				mcfg:   cfg.machineConfig(cfg.Sockets, machine.Baseline, spec.PreferredPolicy),
-				mutate: mutate,
-			})
+			mcfg := cfg.machineConfig(cfg.Sockets, machine.Baseline, spec.PreferredPolicy)
+			edits[ideal](&mcfg)
+			jobs = append(jobs, job{key: key("fig2", name, ideal), spec: spec, mcfg: mcfg})
 		}
 	}
 	results, err := cfg.runJobs(ctx, jobs)
@@ -190,15 +186,9 @@ func Fig3(ctx context.Context, cfg Config) (Fig3Result, error) {
 	for _, name := range cfg.workloadNames() {
 		spec := cfg.mustWorkload(name)
 		for _, capacity := range Fig3Capacities {
-			capacity := capacity
-			jobs = append(jobs, job{
-				key:  key("fig3", name, capacity),
-				spec: spec,
-				mcfg: cfg.machineConfig(cfg.Sockets, machine.Baseline, spec.PreferredPolicy),
-				mutate: func(m *machine.Config) {
-					m.LLCSizeBytes = capacity
-				},
-			})
+			mcfg := cfg.machineConfig(cfg.Sockets, machine.Baseline, spec.PreferredPolicy)
+			mcfg.LLCSizeBytes = capacity
+			jobs = append(jobs, job{key: key("fig3", name, capacity), spec: spec, mcfg: mcfg})
 		}
 	}
 	results, err := cfg.runJobs(ctx, jobs)

@@ -72,13 +72,9 @@ func latencySensitivity(ctx context.Context, cfg Config, parameter, tag string, 
 		spec := cfg.mustWorkload(name)
 		for _, d := range designs {
 			for _, v := range values {
-				v := v
-				jobs = append(jobs, job{
-					key:    key(tag, name, d, v),
-					spec:   spec,
-					mcfg:   cfg.machineConfig(cfg.Sockets, d, spec.PreferredPolicy),
-					mutate: func(m *machine.Config) { apply(m, v) },
-				})
+				mcfg := cfg.machineConfig(cfg.Sockets, d, spec.PreferredPolicy)
+				apply(&mcfg, v)
+				jobs = append(jobs, job{key: key(tag, name, d, v), spec: spec, mcfg: mcfg})
 			}
 		}
 	}
