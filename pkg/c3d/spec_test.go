@@ -240,26 +240,13 @@ func TestTraceFixturesOpenAlike(t *testing.T) {
 	}
 }
 
-// traceSections drains every section of src: index 0 is the init section,
-// index t+1 is thread t.
+// traceSections materialises src: index 0 is the init section, index t+1 is
+// thread t.
 func traceSections(t *testing.T, from string, src TraceSource) [][]trace.Record {
 	t.Helper()
-	readers := []trace.RecordReader{src.OpenInit()}
-	for th := 0; th < src.Threads(); th++ {
-		readers = append(readers, src.OpenThread(th))
+	tr, err := trace.Materialize(src)
+	if err != nil {
+		t.Fatalf("%s: %v", from, err)
 	}
-	out := make([][]trace.Record, len(readers))
-	for s, rr := range readers {
-		for {
-			rec, ok := rr.Next()
-			if !ok {
-				break
-			}
-			out[s] = append(out[s], rec)
-		}
-		if err := rr.Err(); err != nil {
-			t.Fatalf("%s section %d: %v", from, s, err)
-		}
-	}
-	return out
+	return append([][]trace.Record{tr.Init}, tr.Parallel...)
 }
