@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden trace fixtures")
+var update = flag.Bool("update", false, "rewrite the golden v2 trace fixture (the v1 fixture is frozen)")
 
 // goldenTrace is a small fixed trace covering the format's edge cases:
 // negative address deltas, addresses beyond 32 bits, large gaps, and an empty
