@@ -45,7 +45,7 @@ lint-fmt:
 vet:
 	$(GO) vet ./...
 
-# The five c3dlint analyzers (determinism, ctxcheck, registry, wirecompat,
+# The four c3dlint analyzers (determinism, ctxcheck, wirecompat,
 # errenvelope): compile-time enforcement of the invariants the smoke gates
 # below check dynamically. Stdlib-only, so it rides the same build cache as
 # everything else; the whole run is a few seconds warm.
@@ -183,7 +183,8 @@ chaos-smoke:
 	@echo "chaos campaign bytes identical to the fault-free baseline across a coordinator kill -9 + journal resume"
 
 # Workload-spec gate through the real binaries: one embedded preset driven
-# through c3dsim (two runs must be bit-identical), through c3dexp at two
+# through c3dsim (two runs must be bit-identical, and naming the preset with
+# -workload must match running its document with -spec), through c3dexp at two
 # parallelism levels, and through a two-worker fleet via -remote (the spec
 # document travels the wire as params.spec and the workers compile it);
 # then the external-trace path: spec → binary → text → ingest → binary must
@@ -193,6 +194,9 @@ spec-smoke:
 	$(GO) run ./cmd/c3dsim -spec preset:bursty-tail -accesses 2000 -json > /tmp/c3d-spec-sim2.json
 	cmp /tmp/c3d-spec-sim1.json /tmp/c3d-spec-sim2.json
 	@echo "c3dsim spec runs bit-identical"
+	$(GO) run ./cmd/c3dsim -workload bursty-tail -accesses 2000 -json > /tmp/c3d-spec-byname.json
+	cmp /tmp/c3d-spec-sim1.json /tmp/c3d-spec-byname.json
+	@echo "c3dsim preset by name bit-identical to its spec document"
 	$(GO) run ./cmd/c3dexp -exp table1 -quick -spec preset:bursty-tail -accesses 2000 -json -parallel 1 > /tmp/c3d-spec-p1.json
 	$(GO) run ./cmd/c3dexp -exp table1 -quick -spec preset:bursty-tail -accesses 2000 -json -parallel 8 > /tmp/c3d-spec-p8.json
 	cmp /tmp/c3d-spec-p1.json /tmp/c3d-spec-p8.json

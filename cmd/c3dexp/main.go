@@ -50,7 +50,7 @@ func main() {
 		sockets   = flag.Int("sockets", 0, "override the socket count (where the experiment allows it)")
 		topology  = flag.String("topology", "", "fabric topology: p2p, ring, mesh or full (default: each machine's socket-count default; the scaling experiment sweeps its own grid)")
 		workloads = flag.String("workloads", "", "comma-separated workload subset (default: the paper's nine)")
-		specArg   = flag.String("spec", "", "workload-spec document: a file path or preset:<name>; runs the campaign on the spec's workload instead of the registry suite (combine with -workloads to mix)")
+		specArg   = flag.String("spec", "", "workload-spec document: a file path or preset:<name>; runs the campaign on the spec's workload instead of the paper suite (combine with -workloads to mix)")
 		parallel  = flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS; results identical at any value)")
 		sampleArg = flag.String("sample", "", "SMARTS-style sampled simulation schedule, e.g. stretch=1400,warm=60,win=60[,seed=S]; result cells carry 95% confidence half-widths and campaigns run several times faster (default: full detailed simulation)")
 		seed      = flag.Int64("seed", 0, "workload generation seed (0 reproduces the default runs)")

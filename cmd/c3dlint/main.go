@@ -4,7 +4,6 @@
 //	determinism   no unsorted map ranges / global rand / wall-clock reads
 //	              in result-producing packages
 //	ctxcheck      long-running loops stay cancellable
-//	registry      workload Register calls only at package initialisation
 //	wirecompat    pkg/c3d/api: explicit json tags, stdlib-only imports
 //	errenvelope   API errors only through the uniform envelope helper
 //

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	c3dtrace -list                                   # show the workload registry and spec presets
+//	c3dtrace -list                                   # show the workload catalog and spec presets
 //	c3dtrace -workload canneal -summary              # generate and summarise
 //	c3dtrace -workload canneal -out canneal.c3dt     # write the binary trace (chunked v2)
 //	c3dtrace -in canneal.c3dt -summary               # summarise an existing file (v1 or v2)

@@ -170,12 +170,11 @@ func RunAnalyzers(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) (
 	return out, nil
 }
 
-// All returns the five c3dlint analyzers in their canonical order.
+// All returns the four c3dlint analyzers in their canonical order.
 func All() []*Analyzer {
 	return []*Analyzer{
 		DeterminismAnalyzer,
 		CtxCheckAnalyzer,
-		RegistryAnalyzer,
 		WireCompatAnalyzer,
 		ErrEnvelopeAnalyzer,
 	}

@@ -13,18 +13,17 @@ import (
 // are part of its job, and its determinism obligations (result bytes) are
 // enforced where the bytes are produced.
 var determinismScope = map[string]bool{
-	"c3d":                        true,
-	"c3d/internal/machine":       true,
-	"c3d/internal/mc":            true,
-	"c3d/internal/sample":        true,
-	"c3d/internal/sweep":         true,
-	"c3d/internal/experiments":   true,
-	"c3d/internal/stats":         true,
-	"c3d/internal/trace":         true,
-	"c3d/internal/workload":      true,
-	"c3d/internal/wspec":         true,
-	"c3d/internal/wspec/presets": true,
-	"c3d/pkg/c3d":                true,
+	"c3d":                      true,
+	"c3d/internal/machine":     true,
+	"c3d/internal/mc":          true,
+	"c3d/internal/sample":      true,
+	"c3d/internal/sweep":       true,
+	"c3d/internal/experiments": true,
+	"c3d/internal/stats":       true,
+	"c3d/internal/trace":       true,
+	"c3d/internal/workload":    true,
+	"c3d/internal/wspec":       true,
+	"c3d/pkg/c3d":              true,
 }
 
 // globalRandFuncs are the math/rand top-level functions that draw from the
@@ -55,8 +54,8 @@ var DeterminismAnalyzer = &Analyzer{
 	Doc: `flag iteration-order and wall-clock nondeterminism in result-producing packages
 
 Reports, in the packages whose output is byte-compared (internal/machine, mc,
-sample, sweep, experiments, stats, trace, workload, wspec and its presets,
-pkg/c3d and the module root):
+sample, sweep, experiments, stats, trace, workload, wspec, pkg/c3d and the
+module root):
 
   - range over a map: iteration order is random per execution; iterate a
     sorted key slice instead

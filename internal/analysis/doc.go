@@ -6,14 +6,13 @@
 // dynamically by CI gates that byte-compare outputs. Those gates can only
 // cover the code paths they execute; the analyzers here reject
 // invariant-violating code at `make lint` time, before a single simulation
-// runs. Five checks ship:
+// runs. Four checks ship:
 //
 //	determinism   unsorted map ranges, global math/rand, wall-clock reads
 //	              in the result-producing packages (internal/machine, mc,
 //	              sweep, experiments, stats, trace, pkg/c3d)
 //	ctxcheck      long-running loops in machine/mc/sweep/campaign must stay
 //	              cancellable (ctx.Err/ctx.Done or a ctx-threaded call)
-//	registry      workload Register calls only at package initialisation
 //	wirecompat    pkg/c3d/api: explicit json tag on every exported field,
 //	              stdlib-only imports
 //	errenvelope   API errors only through the writeError envelope helper

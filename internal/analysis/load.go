@@ -16,7 +16,7 @@ import (
 // Package is one loaded, parsed and type-checked package: the unit every
 // analyzer runs over. Only non-test files are loaded — the invariants the
 // analyzers enforce are invariants of production code, and several of them
-// (registry calls, time.Now) are deliberately legal in tests.
+// (map ranges, time.Now) are deliberately legal in tests.
 type Package struct {
 	// Path is the import path ("c3d/internal/machine"). Analyzers scope
 	// themselves by it.

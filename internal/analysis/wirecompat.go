@@ -108,3 +108,12 @@ func stdlibImport(path, modPrefix string) bool {
 	first, _, _ := strings.Cut(path, "/")
 	return !strings.Contains(first, ".")
 }
+
+// modulePrefix returns the "c3d/" module prefix for a package path. Fixture
+// packages loaded under synthetic paths share the same module namespace.
+func modulePrefix(pkgPath string) string {
+	if i := strings.Index(pkgPath, "/"); i >= 0 {
+		return pkgPath[:i] + "/"
+	}
+	return pkgPath + "/"
+}

@@ -27,6 +27,7 @@ import (
 	"c3d/internal/sweep"
 	"c3d/internal/trace"
 	"c3d/internal/workload"
+	"c3d/internal/wspec"
 )
 
 // Config parameterises an experiment run. The zero value is not usable; start
@@ -51,9 +52,9 @@ type Config struct {
 	WarmupFraction float64
 	// Workloads restricts the workload set (nil means the paper's nine).
 	Workloads []string
-	// Extra holds workload specs resolvable by name in addition to the open
-	// registry — compiled workload-spec documents joined for this campaign
-	// only. Names here shadow registry entries.
+	// Extra holds workload specs resolvable by name in addition to the
+	// workload catalog — compiled workload-spec documents joined for this
+	// campaign only. Names here shadow catalog workloads.
 	Extra []workload.Spec
 	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS). It only
 	// affects wall-clock time: results are bit-identical at any value.
@@ -108,14 +109,15 @@ func (c Config) workloadNames() []string {
 }
 
 // workload resolves a name against this config: campaign-local extra specs
-// first (compiled workload-spec documents), then the open registry.
+// first (compiled workload-spec documents), then the workload catalog
+// (built-ins, then presets).
 func (c Config) workload(name string) (workload.Spec, error) {
 	for _, s := range c.Extra {
 		if s.Name == name {
 			return s, nil
 		}
 	}
-	return workload.Get(name)
+	return wspec.Lookup(name)
 }
 
 // mustWorkload is workload for names the campaign itself produced (its
@@ -128,14 +130,13 @@ func (c Config) mustWorkload(name string) workload.Spec {
 	return s
 }
 
-// tableNames orders result-map keys for rendering: registration order first
-// (the paper's suite ordering), then any remaining names — workload specs
-// compiled outside the registry — sorted. Every current table is keyed by
-// registry names only, so their row order is unchanged.
+// tableNames orders result-map keys for rendering: catalog order first (the
+// paper's suite ordering, then mcf, then the presets), then any remaining
+// names — campaign-local workload specs — sorted.
 func tableNames[M ~map[string]V, V any](m M) []string {
 	seen := make(map[string]bool, len(m))
 	var out []string
-	for _, n := range workload.AllNames() {
+	for _, n := range wspec.Names() {
 		if _, ok := m[n]; ok && !seen[n] {
 			seen[n] = true
 			out = append(out, n)
@@ -218,7 +219,7 @@ func newTraceCache(budget int) *traceCache {
 }
 
 // traceKey identifies a generated trace. Fingerprint distinguishes
-// workload-spec documents that reuse a name across campaigns (registry specs
+// workload-spec documents that reuse a name across campaigns (built-in specs
 // leave it empty): without it, two different specs named "mix" sharing a
 // process would collide in the memo and one campaign would silently replay
 // the other's trace.

@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"c3d/internal/numa"
 )
@@ -121,48 +120,12 @@ var builtins = []Spec{
 }
 
 // suiteNames pins the nine multi-threaded workloads of the main evaluation,
-// in the paper's order. Names()/Suite() answer from this list — never from
-// the open registry — so registering extra workloads (compiled specs,
-// presets) can never change the default experiment suite or invalidate
-// golden results.
+// in the paper's order. Names answers from this list, not from builtins, so
+// the catalog's extra entries (mcf, the workload-spec presets) can never
+// change the default experiment suite or invalidate golden results.
 var suiteNames = []string{
 	"facesim", "streamcluster", "freqmine", "fluidanimate", "canneal",
 	"tunkrank", "nutch", "cassandra", "classification",
-}
-
-// The registry is open: the built-ins seed it and anything — compiled
-// workload specs, test doubles, future ingested traces — can join through
-// Register, mirroring the design and topology registries. Registration order
-// is preserved so listings are deterministic.
-var (
-	regMu    sync.RWMutex
-	registry []Spec
-	regIndex = map[string]int{}
-)
-
-func init() {
-	for _, s := range builtins {
-		Register(s)
-	}
-}
-
-// Register adds a workload to the registry so name-based lookups (Get, the
-// SDK's WithWorkloads, the daemon's capability checks) resolve it exactly
-// like a built-in. It panics on an invalid spec or a duplicate name —
-// registration happens in init functions, where misconfiguration should fail
-// loudly. The default evaluation suite (Names/Suite) is pinned to the nine
-// paper workloads and is not affected by registration.
-func Register(s Spec) {
-	if err := s.Validate(); err != nil {
-		panic(fmt.Sprintf("workload: Register: %v", err))
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := regIndex[s.Name]; dup {
-		panic(fmt.Sprintf("workload: workload %q registered twice", s.Name))
-	}
-	regIndex[s.Name] = len(registry)
-	registry = append(registry, s)
 }
 
 // Names returns the names of the nine multi-threaded workloads of the main
@@ -173,38 +136,23 @@ func Names() []string {
 	return out
 }
 
-// AllNames returns every registered workload name — built-ins (including
-// mcf) and registered specs — in registration order.
+// AllNames returns the name of every built-in workload — the suite, then
+// mcf — in table order. The workload-spec presets are listed by wspec.Names.
 func AllNames() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, len(registry))
-	for i, s := range registry {
+	out := make([]string, len(builtins))
+	for i, s := range builtins {
 		out[i] = s.Name
 	}
 	return out
 }
 
-// Suite returns the specs of the nine multi-threaded workloads of the main
-// evaluation, in the paper's order.
-func Suite() []Spec {
-	out := make([]Spec, len(suiteNames))
-	for i, name := range suiteNames {
-		out[i] = MustGet(name)
-	}
-	return out
-}
-
-// Get returns the spec with the given name.
+// Get returns the built-in workload with the given name.
 func Get(name string) (Spec, error) {
-	regMu.RLock()
-	i, ok := regIndex[name]
-	if ok {
-		s := registry[i]
-		regMu.RUnlock()
-		return s, nil
+	for _, s := range builtins {
+		if s.Name == name {
+			return s, nil
+		}
 	}
-	regMu.RUnlock()
 	known := AllNames()
 	sort.Strings(known)
 	return Spec{}, fmt.Errorf("workload: unknown workload %q (known: %v)", name, known)

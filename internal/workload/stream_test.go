@@ -8,7 +8,7 @@ import (
 	"c3d/internal/trace"
 )
 
-// The acceptance bar for the streaming generator: for every registry
+// The acceptance bar for the streaming generator: for every built-in
 // workload, the incremental source materialises to a trace bit-identical to
 // Generate's, and the trace survives a chunked encode → decode round trip
 // exactly — through both the sequential decoder and the indexed file source.

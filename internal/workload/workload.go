@@ -315,7 +315,7 @@ func Generate(s Spec, o Options) (*trace.Trace, error) {
 }
 
 // MustGenerate is Generate for specs known to be valid (the built-in
-// registry); it panics on error.
+// workloads); it panics on error.
 func MustGenerate(s Spec, o Options) *trace.Trace {
 	tr, err := Generate(s, o)
 	if err != nil {

@@ -15,9 +15,9 @@ func testOptions() Options {
 
 func TestRegistryIsValid(t *testing.T) {
 	if len(AllNames()) != 10 {
-		t.Fatalf("registry has %d workloads, want 10 (9 parallel + mcf)", len(AllNames()))
+		t.Fatalf("built-in table has %d workloads, want 10 (9 parallel + mcf)", len(AllNames()))
 	}
-	if len(Names()) != 9 || len(Suite()) != 9 {
+	if len(Names()) != 9 {
 		t.Fatalf("main suite has %d workloads, want 9", len(Names()))
 	}
 	for _, name := range AllNames() {

@@ -31,7 +31,7 @@ const (
 func phaseSalt(i int) int64  { return (int64(i) + 1) * phaseSaltMul }
 func tenantSalt(i int) int64 { return (int64(i) + 1) * tenantSaltMul }
 
-// Compiled is a workload-spec document compiled to a registry-ready
+// Compiled is a workload-spec document compiled to a ready-to-run
 // workload.Spec. Compilation is eager about errors: a Compiled's spec has
 // been probed through workload.NewSource once, so a bad document never gets
 // as far as a job queue.
@@ -40,18 +40,18 @@ type Compiled struct {
 	spec workload.Spec
 }
 
-// Name returns the compiled workload's registry name.
+// Name returns the compiled workload's name.
 func (c *Compiled) Name() string { return c.doc.Name }
 
 // Doc returns the parsed document.
 func (c *Compiled) Doc() *Doc { return c.doc }
 
-// Spec returns the compiled workload.Spec, ready for workload.Register or
-// direct use with workload.NewSource.
+// Spec returns the compiled workload.Spec, ready for workload.NewSource.
 func (c *Compiled) Spec() workload.Spec { return c.spec }
 
 // Load parses, validates and compiles a single spec document. Base
-// references resolve against the workload registry.
+// references resolve through Lookup: the built-in workloads, then the
+// presets.
 func Load(data []byte) (*Compiled, error) {
 	d, err := Parse(data)
 	if err != nil {
@@ -61,15 +61,26 @@ func Load(data []byte) (*Compiled, error) {
 }
 
 // Compile validates and compiles one document; base references resolve
-// against the workload registry only.
+// through Lookup.
 func Compile(d *Doc) (*Compiled, error) {
-	return compileOne(d, nil)
+	return compileOne(d, batch{lookup: Lookup})
 }
 
 // CompileAll compiles a batch of documents that may reference each other as
 // bases (in any order); cycles are rejected. Documents compile in input
-// order.
+// order, and bases outside the batch resolve through Lookup.
 func CompileAll(docs []*Doc) ([]*Compiled, error) {
+	return compileAll(docs, Lookup)
+}
+
+// batch is what a compilation resolves base names against: the documents
+// compiled together, then lookup.
+type batch struct {
+	docs   map[string]*Doc
+	lookup func(string) (workload.Spec, error)
+}
+
+func compileAll(docs []*Doc, lookup func(string) (workload.Spec, error)) ([]*Compiled, error) {
 	index := make(map[string]*Doc, len(docs))
 	for _, d := range docs {
 		if d.Name == "" {
@@ -82,7 +93,7 @@ func CompileAll(docs []*Doc) ([]*Compiled, error) {
 	}
 	out := make([]*Compiled, 0, len(docs))
 	for _, d := range docs {
-		c, err := compileOne(d, index)
+		c, err := compileOne(d, batch{docs: index, lookup: lookup})
 		if err != nil {
 			return nil, err
 		}
@@ -91,7 +102,7 @@ func CompileAll(docs []*Doc) ([]*Compiled, error) {
 	return out, nil
 }
 
-func compileOne(d *Doc, index map[string]*Doc) (*Compiled, error) {
+func compileOne(d *Doc, b batch) (*Compiled, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
@@ -103,9 +114,9 @@ func compileOne(d *Doc, index map[string]*Doc) (*Compiled, error) {
 	case d.Trace != "":
 		spec, err = traceSpec(d)
 	case len(d.Tenants) > 0:
-		spec, err = tenantSpec(d, index)
+		spec, err = tenantSpec(d, b)
 	default:
-		spec, err = simpleSpec(d, index)
+		spec, err = simpleSpec(d, b)
 	}
 	if err != nil {
 		return nil, err
@@ -133,17 +144,17 @@ func fingerprint(d *Doc) string {
 }
 
 // resolveBase resolves a base name to a flattened generator spec: a batch
-// document (simple mode only), or a registry workload. seen/chain detect
-// cyclic references.
-func resolveBase(name string, index map[string]*Doc, seen map[string]bool, chain []string) (workload.Spec, error) {
+// document (simple mode only), or a workload the batch's lookup finds.
+// seen/chain detect cyclic references.
+func resolveBase(name string, b batch, seen map[string]bool, chain []string) (workload.Spec, error) {
 	if name == "" {
 		return workload.Spec{}, fmt.Errorf("wspec: %s: empty base reference", strings.Join(chain, " -> "))
 	}
-	if bd, ok := index[name]; ok {
-		// Cycles are only possible among batch documents; a registry base
+	if bd, ok := b.docs[name]; ok {
+		// Cycles are only possible among batch documents; a looked-up base
 		// below is a leaf. Checking here (not above) lets a doc reuse a
-		// registry workload's own name — a spec named "facesim" with base
-		// "facesim" shadows the registry entry, it does not cycle.
+		// catalog workload's own name — a spec named "facesim" with base
+		// "facesim" shadows the built-in, it does not cycle.
 		if seen[name] {
 			return workload.Spec{}, fmt.Errorf("wspec: cyclic base reference: %s", strings.Join(append(chain, name), " -> "))
 		}
@@ -151,7 +162,7 @@ func resolveBase(name string, index map[string]*Doc, seen map[string]bool, chain
 			return workload.Spec{}, fmt.Errorf("wspec: base %q is a composite spec (phases/tenants/trace); only simple re-parameterising specs can serve as bases", name)
 		}
 		seen[name] = true
-		base, err := resolveBase(bd.Base, index, seen, append(chain, name))
+		base, err := resolveBase(bd.Base, b, seen, append(chain, name))
 		delete(seen, name)
 		if err != nil {
 			return workload.Spec{}, err
@@ -162,7 +173,7 @@ func resolveBase(name string, index map[string]*Doc, seen map[string]bool, chain
 		}
 		return s, nil
 	}
-	s, err := workload.Get(name)
+	s, err := b.lookup(name)
 	if err != nil {
 		return workload.Spec{}, fmt.Errorf("wspec: %w", err)
 	}
@@ -233,11 +244,11 @@ func applyOverrides(s workload.Spec, o *Overrides) workload.Spec {
 
 // simpleSpec compiles base + overrides (+ phases) into a spec. Without
 // phases the result is a plain generator spec — which is what makes a spec
-// that mirrors a registry workload produce byte-identical traces, and lets
+// that mirrors a built-in workload produce byte-identical traces, and lets
 // simple specs serve as bases for other specs.
-func simpleSpec(d *Doc, index map[string]*Doc) (workload.Spec, error) {
+func simpleSpec(d *Doc, b batch) (workload.Spec, error) {
 	seen := map[string]bool{d.Name: true}
-	base, err := resolveBase(d.Base, index, seen, []string{d.Name})
+	base, err := resolveBase(d.Base, b, seen, []string{d.Name})
 	if err != nil {
 		return workload.Spec{}, err
 	}
@@ -379,11 +390,11 @@ type mixTenant struct {
 // tenantSpec compiles a multi-tenant document: each tenant resolves and
 // re-weights its own base, and the mix interleaves the per-tenant streams
 // by seeded arrival processes at generation time.
-func tenantSpec(d *Doc, index map[string]*Doc) (workload.Spec, error) {
+func tenantSpec(d *Doc, b batch) (workload.Spec, error) {
 	tenants := make([]mixTenant, 0, len(d.Tenants))
 	for _, t := range d.Tenants {
 		seen := map[string]bool{d.Name: true}
-		base, err := resolveBase(t.Base, index, seen, []string{d.Name})
+		base, err := resolveBase(t.Base, b, seen, []string{d.Name})
 		if err != nil {
 			return workload.Spec{}, fmt.Errorf("wspec: spec %q: tenant %q: %w", d.Name, t.Name, err)
 		}

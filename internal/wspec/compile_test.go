@@ -46,14 +46,12 @@ func TestMirrorSpecMatchesRegistry(t *testing.T) {
 	}
 }
 
-// loadPreset compiles a preset document straight from its on-disk JSON. The
-// wspec test binary does not import internal/wspec/presets (that would be a
-// cycle), so the documents are read from the source tree instead.
+// loadPreset compiles a preset document afresh from its embedded bytes.
 func loadPreset(t *testing.T, name string) *Compiled {
 	t.Helper()
-	raw, err := os.ReadFile(filepath.Join("presets", name+".json"))
-	if err != nil {
-		t.Fatal(err)
+	raw, ok := PresetDoc(name)
+	if !ok {
+		t.Fatalf("no preset %q", name)
 	}
 	c, err := Load(raw)
 	if err != nil {

@@ -1,9 +1,9 @@
 // Package wspec is the workload-spec DSL: a small, versioned JSON format
 // that composes the synthetic workload generators of internal/workload —
-// and external traces — into new, registry-ready workloads without a code
-// change. It is the declarative counterpart of workload.Register, the way
-// machine.RegisterDesign and the topology registry open their dispatch
-// points.
+// and external traces — into new, ready-to-run workloads without a code
+// change. It also owns the workload catalog: the built-in workloads plus
+// the embedded presets, resolved by name through Lookup and listed by
+// Names.
 //
 // # Format reference (version 1)
 //
@@ -12,9 +12,9 @@
 //
 //	{
 //	  "version": 1,                  // required, must be 1
-//	  "name": "my-workload",         // required, the registry name
+//	  "name": "my-workload",         // required, the workload's name
 //
-//	  "base": "facesim",             // a registry workload or a simple spec
+//	  "base": "facesim",             // a catalog workload or a simple spec
 //	                                 // compiled in the same batch
 //	  "seed": 42,                    // overrides the base seed (0 = keep)
 //	  "threads": 32,                 // overrides default threads
@@ -51,7 +51,7 @@
 // Semantics:
 //
 //   - A simple document (base + scalar knobs, no phases/tenants/trace)
-//     flattens to a plain generator spec. A spec that mirrors a registry
+//     flattens to a plain generator spec. A spec that mirrors a built-in
 //     workload therefore produces byte-identical traces, and simple specs
 //     can serve as bases for other specs (cycles are rejected).
 //   - Phases split each thread's stream into sequential segments sized by
@@ -83,16 +83,17 @@
 // writes that source in the v2 chunked format; WriteText exports any source
 // back to text, making the round trip lossless.
 //
-// # Adding a preset
+// # Presets
 //
-// Presets are spec documents embedded in internal/wspec/presets and
-// registered at init, which makes them plain named workloads everywhere —
-// `c3dsim -workload multitenant-mix` works as well as `-spec
-// preset:multitenant-mix`. To add one:
+// Presets are the spec documents in the presets directory, embedded in this
+// package and compiled once, in file-name order, into the catalog. That
+// makes them plain named workloads everywhere — `c3dsim -workload
+// multitenant-mix` works as well as `-spec preset:multitenant-mix`. To add
+// one:
 //
 //  1. Drop a new .json document into internal/wspec/presets/. Documents in
-//     the directory compile as one batch, so a preset may use another
-//     simple preset as its base.
+//     the directory compile as one batch against the built-in workloads, so
+//     a preset may use a built-in or another simple preset as its base.
 //  2. Pick a name that collides with nothing in `c3dtrace -list`.
 //  3. `go test ./internal/wspec/...` — the preset tests compile every
 //     embedded document and re-check determinism across parallelism.

@@ -26,9 +26,9 @@ const Version = 1
 type Doc struct {
 	// Version must be 1.
 	Version int `json:"version"`
-	// Name registers the compiled workload; it must be unique.
+	// Name names the compiled workload; it must be unique in its batch.
 	Name string `json:"name"`
-	// Base names the underlying workload: a registry workload or a simple
+	// Base names the underlying workload: a catalog workload or a simple
 	// spec compiled in the same batch.
 	Base string `json:"base,omitempty"`
 	// Trace replays an external binary trace file (path, v2 or v1) instead of
@@ -122,7 +122,7 @@ func Parse(data []byte) (*Doc, error) {
 }
 
 // Validate checks the document's shape and parameter ranges. It does not
-// resolve base references — Compile does, against the registry and the
+// resolve base references — Compile does, against the catalog and the
 // compilation batch.
 func (d *Doc) Validate() error {
 	if d.Version != Version {

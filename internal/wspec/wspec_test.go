@@ -90,9 +90,9 @@ func TestCompileRejectsBadReferences(t *testing.T) {
 		t.Errorf("a->a in batch: err = %v, want cyclic base reference", err)
 	}
 	// Outside a batch the same shape is name shadowing, not a cycle: the
-	// base resolves from the registry.
+	// base resolves to the built-in.
 	if _, err := Load([]byte(`{"version":1,"name":"facesim","base":"facesim"}`)); err != nil {
-		t.Errorf("registry-shadowing spec: %v, want nil", err)
+		t.Errorf("built-in-shadowing spec: %v, want nil", err)
 	}
 	// A composite (tenants) doc cannot serve as a base.
 	_, err = CompileAll([]*Doc{

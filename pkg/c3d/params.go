@@ -137,7 +137,7 @@ func (s *Session) sockets() int {
 
 // resolveWorkload resolves a workload name against the session: the
 // compiled workload-spec document when one is set and the name is empty or
-// the spec's own, else the open registry.
+// the spec's own, else the workload catalog (built-ins, then presets).
 func (s *Session) resolveWorkload(name string) (workload.Spec, error) {
 	if s.spec != nil && (name == "" || name == s.spec.Name()) {
 		return s.spec.Spec(), nil
@@ -145,7 +145,7 @@ func (s *Session) resolveWorkload(name string) (workload.Spec, error) {
 	if name == "" {
 		return workload.Spec{}, fmt.Errorf("c3d: no workload named and no workload spec set")
 	}
-	w, err := workload.Get(name)
+	w, err := wspec.Lookup(name)
 	if err != nil {
 		if s.spec != nil {
 			return workload.Spec{}, fmt.Errorf("c3d: %w; the session spec defines %q", err, s.spec.Name())
@@ -205,7 +205,7 @@ func (s *Session) experimentsConfig() experiments.Config {
 	if s.spec != nil {
 		// A compiled spec document joins the campaign as an extra resolvable
 		// workload; with no explicit subset it *is* the suite, which is how
-		// scaling and fig experiments run a spec in place of the registry
+		// scaling and fig experiments run a spec in place of the catalog
 		// workloads.
 		cfg.Extra = []workload.Spec{s.spec.Spec()}
 		if len(s.p.Workloads) == 0 {

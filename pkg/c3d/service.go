@@ -56,7 +56,7 @@ func ValidateJobSpec(spec api.JobSpec) error {
 			}
 		}
 	case api.KindSimulate:
-		// resolveWorkload accepts what Simulate would: a registry or spec
+		// resolveWorkload accepts what Simulate would: a catalog or spec
 		// name, or an empty name when the params carry a workload-spec
 		// document. An empty name without a spec is still rejected.
 		if _, err := sess.resolveWorkload(spec.Workload); err != nil {

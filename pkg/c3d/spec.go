@@ -9,15 +9,10 @@ import (
 	"strings"
 
 	"c3d/internal/wspec"
-
-	// Importing the SDK loads the embedded workload-spec preset library, so
-	// every client — CLIs, daemon, campaigns — sees the same preset
-	// workloads.
-	_ "c3d/internal/wspec/presets"
 )
 
-// WorkloadSpecPresets lists the embedded workload-spec presets in
-// registration order.
+// WorkloadSpecPresets lists the embedded workload-spec presets in file-name
+// order. Each is also a catalog workload, runnable by name.
 func WorkloadSpecPresets() []string { return wspec.Presets() }
 
 // WorkloadSpecPreset returns the embedded preset's original document bytes

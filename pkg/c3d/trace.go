@@ -8,9 +8,10 @@ import (
 
 	"c3d/internal/trace"
 	"c3d/internal/workload"
+	"c3d/internal/wspec"
 )
 
-// WorkloadInfo describes one registered workload.
+// WorkloadInfo describes one catalog workload.
 type WorkloadInfo struct {
 	// Name is the workload name as used in the paper's figures.
 	Name string `json:"name"`
@@ -31,24 +32,27 @@ type WorkloadInfo struct {
 	InSuite bool `json:"in_suite"`
 }
 
-// Workloads lists every registered workload — the paper's suite, the extras
-// (mcf), and any workload-spec presets — in registration order, suite
-// members first.
+// Workloads lists every catalog workload — the paper's suite, the extras
+// (mcf), then the workload-spec presets — suite members first.
 func Workloads() []WorkloadInfo {
 	var out []WorkloadInfo
-	for _, name := range workload.AllNames() {
-		out = append(out, workloadInfoFor(workload.MustGet(name)))
+	for _, name := range wspec.Names() {
+		spec, err := wspec.Lookup(name)
+		if err != nil {
+			panic(err) // Names lists only names Lookup resolves
+		}
+		out = append(out, workloadInfoFor(spec))
 	}
 	return out
 }
 
-// ParseWorkload resolves a workload name against the open registry,
-// mirroring ParseTopology: only registered workloads parse, and the error
-// lists the known names sorted. Workloads defined by a session's
-// workload-spec document are per-session, not registered — Simulate resolves
-// those itself.
+// ParseWorkload resolves a workload name against the catalog, mirroring
+// ParseTopology: only catalog workloads parse, and the error lists the
+// known names sorted. Workloads defined by a session's workload-spec
+// document are per-session, not in the catalog — Simulate resolves those
+// itself.
 func ParseWorkload(s string) (WorkloadInfo, error) {
-	spec, err := workload.Get(s)
+	spec, err := wspec.Lookup(s)
 	if err != nil {
 		return WorkloadInfo{}, fmt.Errorf("c3d: %w", err)
 	}
