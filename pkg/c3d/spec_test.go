@@ -153,7 +153,7 @@ func TestValidateJobSpecWorkloadSpec(t *testing.T) {
 }
 
 // TestWorkloadHelpers exercises the Workloads/ParseWorkload pair added to
-// mirror Topologies/ParseTopology over the open registry.
+// mirror Topologies/ParseTopology over the workload catalog.
 func TestWorkloadHelpers(t *testing.T) {
 	info, err := ParseWorkload("facesim")
 	if err != nil {
