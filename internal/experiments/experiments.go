@@ -257,7 +257,9 @@ func (tc *traceCache) get(spec workload.Spec, opts workload.Options) (trace.Sour
 		if records <= tc.budget {
 			var tr *trace.Trace
 			if tr, err = trace.Materialize(src); err == nil {
-				src = tr.Source()
+				// The materialised copy keeps the generator's page span,
+				// so its runs end the placement pre-pass early too.
+				src = trace.WithPageSpan(tr.Source(), trace.PageSpan(src))
 			}
 		}
 	}

@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"context"
+	"reflect"
 	"sync"
 	"testing"
 
+	"c3d/internal/machine"
 	"c3d/internal/trace"
 	"c3d/internal/workload"
 )
@@ -218,5 +221,47 @@ func TestTraceBudgetHoldsPaperScale(t *testing.T) {
 	}
 	if n := records(def, "streamcluster", 600_000); n <= traceBudget {
 		t.Errorf("a %d-record trace fits the budget; the streaming side is untested", n)
+	}
+}
+
+// TestTraceCacheKeepsPageSpan checks a memoised trace keeps its generator's
+// page span, so its runs end the placement pre-pass early, and that a run
+// over it matches a run over the generator and over the materialised trace
+// without a span.
+func TestTraceCacheKeepsPageSpan(t *testing.T) {
+	tc := newTraceCache(1 << 20)
+	spec := workload.MustGet("streamcluster")
+	opts := workload.Options{Threads: 4, Scale: 512, AccessesPerThread: 1000}
+	memo, err := tc.get(spec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := tc.traces[traceKey(spec, opts)]; !ok {
+		t.Fatal("trace was not memoised")
+	}
+	gen, err := workload.NewSource(spec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := trace.PageSpan(memo), trace.PageSpan(gen); got != want || want == 0 {
+		t.Fatalf("memoised trace spans %d pages, generator %d", got, want)
+	}
+	run := func(src trace.Source) machine.RunResult {
+		t.Helper()
+		cfg := machine.DefaultConfig(4, machine.C3D)
+		cfg.Scale = 512
+		cfg.CoresPerSocket = 1
+		res, err := machine.New(cfg).RunSource(context.Background(), src, machine.DefaultRunOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want := run(gen)
+	if got := run(memo); !reflect.DeepEqual(got, want) {
+		t.Fatal("run over the memoised trace differs from the generator's")
+	}
+	if got := run(trace.WithPageSpan(memo, 0)); !reflect.DeepEqual(got, want) {
+		t.Fatal("run over the memoised trace without its span differs from the generator's")
 	}
 }

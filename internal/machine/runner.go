@@ -40,8 +40,11 @@ func DefaultRunOptions() RunOptions { return RunOptions{WarmupFraction: 0.25} }
 // memory is bounded by the source's per-reader window (one record for
 // generators, one chunk for trace files) no matter how long the simulated
 // access streams are — stream length dictates simulation time, not memory.
-// The source is replayed twice: once by the page-placement pre-pass and once
-// for execution.
+// The page-placement pre-pass reads the source before execution does; a
+// source that reports a page span (trace.PageSpanner) lets the pass stop as
+// soon as every page in the span has a home, so a generated trace is mostly
+// produced once rather than twice. The span also sizes the page classifier's
+// dense index.
 //
 // Cancelling the context aborts the run between simulated accesses (checked
 // every few thousand records, so aborts are prompt even at paper-scale stream
@@ -65,7 +68,9 @@ func (m *Machine) RunSource(ctx context.Context, src trace.Source, opts RunOptio
 		return RunResult{}, fmt.Errorf("machine: %w", err)
 	}
 
-	if err := m.placePages(ctx, src); err != nil {
+	span := trace.PageSpan(src)
+	m.classifier.SetSpan(span)
+	if err := m.placePages(ctx, src, span); err != nil {
 		return RunResult{}, err
 	}
 
@@ -167,7 +172,13 @@ func (cr *coreRunner) fill() bool {
 // (relevant to FT1), then the parallel sections interleaved round-robin so
 // that concurrent first touches spread across sockets the way they would in
 // a live run.
-func (m *Machine) placePages(ctx context.Context, src trace.Source) error {
+//
+// A non-zero span promises that every record addresses a page below it. The
+// pass counts the pages it places itself, and once that count reaches the
+// span every page a later record can touch has a home: each further Touch
+// would be a pure map read, so the pass returns with placements and
+// statistics identical to a full pass. Without a span it reads everything.
+func (m *Machine) placePages(ctx context.Context, src trace.Source, span uint64) error {
 	// Once a page is placed, every further Touch is a pure map read; a small
 	// direct-mapped memo of pages confirmed placed short-circuits it (a
 	// collision just repeats the harmless lookup). Init-section touches under
@@ -175,6 +186,11 @@ func (m *Machine) placePages(ctx context.Context, src trace.Source) error {
 	var placedMemo [4096]uint64
 	placed := func(p addr.Page) bool {
 		return placedMemo[uint64(p)&4095] == uint64(p)+1
+	}
+	// complete reports that this pass has placed span pages of its own.
+	start := m.pageTable.Pages()
+	complete := func() bool {
+		return span > 0 && uint64(m.pageTable.Pages()-start) >= span
 	}
 	rr := src.OpenInit()
 	steps := 0
@@ -186,6 +202,9 @@ func (m *Machine) placePages(ctx context.Context, src trace.Source) error {
 		if p := addr.PageOf(rec.Addr); !placed(p) {
 			if _, ok := m.pageTable.Touch(p, 0, false); ok {
 				placedMemo[uint64(p)&4095] = uint64(p) + 1
+				if complete() {
+					return nil
+				}
 			}
 		}
 		if steps++; steps&cancelCheckMask == 0 {
@@ -223,6 +242,9 @@ func (m *Machine) placePages(ctx context.Context, src trace.Source) error {
 				socket := t / m.cfg.CoresPerSocket
 				if _, ok := m.pageTable.Touch(p, socket, true); ok {
 					placedMemo[uint64(p)&4095] = uint64(p) + 1
+					if complete() {
+						return nil
+					}
 				}
 			}
 		}

@@ -67,24 +67,71 @@ type ClassifierStats struct {
 
 type pageClass struct {
 	class Class
+	// set marks an entry that holds a classified page; a zero entry (an
+	// empty dense slot or a map miss) is an unclassified one.
+	set bool
 	// ownerThread is the thread id that first touched the page.
-	ownerThread int
+	ownerThread int32
 	// ownerCore is the core the owner thread was last seen on.
-	ownerCore int
+	ownerCore int32
 }
+
+// maxDenseSpan caps the dense index at 1M pages (4 GiB of simulated memory,
+// 12 MiB of index); a larger span keeps every page in the map.
+const maxDenseSpan = 1 << 20
 
 // Classifier is the OS-level page classification table (the page-table
 // extension of §IV-D). Entries are stored by value: the table is touched for
 // every simulated access, and pointer entries would cost one allocation per
 // classified page on every (re)run of a machine.
+//
+// Pages below the span set by SetSpan live in a dense slice indexed by page
+// number, so the per-access lookup is an array load; every other page lives
+// in a map. Which store holds a page never changes an answer.
 type Classifier struct {
+	dense []pageClass
 	pages map[addr.Page]pageClass
 	stats ClassifierStats
 }
 
-// NewClassifier builds an empty classifier.
+// NewClassifier builds an empty classifier with no span: every page lives
+// in the map until SetSpan sizes the dense index.
 func NewClassifier() *Classifier {
 	return &Classifier{pages: make(map[addr.Page]pageClass)}
+}
+
+// SetSpan indexes the pages below n densely; 0 (or a span above the cap)
+// keeps every page in the map. Classified pages move between the two stores
+// as needed, so it may be called at any time without changing a
+// classification. Slots beyond the index's length stay zero, so a later,
+// longer span can reslice the same backing array.
+func (c *Classifier) SetSpan(n uint64) {
+	if n > maxDenseSpan {
+		n = 0
+	}
+	if n == uint64(len(c.dense)) {
+		return
+	}
+	old := c.dense
+	if c.Pages() > len(c.pages) {
+		for i, e := range old {
+			if e.set {
+				c.pages[addr.Page(i)] = e
+			}
+		}
+	}
+	clear(old)
+	if n <= uint64(cap(old)) {
+		c.dense = old[:n]
+	} else {
+		c.dense = make([]pageClass, n)
+	}
+	for p, e := range c.pages {
+		if uint64(p) < n {
+			c.dense[p] = e
+			delete(c.pages, p)
+		}
+	}
 }
 
 // Stats returns a snapshot of the counters.
@@ -99,10 +146,11 @@ func (c *Classifier) ResetStats() {
 	c.stats.Accesses = 0
 }
 
-// Reset forgets every page classification and clears all counters, returning
-// the classifier to the just-constructed state (used when a machine is reused
-// across runs).
+// Reset forgets every page classification and clears all counters (used
+// when a machine is reused across runs). The span and its index's memory
+// are kept for the next run.
 func (c *Classifier) Reset() {
+	clear(c.dense)
 	clear(c.pages)
 	c.stats = ClassifierStats{}
 }
@@ -125,9 +173,22 @@ type AccessResult struct {
 // TLB-miss handler behaviour described in §IV-D.
 func (c *Classifier) Access(p addr.Page, thread, core int) AccessResult {
 	c.stats.Accesses++
-	e, ok := c.pages[p]
-	if !ok {
-		c.pages[p] = pageClass{class: ClassPrivate, ownerThread: thread, ownerCore: core}
+	if uint64(p) < uint64(len(c.dense)) {
+		return c.access(&c.dense[p], thread, core)
+	}
+	e := c.pages[p]
+	res := c.access(&e, thread, core)
+	if res.FirstTouch || res.Reclassified || res.Shootdown {
+		c.pages[p] = e
+	}
+	return res
+}
+
+// access applies an access to page entry e in place; only a first touch, a
+// reclassification or a shootdown changes it.
+func (c *Classifier) access(e *pageClass, thread, core int) AccessResult {
+	if !e.set {
+		*e = pageClass{class: ClassPrivate, set: true, ownerThread: int32(thread), ownerCore: int32(core)}
 		c.stats.PrivatePages++
 		return AccessResult{Class: ClassPrivate, FirstTouch: true}
 	}
@@ -135,12 +196,11 @@ func (c *Classifier) Access(p addr.Page, thread, core int) AccessResult {
 		return AccessResult{Class: ClassShared}
 	}
 	// Private page.
-	if e.ownerThread == thread {
-		if e.ownerCore != core {
+	if int(e.ownerThread) == thread {
+		if int(e.ownerCore) != core {
 			// Thread migration: keep the page private, move ownership to the
 			// new core and shoot the page down from the hierarchy.
-			e.ownerCore = core
-			c.pages[p] = e
+			e.ownerCore = int32(core)
 			c.stats.MigrationShootdowns++
 			return AccessResult{Class: ClassPrivate, Shootdown: true}
 		}
@@ -150,7 +210,6 @@ func (c *Classifier) Access(p addr.Page, thread, core int) AccessResult {
 	// so its pending writes to the page are flushed, but the page is not shot
 	// down.
 	e.class = ClassShared
-	c.pages[p] = e
 	c.stats.PrivatePages--
 	c.stats.SharedPages++
 	c.stats.Reclassifications++
@@ -158,11 +217,19 @@ func (c *Classifier) Access(p addr.Page, thread, core int) AccessResult {
 	return AccessResult{Class: ClassShared, Reclassified: true}
 }
 
+// lookup returns page p's entry; an unclassified page's is the zero entry.
+func (c *Classifier) lookup(p addr.Page) pageClass {
+	if uint64(p) < uint64(len(c.dense)) {
+		return c.dense[p]
+	}
+	return c.pages[p]
+}
+
 // Classify returns the current classification of page p without recording an
 // access. Unclassified pages report ClassShared (the conservative answer: a
 // broadcast will be sent even though it may not be needed).
 func (c *Classifier) Classify(p addr.Page) Class {
-	if e, ok := c.pages[p]; ok {
+	if e := c.lookup(p); e.set {
 		return e.class
 	}
 	return ClassShared
@@ -172,12 +239,12 @@ func (c *Classifier) Classify(p addr.Page) Class {
 // owned by the given thread. This is the exact predicate the C3D directory
 // uses to elide a broadcast on a GetX carrying the private bit.
 func (c *Classifier) IsPrivateTo(p addr.Page, thread int) bool {
-	e, ok := c.pages[p]
-	return ok && e.class == ClassPrivate && e.ownerThread == thread
+	e := c.lookup(p)
+	return e.set && e.class == ClassPrivate && int(e.ownerThread) == thread
 }
 
 // Pages returns the number of classified pages.
-func (c *Classifier) Pages() int { return len(c.pages) }
+func (c *Classifier) Pages() int { return int(c.stats.PrivatePages + c.stats.SharedPages) }
 
 // TLBStats counts per-core TLB activity.
 type TLBStats struct {
@@ -302,6 +369,12 @@ func (t *TLB) pushFront(n *tlbNode) {
 // Access looks up page p, returning true on a hit. On a miss the page is
 // installed, evicting the least recently used entry if the TLB is full.
 func (t *TLB) Access(p addr.Page) bool {
+	// Consecutive accesses mostly stay on one page: a hit on the MRU entry
+	// needs neither the map nor a list move.
+	if t.head != nil && t.head.page == p {
+		t.stats.Hits++
+		return true
+	}
 	if n, ok := t.entries[p]; ok {
 		t.stats.Hits++
 		if t.head != n {

@@ -27,6 +27,10 @@ type RecordReader interface {
 // known up front — generators know their configured stream length and the
 // file format indexes its chunks — which is what lets the runner size its
 // warm-up phase without materialising anything.
+//
+// A source may also implement PageSpanner to bound its address space; the
+// machine runner uses the bound to end its page-placement pre-pass early and
+// to size the page classifier's dense index.
 type Source interface {
 	// Name identifies the workload the trace was generated from.
 	Name() string
@@ -41,6 +45,37 @@ type Source interface {
 	// OpenThread returns a fresh reader over thread t's parallel stream.
 	OpenThread(t int) RecordReader
 }
+
+// PageSpanner is the optional interface of a Source that knows its address
+// space: PageSpan returns n such that every record in every section
+// addresses a page below n. Zero means the source declares no bound. A
+// source that reports a span must honour it — consumers skip work on the
+// strength of the promise.
+type PageSpanner interface {
+	PageSpan() uint64
+}
+
+// PageSpan returns src's page span, or 0 when src declares none.
+func PageSpan(src Source) uint64 {
+	if s, ok := src.(PageSpanner); ok {
+		return s.PageSpan()
+	}
+	return 0
+}
+
+// WithPageSpan returns src reporting a page span of n instead of its own; n
+// of 0 hides any span src has. It is how a materialised copy of a generated
+// trace keeps its generator's bound.
+func WithPageSpan(src Source, n uint64) Source {
+	return spanSource{Source: src, span: n}
+}
+
+type spanSource struct {
+	Source
+	span uint64
+}
+
+func (s spanSource) PageSpan() uint64 { return s.span }
 
 // sliceReader is a RecordReader over an in-memory record slice.
 type sliceReader struct {

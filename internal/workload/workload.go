@@ -336,6 +336,10 @@ func (g *genSource) Name() string        { return g.s.Name }
 func (g *genSource) Threads() int        { return g.o.Threads }
 func (g *genSource) ThreadLen(t int) int { return g.o.AccessesPerThread }
 
+// PageSpan bounds every record's page: the layout starts at address 0 and
+// every region is page-aligned, so the layout's pages are [0, span).
+func (g *genSource) PageSpan() uint64 { return g.layout.TotalBytes() / addr.PageBytes }
+
 // InitLen returns the init-section length: InitFraction of one thread's
 // stream, or zero when the layout has no pages to stride.
 func (g *genSource) InitLen() int {

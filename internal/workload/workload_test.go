@@ -186,25 +186,6 @@ func TestScaleNeverDropsRegionBelowOnePage(t *testing.T) {
 	}
 }
 
-func TestAddressesWithinLayout(t *testing.T) {
-	spec := MustGet("tunkrank")
-	opts := testOptions()
-	tr := MustGenerate(spec, opts)
-	l := BuildLayout(spec, opts)
-	total := addr.Addr(l.TotalBytes())
-	check := func(recs []trace.Record) {
-		for _, r := range recs {
-			if r.Addr >= total {
-				t.Fatalf("address %v outside the %d-byte footprint", r.Addr, total)
-			}
-		}
-	}
-	check(tr.Init)
-	for _, recs := range tr.Parallel {
-		check(recs)
-	}
-}
-
 func TestCommunicationCreatesCrossThreadSharing(t *testing.T) {
 	// For a communication-heavy workload, blocks written by one thread must
 	// also be read by its neighbour — that is what creates the dirty-sharing

@@ -328,6 +328,9 @@ func (p *phasedSource) InitLen() int                 { return p.inner.InitLen() 
 func (p *phasedSource) ThreadLen(t int) int          { return p.o.AccessesPerThread }
 func (p *phasedSource) OpenInit() trace.RecordReader { return p.inner.OpenInit() }
 
+// PageSpan is the base's: every phase variant shares the base layout.
+func (p *phasedSource) PageSpan() uint64 { return trace.PageSpan(p.inner) }
+
 func (p *phasedSource) OpenThread(thread int) trace.RecordReader {
 	return &phasedReader{p: p, thread: thread}
 }
@@ -491,6 +494,9 @@ type mixSource struct {
 func (m *mixSource) Name() string        { return m.name }
 func (m *mixSource) Threads() int        { return m.o.Threads }
 func (m *mixSource) ThreadLen(t int) int { return m.o.AccessesPerThread }
+
+// PageSpan covers every tenant's relocated slice of the address space.
+func (m *mixSource) PageSpan() uint64 { return m.totalBytes / addr.PageBytes }
 
 func (m *mixSource) InitLen() int {
 	n := int(float64(m.o.AccessesPerThread) * m.initFraction)

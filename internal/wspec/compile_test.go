@@ -83,7 +83,7 @@ func TestPresetStreamsDeterministic(t *testing.T) {
 				t.Fatal("two compilations of the same preset produced different streams")
 			}
 			// Re-walking the same source must also replay identically:
-			// machine.RunSource opens every stream twice.
+			// machine.RunSource can open every stream twice.
 			if !bytes.Equal(first, encode(t, a)) {
 				t.Fatal("re-encoding the same source produced different bytes")
 			}

@@ -1,8 +1,13 @@
 package wspec
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"c3d/internal/addr"
+	"c3d/internal/trace"
+	"c3d/internal/workload"
 )
 
 // TestParseRejectsHostileDocuments drives Parse/Validate/Compile with a
@@ -132,6 +137,48 @@ func FuzzParse(f *testing.F) {
 		}
 		// Compiling may fail (unknown bases, unreadable trace paths) but must
 		// not panic and must not hang.
-		_, _ = Compile(d)
+		c, err := Compile(d)
+		if err != nil {
+			return
+		}
+		// A compiled document's short stream must honour the page span its
+		// source reports (trace files report none).
+		src, err := workload.NewSource(c.Spec(), workload.Options{Threads: 2, AccessesPerThread: 64})
+		if err != nil {
+			t.Fatalf("compiled spec %q: %v", d.Name, err)
+		}
+		if err := checkSpan(src); err != nil {
+			t.Fatalf("compiled spec %q: %v", d.Name, err)
+		}
 	})
+}
+
+// checkSpan reads every section of src and reports a read error or the
+// first record whose page is not below the source's page span. A source
+// without a span passes.
+func checkSpan(src trace.Source) error {
+	span := trace.PageSpan(src)
+	if span == 0 {
+		return nil
+	}
+	check := func(section string, rr trace.RecordReader) error {
+		for i := 0; ; i++ {
+			rec, ok := rr.Next()
+			if !ok {
+				return rr.Err()
+			}
+			if p := addr.PageOf(rec.Addr); uint64(p) >= span {
+				return fmt.Errorf("%s record %d addresses page %d, outside the %d-page span", section, i, p, span)
+			}
+		}
+	}
+	if err := check("init", src.OpenInit()); err != nil {
+		return err
+	}
+	for th := range src.Threads() {
+		if err := check(fmt.Sprintf("thread %d", th), src.OpenThread(th)); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -48,7 +48,7 @@ func (s *Session) Simulate(ctx context.Context, workloadName string) (*SimulateR
 	if err != nil {
 		return nil, err
 	}
-	src, err := workload.NewSource(spec, workload.Options{
+	src, err := newSource(spec, workload.Options{
 		Threads:           threads,
 		Scale:             mcfg.Scale,
 		AccessesPerThread: s.p.Accesses,
@@ -73,6 +73,10 @@ func (s *Session) Simulate(ctx context.Context, workloadName string) (*SimulateR
 		ThreadsClamped:   threads < requested,
 	}, nil
 }
+
+// newSource builds the trace a simulation runs. It is a variable so tests
+// can wrap the source and observe what the runner reads.
+var newSource = workload.NewSource
 
 // MachineConfigFor resolves the machine configuration Simulate would use for
 // a workload under this session — useful for inspecting capacities before a
