@@ -10,9 +10,9 @@ import (
 
 // TestDenseClassifierMatchesMap drives a classifier with a dense index and
 // a map-only one through the same random sequence — pages on both sides of
-// the span, migrations, span changes while populated, a Reset and reuse
-// without a span — and requires every answer, counter and page count to
-// agree at every step.
+// the span, migrations, a span change while populated (ignored), a Reset,
+// reuse without a span and reuse with one again — and requires every
+// answer, counter and page count to agree at every step.
 func TestDenseClassifierMatchesMap(t *testing.T) {
 	const span = 64
 	rng := rand.New(rand.NewSource(7))
@@ -29,24 +29,23 @@ func TestDenseClassifierMatchesMap(t *testing.T) {
 	}
 	for step := 0; step < 20000; step++ {
 		switch step {
-		case 5000:
-			// Shrink and grow the span while pages are classified: entries
-			// move between the map and the index.
+		case 2500:
+			// A populated classifier keeps its index.
 			dense.SetSpan(span / 2)
-			check(step, "shrink")
-			dense.SetSpan(2 * span)
-			check(step, "grow")
-		case 10000:
+			check(step, "span on a populated classifier")
+		case 5000:
 			dense.Reset()
 			ref.Reset()
 			check(step, "reset")
-		case 12000:
+		case 10000:
 			dense.Reset()
 			ref.Reset()
 			dense.SetSpan(0) // reuse without a span: the map holds everything
 			check(step, "spanless")
-		case 16000:
-			dense.SetSpan(span)
+		case 15000:
+			dense.Reset()
+			ref.Reset()
+			dense.SetSpan(span) // the retained index memory serves again
 			check(step, "span again")
 		}
 		// Pages up to three spans out, so a quarter or more of the traffic

@@ -100,38 +100,23 @@ func NewClassifier() *Classifier {
 	return &Classifier{pages: make(map[addr.Page]pageClass)}
 }
 
-// SetSpan indexes the pages below n densely; 0 (or a span above the cap)
-// keeps every page in the map. Classified pages move between the two stores
-// as needed, so it may be called at any time without changing a
-// classification. Slots beyond the index's length stay zero, so a later,
-// longer span can reslice the same backing array.
+// SetSpan sizes the dense index for the pages below n on an empty
+// classifier (new or Reset); 0 (or a span above the cap) keeps every page in
+// the map. A classifier that holds pages keeps its index, so no classified
+// page ever changes stores. An empty classifier's backing array is all
+// zero, so a span that fits in it reuses it.
 func (c *Classifier) SetSpan(n uint64) {
+	if c.Pages() > 0 {
+		return
+	}
 	if n > maxDenseSpan {
 		n = 0
 	}
-	if n == uint64(len(c.dense)) {
+	if n <= uint64(cap(c.dense)) {
+		c.dense = c.dense[:n]
 		return
 	}
-	old := c.dense
-	if c.Pages() > len(c.pages) {
-		for i, e := range old {
-			if e.set {
-				c.pages[addr.Page(i)] = e
-			}
-		}
-	}
-	clear(old)
-	if n <= uint64(cap(old)) {
-		c.dense = old[:n]
-	} else {
-		c.dense = make([]pageClass, n)
-	}
-	for p, e := range c.pages {
-		if uint64(p) < n {
-			c.dense[p] = e
-			delete(c.pages, p)
-		}
-	}
+	c.dense = make([]pageClass, n)
 }
 
 // Stats returns a snapshot of the counters.
@@ -377,10 +362,8 @@ func (t *TLB) Access(p addr.Page) bool {
 	}
 	if n, ok := t.entries[p]; ok {
 		t.stats.Hits++
-		if t.head != n {
-			t.unlink(n)
-			t.pushFront(n)
-		}
+		t.unlink(n)
+		t.pushFront(n)
 		return true
 	}
 	t.stats.Misses++

@@ -123,8 +123,8 @@ func compileOne(d *Doc, b batch) (*Compiled, error) {
 	}
 	spec.Fingerprint = fingerprint(d)
 	// Probe the compiled spec through the full source pipeline once, so
-	// every compile-time failure mode — including per-phase and per-tenant
-	// variant validation — surfaces here rather than inside a running job.
+	// every compile-time failure mode surfaces here rather than inside a
+	// running job.
 	if _, err := workload.NewSource(spec, workload.Options{}); err != nil {
 		return nil, fmt.Errorf("wspec: spec %q: %w", d.Name, err)
 	}
@@ -257,8 +257,18 @@ func simpleSpec(d *Doc, b batch) (workload.Spec, error) {
 		return workload.Spec{}, fmt.Errorf("wspec: spec %q: %w", d.Name, err)
 	}
 	if len(d.Phases) > 0 {
+		// Each phase re-weights the flattened spec; a variant that does not
+		// validate fails the compile, not a later source build.
+		variants := make([]workload.Spec, len(d.Phases))
+		for i, p := range d.Phases {
+			v := applyOverrides(spec, &p.Overrides)
+			if err := v.Validate(); err != nil {
+				return workload.Spec{}, fmt.Errorf("wspec: spec %q: phase %d (%s): %w", d.Name, i, p.Name, err)
+			}
+			variants[i] = v
+		}
 		flat := spec // the phased factory captures the flattened spec, not itself
-		spec.Source = phasedFactory(flat, append([]Phase(nil), d.Phases...))
+		spec.Source = phasedFactory(flat, variants, append([]Phase(nil), d.Phases...))
 	}
 	return spec, nil
 }
@@ -267,16 +277,8 @@ func simpleSpec(d *Doc, b batch) (workload.Spec, error) {
 // streams that play each phase's re-weighted variant of the base for its
 // share of the access stream. Overrides cannot change region sizes, so all
 // variants share the base layout and the address space is phase-stable.
-func phasedFactory(base workload.Spec, phases []Phase) func(workload.Spec, workload.Options) (trace.Source, error) {
+func phasedFactory(base workload.Spec, variants []workload.Spec, phases []Phase) func(workload.Spec, workload.Options) (trace.Source, error) {
 	return func(s workload.Spec, o workload.Options) (trace.Source, error) {
-		variants := make([]workload.Spec, len(phases))
-		for i, p := range phases {
-			v := applyOverrides(base, &p.Overrides)
-			if err := v.Validate(); err != nil {
-				return nil, fmt.Errorf("wspec: spec %q: phase %d (%s): %w", s.Name, i, p.Name, err)
-			}
-			variants[i] = v
-		}
 		inner, err := workload.NewSource(base, o)
 		if err != nil {
 			return nil, err

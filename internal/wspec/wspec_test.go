@@ -66,8 +66,14 @@ func TestParseRejectsHostileDocuments(t *testing.T) {
 }
 
 // TestCompileRejectsBadReferences covers the compile-stage failures Parse
-// and Validate cannot see: unknown and cyclic base references.
+// and Validate cannot see: unknown and cyclic base references, and a phase
+// whose overrides are each in range but leave an invalid variant.
 func TestCompileRejectsBadReferences(t *testing.T) {
+	// facesim's CommFraction 0.10 plus the phase's SharedFraction 0.95 is
+	// over 1.
+	if _, err := Load([]byte(`{"version":1,"name":"p","base":"facesim","phases":[{"fraction":1,"shared_fraction":0.95}]}`)); err == nil || !strings.Contains(err.Error(), "phase 0") {
+		t.Errorf("invalid phase variant: err = %v, want a phase 0 rejection", err)
+	}
 	if _, err := Load([]byte(`{"version":1,"name":"a","base":"nonesuch"}`)); err == nil || !strings.Contains(err.Error(), "unknown workload") {
 		t.Errorf("unknown base: err = %v, want unknown workload", err)
 	}
@@ -124,6 +130,7 @@ func FuzzParse(f *testing.F) {
 	f.Add([]byte(`{"version":1,"name":"a","base":"facesim"}`))
 	f.Add([]byte(`{"version":1,"name":"m","tenants":[{"name":"t","base":"nutch","weight":2,"arrival":{"process":"poisson","mean":9}}]}`))
 	f.Add([]byte(`{"version":1,"name":"p","base":"facesim","phases":[{"fraction":0.5,"shared_fraction":0.9},{"fraction":0.5}]}`))
+	f.Add([]byte(`{"version":1,"name":"p","base":"facesim","phases":[{"fraction":1,"shared_fraction":0.95}]}`))
 	f.Add([]byte(`{"version":1,"name":"a","base":"facesim","arrival":{"process":"weibull","mean":5,"shape":0.7},"sharing":{"dist":"zipf","theta":1.2}}`))
 	f.Add([]byte(`{"version":99}`))
 	f.Add([]byte(`{`))
