@@ -251,9 +251,9 @@ func BenchmarkAblation(b *testing.B) {
 // --- micro-benchmarks of the simulator's building blocks ---
 
 // BenchmarkMachineSimulation measures raw simulation throughput
-// (accesses simulated per second) of the C3D machine. The machine is built
-// once and Reset between iterations — the way sweeps reuse machines across
-// repetitions — so the steady-state allocation count excludes construction.
+// (accesses simulated per second) of the C3D machine. Each iteration builds
+// its machine and runs the trace once, as every simulation does, so ns/op and
+// allocs/op include construction.
 func BenchmarkMachineSimulation(b *testing.B) {
 	b.ReportAllocs()
 	spec := workload.MustGet("streamcluster")
@@ -263,11 +263,9 @@ func BenchmarkMachineSimulation(b *testing.B) {
 	cfg := machine.DefaultConfig(4, machine.C3D)
 	cfg.Scale = 512
 	cfg.CoresPerSocket = 2
-	m := machine.New(cfg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Reset()
-		if _, err := m.RunSource(context.Background(), tr.Source(), machine.DefaultRunOptions()); err != nil {
+		if _, err := machine.New(cfg).RunSource(context.Background(), tr.Source(), machine.DefaultRunOptions()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -280,7 +278,8 @@ func BenchmarkMachineSimulation(b *testing.B) {
 // with b.Elapsed snapshots, so ns/op covers the pair while the reported
 // metrics separate them: sampled accesses/s (the stream length divided by the
 // sampled half's wall-clock) and x-vs-full, the full/sampled wall-clock ratio
-// that measures the sampling speedup.
+// that measures the sampling speedup. Each half builds its own machine, so
+// both include construction.
 func BenchmarkMachineSimulationSampled(b *testing.B) {
 	b.ReportAllocs()
 	wspec := workload.MustGet("streamcluster")
@@ -290,20 +289,17 @@ func BenchmarkMachineSimulationSampled(b *testing.B) {
 	cfg := machine.DefaultConfig(4, machine.C3D)
 	cfg.Scale = 512
 	cfg.CoresPerSocket = 2
-	m := machine.New(cfg)
 	sampled := machine.DefaultRunOptions()
 	sampled.Sampling = sample.Spec{Stretch: 700, Warm: 60, Window: 60, Seed: 1}
 	var sampledTime, fullTime time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e0 := b.Elapsed()
-		m.Reset()
-		if _, err := m.RunSource(context.Background(), tr.Source(), sampled); err != nil {
+		if _, err := machine.New(cfg).RunSource(context.Background(), tr.Source(), sampled); err != nil {
 			b.Fatal(err)
 		}
 		e1 := b.Elapsed()
-		m.Reset()
-		if _, err := m.RunSource(context.Background(), tr.Source(), machine.DefaultRunOptions()); err != nil {
+		if _, err := machine.New(cfg).RunSource(context.Background(), tr.Source(), machine.DefaultRunOptions()); err != nil {
 			b.Fatal(err)
 		}
 		sampledTime += e1 - e0
@@ -373,7 +369,8 @@ func BenchmarkTraceGeneration(b *testing.B) {
 // BenchmarkMachineSimulationManyCores measures scheduler scalability: the
 // "pick the earliest core" structure is exercised with 64 cores, where the
 // old O(cores) linear scan dominated. Reported accesses/s should stay in the
-// same ballpark as the 8-thread benchmark rather than collapsing.
+// same ballpark as the 8-thread benchmark rather than collapsing. Like
+// BenchmarkMachineSimulation, each iteration builds its machine.
 func BenchmarkMachineSimulationManyCores(b *testing.B) {
 	b.ReportAllocs()
 	spec := workload.MustGet("streamcluster")
@@ -383,11 +380,9 @@ func BenchmarkMachineSimulationManyCores(b *testing.B) {
 	cfg := machine.DefaultConfig(4, machine.C3D)
 	cfg.Scale = 512
 	cfg.CoresPerSocket = 16
-	m := machine.New(cfg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Reset()
-		if _, err := m.RunSource(context.Background(), tr.Source(), machine.DefaultRunOptions()); err != nil {
+		if _, err := machine.New(cfg).RunSource(context.Background(), tr.Source(), machine.DefaultRunOptions()); err != nil {
 			b.Fatal(err)
 		}
 	}

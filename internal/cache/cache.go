@@ -179,15 +179,6 @@ func (c *Cache) Stats() Stats { return c.stats }
 // warm-up/measurement boundary).
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
-// Reset returns the cache to its just-constructed state: every line invalid,
-// LRU clock rewound, counters cleared. It lets a machine be reused across
-// runs without reallocating the tag arrays.
-func (c *Cache) Reset() {
-	clear(c.lines)
-	c.tick = 0
-	c.stats = Stats{}
-}
-
 func (c *Cache) setOf(b addr.Block) int { return int(uint64(b) & c.setMask) }
 
 func (c *Cache) set(b addr.Block) []Line {

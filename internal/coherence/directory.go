@@ -140,20 +140,6 @@ func (d *Directory) Stats() DirStats { return d.stats }
 // ResetStats clears the activity counters without touching contents.
 func (d *Directory) ResetStats() { d.stats = DirStats{} }
 
-// Reset empties the directory and clears its counters, returning it to the
-// just-constructed state (used when a machine is reused across runs). The
-// stale predicate survives: it is part of the machine's wiring, not of the
-// tracked state.
-func (d *Directory) Reset() {
-	d.stats = DirStats{}
-	if d.unbounded != nil {
-		clear(d.unbounded)
-		return
-	}
-	clear(d.lines)
-	d.tick = 0
-}
-
 // Lookup returns the entry for block b and whether one exists. A missing
 // entry means DirInvalid.
 func (d *Directory) Lookup(b addr.Block) (Entry, bool) {

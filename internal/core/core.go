@@ -129,13 +129,6 @@ func (d *Directory) ResetStats() {
 	d.dir.ResetStats()
 }
 
-// Reset empties the directory slice and clears every counter, returning it to
-// the just-constructed state (used when a machine is reused across runs).
-func (d *Directory) Reset() {
-	d.stats = DirStats{}
-	d.dir.Reset()
-}
-
 // Entries returns the number of blocks currently tracked.
 func (d *Directory) Entries() int { return d.dir.Entries() }
 

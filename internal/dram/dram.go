@@ -88,13 +88,6 @@ func (c *Controller) ResetStats() {
 	}
 }
 
-// Reset returns the controller to its just-constructed state. The memory
-// model is stateless apart from counters and channel occupancy, so this is
-// ResetStats under the name the machine-reuse path expects; bandwidth
-// idealisations (SetInfiniteBandwidth) survive, matching construction-time
-// configuration.
-func (c *Controller) Reset() { c.ResetStats() }
-
 // SetInfiniteBandwidth switches every channel to infinite bandwidth. Used by
 // the Fig. 2 "inf_mem_bw" configuration.
 func (c *Controller) SetInfiniteBandwidth() {

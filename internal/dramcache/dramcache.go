@@ -149,10 +149,10 @@ type Cache struct {
 	stats     Stats
 	// present is a one-sided presence filter over the tag array: a clear bit
 	// proves the block is absent, a set bit means "maybe resident". Bits are
-	// set on every insertion and never cleared (except by Reset), which keeps
-	// the invariant trivially true under invalidations. It lets the Warm*
-	// fast-forward paths skip probing the large, cache-cold tag array for
-	// blocks that were never filled.
+	// set on every insertion and never cleared, which keeps the invariant
+	// trivially true under invalidations. It lets the Warm* fast-forward
+	// paths skip probing the large, cache-cold tag array for blocks that
+	// were never filled.
 	present [presentWords]uint64
 }
 
@@ -229,21 +229,6 @@ func (c *Cache) ResetStats() {
 	c.tags.ResetStats()
 	if c.predictor != nil {
 		c.predictor.ResetStats()
-	}
-	for _, ch := range c.channels {
-		ch.Reset()
-	}
-}
-
-// Reset returns the DRAM cache to its just-constructed state: tag array
-// emptied, predictor untrained, channels idle, counters cleared. Used when a
-// machine is reused across runs.
-func (c *Cache) Reset() {
-	c.stats = Stats{}
-	c.present = [presentWords]uint64{}
-	c.tags.Reset()
-	if c.predictor != nil {
-		c.predictor.Reset()
 	}
 	for _, ch := range c.channels {
 		ch.Reset()

@@ -91,13 +91,6 @@ func (p *MissPredictor) Stats() PredictorStats { return p.stats }
 // ResetStats clears the prediction counters without forgetting region counts.
 func (p *MissPredictor) ResetStats() { p.stats = PredictorStats{} }
 
-// Reset returns the predictor to its untrained just-constructed state.
-func (p *MissPredictor) Reset() {
-	clear(p.regions)
-	p.stats = PredictorStats{}
-	p.lastRegion = 0
-}
-
 func (p *MissPredictor) slot(region addr.Page) *predictorEntry {
 	return &p.regions[uint64(region)&p.mask]
 }

@@ -390,41 +390,11 @@ func (c Config) runOne(ctx context.Context, j job, seed int64) (machine.RunResul
 	if err := j.mcfg.Validate(); err != nil {
 		return machine.RunResult{}, err
 	}
-	m := acquireMachine(j.mcfg)
-	defer releaseMachine(j.mcfg, m)
 	src, err := sharedTraces.get(j.spec, opts)
 	if err != nil {
 		return machine.RunResult{}, err
 	}
-	return m.RunSource(ctx, src, runOpts)
-}
-
-// machinePools reuses machines across jobs that share a configuration:
-// experiment campaigns run the same machine over many workloads (and many
-// repetitions at the sweep layer), and construction is where the last ~1,000
-// allocations per simulation lived. Keyed by the full machine.Config (a
-// comparable struct), so a pooled machine can never be reused under a
-// different configuration; Machine.Reset makes a reused machine
-// bit-identical to a fresh one. sync.Pool keeps the cache GC-elastic: idle
-// machines are collectable memory, not a leak.
-var machinePools sync.Map // machine.Config -> *sync.Pool
-
-func acquireMachine(cfg machine.Config) *machine.Machine {
-	p, ok := machinePools.Load(cfg)
-	if !ok {
-		p, _ = machinePools.LoadOrStore(cfg, &sync.Pool{})
-	}
-	if m, ok := p.(*sync.Pool).Get().(*machine.Machine); ok {
-		m.Reset()
-		return m
-	}
-	return machine.New(cfg)
-}
-
-func releaseMachine(cfg machine.Config, m *machine.Machine) {
-	if p, ok := machinePools.Load(cfg); ok {
-		p.(*sync.Pool).Put(m)
-	}
+	return machine.New(j.mcfg).RunSource(ctx, src, runOpts)
 }
 
 // key builds a stable job key.

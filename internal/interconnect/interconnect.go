@@ -240,12 +240,6 @@ func (f *Fabric) ResetStats() {
 	}
 }
 
-// Reset returns the fabric to its just-constructed state. The fabric holds no
-// state beyond counters and link occupancy, so this is ResetStats under the
-// name the machine-reuse path expects; latency/bandwidth idealisations
-// survive, matching construction-time configuration.
-func (f *Fabric) Reset() { f.ResetStats() }
-
 // SetZeroLatency removes the per-hop latency (Fig. 2 "0_qpi_lat").
 func (f *Fabric) SetZeroLatency() { f.zeroLatency = true }
 

@@ -31,6 +31,10 @@ type Machine struct {
 	// its broadcast fields stay zero (the C3D directories count those).
 	counters    Counters
 	loadLatency stats.LatencyAccumulator
+
+	// ran is set once RunSource starts a trace: a machine runs one trace,
+	// so a second RunSource is refused rather than run on warm state.
+	ran bool
 }
 
 // New builds a machine from cfg. It panics on an invalid configuration
@@ -266,7 +270,7 @@ func (m *Machine) memWrite(now sim.Time, homeSock *Socket, requester *Socket, b 
 func (m *Machine) dirLatency() sim.Cycles { return m.cfg.GlobalDirLatency }
 
 // Counters returns the machine-level counters accumulated since the machine
-// was built, reset or last warmed up. Broadcast counts are aggregated from
+// was built or last warmed up. Broadcast counts are aggregated from
 // the C3D directory slices; they are zero for the other designs.
 func (m *Machine) Counters() Counters {
 	c := m.tally().Counters
@@ -316,23 +320,6 @@ func (c Counters) LLCMissRate() float64 {
 		return 0
 	}
 	return float64(c.LLCMisses) / float64(c.LLCAccesses)
-}
-
-// Reset returns the machine to its just-constructed state — caches,
-// directories, DRAM caches and TLBs emptied, the page table and classifier
-// forgotten, every clock and counter rewound — without reallocating any of
-// them. A reset machine run on a trace produces results bit-identical to a
-// freshly built machine's, so sweeps and benchmarks reuse machines across
-// repetitions instead of paying construction for every job.
-func (m *Machine) Reset() {
-	m.counters, m.loadLatency = Counters{}, stats.LatencyAccumulator{}
-	m.fabric.Reset()
-	m.pageTable.Reset()
-	m.classifier.Reset()
-	m.filter.ResetStats()
-	for _, s := range m.sockets {
-		s.reset()
-	}
 }
 
 // resetStats clears every statistic in the machine (cores excepted — the

@@ -103,7 +103,7 @@ func eachU64[T any](dst *T, src T, op func(a, b uint64) uint64) {
 	}
 }
 
-// tally reads the machine's counts since the last reset or warm-up boundary.
+// tally reads the machine's counts since construction or the warm-up boundary.
 func (m *Machine) tally() tally {
 	t := tally{
 		Counters: m.counters,

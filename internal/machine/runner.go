@@ -48,7 +48,9 @@ func DefaultRunOptions() RunOptions { return RunOptions{WarmupFraction: 0.25} }
 //
 // Cancelling the context aborts the run between simulated accesses (checked
 // every few thousand records, so aborts are prompt even at paper-scale stream
-// lengths) and returns ctx's error; the machine must be Reset before reuse.
+// lengths) and returns ctx's error. A machine runs one trace: once a run has
+// started (a rejected source or option does not start one), RunSource
+// returns an error, so every simulation builds its machine with New.
 func (m *Machine) RunSource(ctx context.Context, src trace.Source, opts RunOptions) (RunResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -67,6 +69,11 @@ func (m *Machine) RunSource(ctx context.Context, src trace.Source, opts RunOptio
 	if err := opts.Sampling.Validate(); err != nil {
 		return RunResult{}, fmt.Errorf("machine: %w", err)
 	}
+
+	if m.ran {
+		return RunResult{}, fmt.Errorf("machine: already ran a trace; build a new machine with New")
+	}
+	m.ran = true
 
 	span := trace.PageSpan(src)
 	m.classifier.SetSpan(span)

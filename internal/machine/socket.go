@@ -176,32 +176,6 @@ func (s *Socket) downgradeOnChip(b addr.Block) bool {
 	return present
 }
 
-// reset returns every component of the socket to its just-constructed state:
-// caches and directories emptied, TLBs flushed, cores rewound, channel
-// occupancy cleared. Used by Machine.Reset to reuse a machine across runs.
-func (s *Socket) reset() {
-	for _, c := range s.cores {
-		c.ResetTiming()
-	}
-	for _, l1 := range s.l1s {
-		l1.Reset()
-	}
-	for _, t := range s.tlbs {
-		t.Reset()
-	}
-	s.llc.Reset()
-	s.mem.Reset()
-	if s.dramCache != nil {
-		s.dramCache.Reset()
-	}
-	if s.c3dDir != nil {
-		s.c3dDir.Reset()
-	}
-	if s.dir != nil {
-		s.dir.Reset()
-	}
-}
-
 // resetStats clears every per-socket counter (cache, memory, directory)
 // without evicting contents. Used at the warm-up boundary.
 func (s *Socket) resetStats() {

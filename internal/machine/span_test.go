@@ -37,7 +37,7 @@ func samePlacement(t *testing.T, what string, got, want *numa.PageTable, span ui
 // policy and two socket counts, a source reporting its page span and the
 // same source with the span hidden must leave identical per-page homes and
 // numa.Stats after the pre-pass, and identical RunResults and page tables
-// after a whole run.
+// after a whole run on fresh machines.
 func TestPlacementEarlyStopMatchesFullPass(t *testing.T) {
 	ctx := context.Background()
 	opts := workload.Options{Threads: 8, Scale: 512, AccessesPerThread: 1500}
@@ -78,8 +78,7 @@ func TestPlacementEarlyStopMatchesFullPass(t *testing.T) {
 					stopped++
 				}
 
-				early.Reset()
-				ref.Reset()
+				early, ref = New(cfg), New(cfg)
 				got, err := early.RunSource(ctx, src, DefaultRunOptions())
 				if err != nil {
 					t.Fatal(err)

@@ -121,3 +121,54 @@ func TestRunSourceCancelled(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
+
+// A machine runs one trace. A source or option that RunSource rejects does
+// not use up the run; a completed or cancelled run does, and every later
+// RunSource fails without touching the machine's warm state.
+func TestRunSourceRunsOnce(t *testing.T) {
+	spec := workload.MustGet("streamcluster")
+	opts := workload.Options{Threads: 4, Scale: 512, AccessesPerThread: 200}
+	cfg := DefaultConfig(2, C3D)
+	cfg.Scale = 512
+	cfg.CoresPerSocket = 2
+	src := func() trace.Source {
+		s, err := workload.NewSource(spec, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+
+	m := New(cfg)
+	if _, err := m.RunSource(context.Background(), src(), RunOptions{WarmupFraction: 1.5}); err == nil {
+		t.Fatal("out-of-range warm-up fraction accepted")
+	}
+	want, err := New(cfg).RunSource(context.Background(), src(), DefaultRunOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := m.RunSource(context.Background(), src(), DefaultRunOptions())
+	if err != nil {
+		t.Fatalf("first run after a rejected option: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("first run after a rejected option differs from a fresh machine's:\n got %+v\nwant %+v", got, want)
+	}
+	before := m.Counters()
+	if _, err := m.RunSource(context.Background(), src(), DefaultRunOptions()); err == nil {
+		t.Fatal("second run on one machine accepted")
+	}
+	if after := m.Counters(); after != before {
+		t.Fatalf("refused run changed the counters: %+v, want %+v", after, before)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cancelled := New(cfg)
+	if _, err := cancelled.RunSource(ctx, src(), DefaultRunOptions()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if _, err := cancelled.RunSource(context.Background(), src(), DefaultRunOptions()); err == nil {
+		t.Fatal("run after a cancelled run accepted")
+	}
+}

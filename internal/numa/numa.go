@@ -105,16 +105,6 @@ func NewPageTable(sockets int, policy Policy) *PageTable {
 // Sockets returns the socket count the table was built for.
 func (pt *PageTable) Sockets() int { return pt.sockets }
 
-// Reset forgets every placement and clears the statistics, returning the
-// table to the just-constructed state (used when a machine is reused across
-// runs — page placement must be re-decided by the next trace).
-func (pt *PageTable) Reset() {
-	clear(pt.homes)
-	clear(pt.stats.PagesPerSocket)
-	pt.stats.Placements = 0
-	pt.stats.FallbackInterleaved = 0
-}
-
 // Policy returns the placement policy.
 func (pt *PageTable) Policy() Policy { return pt.policy }
 

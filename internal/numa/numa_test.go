@@ -101,32 +101,6 @@ func TestHomeIsSticky(t *testing.T) {
 	}
 }
 
-// Reset forgets every placement, so a page homed on one socket re-resolves to
-// whatever the next run's touches decide.
-func TestResetForgetsHomes(t *testing.T) {
-	pt := NewPageTable(4, FirstTouch2)
-	p := addr.Page(6) // interleaves to socket 2
-	pt.Touch(p, 1, true)
-	if got := pt.Home(p); got != 1 {
-		t.Fatalf("Home = %d, want 1", got)
-	}
-
-	pt.Reset()
-	pt.Touch(p, 3, true)
-	if got := pt.Home(p); got != 3 {
-		t.Errorf("after Reset and a touch from socket 3, Home = %d, want 3", got)
-	}
-
-	pt.Reset()
-	if got := pt.Home(p); got != 2 {
-		t.Errorf("after Reset with no touches, Home = %d, want the interleaved 2", got)
-	}
-	if s := pt.Stats(); s.FallbackInterleaved != 1 || s.Placements != 1 {
-		t.Errorf("after Reset: FallbackInterleaved = %d, Placements = %d; want 1, 1",
-			s.FallbackInterleaved, s.Placements)
-	}
-}
-
 // Under FT2 an unplaced page falls back to interleaving exactly once, however
 // often Home is asked.
 func TestFallbackCountedOncePerPage(t *testing.T) {

@@ -6,10 +6,9 @@
 // Every job runs through pkg/c3d — the same Session facade the CLIs use — so
 // a server-run experiment's result bytes are identical to `c3dexp -json`
 // output for the same parameters, at any parallelism, which the test suite
-// and the CI daemon-smoke gate verify with byte comparisons. Machine reuse
-// comes for free: the SDK's experiment layer pools machines by
-// configuration, so a long-lived daemon serving many jobs stops paying
-// construction costs once the pools are warm.
+// and the CI daemon-smoke gate verify with byte comparisons. Each simulation
+// builds its machine, runs one trace and drops it, so a long-lived daemon
+// holds no machines between jobs.
 //
 // The wire contract — job specs, statuses, event lines, the error envelope —
 // lives in pkg/c3d/api, not here: the types were promoted out of this

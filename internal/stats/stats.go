@@ -14,23 +14,6 @@ import (
 	"strings"
 )
 
-// Counter is a simple monotonically increasing event counter.
-type Counter struct {
-	n uint64
-}
-
-// Inc adds one to the counter.
-func (c *Counter) Inc() { c.n++ }
-
-// Add adds v to the counter.
-func (c *Counter) Add(v uint64) { c.n += v }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n }
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.n = 0 }
-
 // LatencyAccumulator accumulates (count, total latency) pairs so that average
 // latencies such as AMAT can be computed at the end of a run.
 type LatencyAccumulator struct {
@@ -64,9 +47,6 @@ func (l *LatencyAccumulator) Mean() float64 {
 	}
 	return float64(l.total) / float64(l.count)
 }
-
-// Reset clears the accumulator.
-func (l *LatencyAccumulator) Reset() { *l = LatencyAccumulator{} }
 
 // Histogram is a fixed-bucket latency histogram. Buckets are upper bounds in
 // cycles; observations above the last bound land in an overflow bucket.

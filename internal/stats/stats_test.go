@@ -7,19 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Errorf("value = %d, want 5", c.Value())
-	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Errorf("reset failed")
-	}
-}
-
 func TestLatencyAccumulator(t *testing.T) {
 	var l LatencyAccumulator
 	if l.Mean() != 0 {
@@ -33,10 +20,6 @@ func TestLatencyAccumulator(t *testing.T) {
 	}
 	if l.Mean() != 30 {
 		t.Errorf("mean = %v, want 30", l.Mean())
-	}
-	l.Reset()
-	if l.Count() != 0 {
-		t.Error("reset failed")
 	}
 }
 

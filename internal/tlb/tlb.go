@@ -100,21 +100,12 @@ func NewClassifier() *Classifier {
 	return &Classifier{pages: make(map[addr.Page]pageClass)}
 }
 
-// SetSpan sizes the dense index for the pages below n on an empty
-// classifier (new or Reset); 0 (or a span above the cap) keeps every page in
-// the map. A classifier that holds pages keeps its index, so no classified
-// page ever changes stores. An empty classifier's backing array is all
-// zero, so a span that fits in it reuses it.
+// SetSpan sizes the dense index for the pages below n; 0 (or a span above
+// the cap) keeps every page in the map. Call it on a new classifier, before
+// any page is classified: the machine does so once, before its one run.
 func (c *Classifier) SetSpan(n uint64) {
-	if c.Pages() > 0 {
-		return
-	}
 	if n > maxDenseSpan {
 		n = 0
-	}
-	if n <= uint64(cap(c.dense)) {
-		c.dense = c.dense[:n]
-		return
 	}
 	c.dense = make([]pageClass, n)
 }
@@ -129,15 +120,6 @@ func (c *Classifier) ResetStats() {
 	c.stats.OwnerFlushes = 0
 	c.stats.MigrationShootdowns = 0
 	c.stats.Accesses = 0
-}
-
-// Reset forgets every page classification and clears all counters (used
-// when a machine is reused across runs). The span and its index's memory
-// are kept for the next run.
-func (c *Classifier) Reset() {
-	clear(c.dense)
-	clear(c.pages)
-	c.stats = ClassifierStats{}
 }
 
 // AccessResult describes what happened on a classification query.
@@ -314,17 +296,6 @@ func (t *TLB) Stats() TLBStats { return t.stats }
 
 // ResetStats clears the counters without dropping cached translations.
 func (t *TLB) ResetStats() { t.stats = TLBStats{} }
-
-// Reset drops every cached translation and clears the counters, returning the
-// TLB to the just-constructed state. The slab is zeroed so recycled nodes
-// carry no stale list links.
-func (t *TLB) Reset() {
-	clear(t.entries)
-	clear(t.slab)
-	t.head, t.tail, t.free = nil, nil, nil
-	t.used = 0
-	t.stats = TLBStats{}
-}
 
 func (t *TLB) unlink(n *tlbNode) {
 	if n.prev != nil {
