@@ -33,8 +33,17 @@ import (
 // benchmarks.
 func benchConfig() experiments.Config {
 	cfg := experiments.QuickConfig()
-	cfg.Workloads = []string{"streamcluster", "canneal", "nutch"}
+	cfg.Workloads = benchWorkloads("streamcluster", "canneal", "nutch")
 	return cfg
+}
+
+// benchWorkloads resolves built-in workload names for an experiment config.
+func benchWorkloads(names ...string) []workload.Spec {
+	out := make([]workload.Spec, len(names))
+	for i, n := range names {
+		out[i] = workload.MustGet(n)
+	}
+	return out
 }
 
 // BenchmarkTable1RemoteFraction regenerates Table I: the fraction of memory
@@ -143,7 +152,7 @@ func BenchmarkFig9InterSocketTraffic(b *testing.B) {
 func BenchmarkFig10DRAMCacheLatency(b *testing.B) {
 	b.ReportAllocs()
 	cfg := benchConfig()
-	cfg.Workloads = []string{"streamcluster", "canneal"}
+	cfg.Workloads = benchWorkloads("streamcluster", "canneal")
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.Fig10(context.Background(), cfg)
 		if err != nil {
@@ -158,7 +167,7 @@ func BenchmarkFig10DRAMCacheLatency(b *testing.B) {
 func BenchmarkFig11InterSocketLatency(b *testing.B) {
 	b.ReportAllocs()
 	cfg := benchConfig()
-	cfg.Workloads = []string{"streamcluster", "canneal"}
+	cfg.Workloads = benchWorkloads("streamcluster", "canneal")
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.Fig11(context.Background(), cfg)
 		if err != nil {
@@ -172,7 +181,7 @@ func BenchmarkFig11InterSocketLatency(b *testing.B) {
 func BenchmarkSec6CBroadcastFilter(b *testing.B) {
 	b.ReportAllocs()
 	cfg := benchConfig()
-	cfg.Workloads = []string{"streamcluster"}
+	cfg.Workloads = benchWorkloads("streamcluster")
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.Sec6C(context.Background(), cfg)
 		if err != nil {
@@ -223,7 +232,7 @@ func BenchmarkProtocolModelCheckParallel(b *testing.B) {
 func BenchmarkPrivateVsShared(b *testing.B) {
 	b.ReportAllocs()
 	cfg := benchConfig()
-	cfg.Workloads = []string{"streamcluster"}
+	cfg.Workloads = benchWorkloads("streamcluster")
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.PrivateVsShared(context.Background(), cfg)
 		if err != nil {
@@ -238,7 +247,7 @@ func BenchmarkPrivateVsShared(b *testing.B) {
 func BenchmarkAblation(b *testing.B) {
 	b.ReportAllocs()
 	cfg := benchConfig()
-	cfg.Workloads = []string{"facesim"}
+	cfg.Workloads = benchWorkloads("facesim")
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.Ablation(context.Background(), cfg)
 		if err != nil {

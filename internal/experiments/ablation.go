@@ -53,11 +53,10 @@ func (r PrivateVsSharedResult) Table() *stats.Table {
 func PrivateVsShared(ctx context.Context, cfg Config) (PrivateVsSharedResult, error) {
 	designs := []machine.Design{machine.Baseline, machine.SharedDRAM, machine.C3D}
 	var jobs []job
-	for _, name := range cfg.workloadNames() {
-		spec := cfg.mustWorkload(name)
+	for _, spec := range cfg.workloads() {
 		for _, d := range designs {
 			jobs = append(jobs, job{
-				key:  key("pvs", name, d),
+				key:  key("pvs", spec.Name, d),
 				spec: spec,
 				mcfg: cfg.machineConfig(cfg.Sockets, d, spec.PreferredPolicy),
 			})
@@ -123,18 +122,17 @@ func (r AblationResult) Table() *stats.Table {
 // Ablation runs the design-choice ablation.
 func Ablation(ctx context.Context, cfg Config) (AblationResult, error) {
 	var jobs []job
-	for _, name := range cfg.workloadNames() {
-		spec := cfg.mustWorkload(name)
+	for _, spec := range cfg.workloads() {
 		for _, d := range []machine.Design{machine.FullDir, machine.C3D, machine.C3DFullDir} {
 			jobs = append(jobs, job{
-				key:  key("abl", name, d),
+				key:  key("abl", spec.Name, d),
 				spec: spec,
 				mcfg: cfg.machineConfig(cfg.Sockets, d, spec.PreferredPolicy),
 			})
 		}
 		noPred := cfg.machineConfig(cfg.Sockets, machine.C3D, spec.PreferredPolicy)
 		noPred.PredictorEntries = 0
-		jobs = append(jobs, job{key: key("abl", name, "nopred"), spec: spec, mcfg: noPred})
+		jobs = append(jobs, job{key: key("abl", spec.Name, "nopred"), spec: spec, mcfg: noPred})
 	}
 	results, err := cfg.runJobs(ctx, jobs)
 	if err != nil {

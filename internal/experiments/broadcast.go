@@ -3,9 +3,11 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"c3d/internal/machine"
 	"c3d/internal/stats"
+	"c3d/internal/workload"
 )
 
 // --- §VI-C: reducing broadcast traffic with the TLB classification ---
@@ -52,25 +54,28 @@ func (r BroadcastFilterResult) Table() *stats.Table {
 }
 
 // Sec6C runs the broadcast-filter study over the configured workloads plus
-// mcf.
+// mcf; a workload set that already holds mcf runs it once.
 func Sec6C(ctx context.Context, cfg Config) (BroadcastFilterResult, error) {
-	names := append(append([]string{}, cfg.workloadNames()...), "mcf")
+	specs := cfg.workloads()
+	if !slices.ContainsFunc(specs, func(s workload.Spec) bool { return s.Name == "mcf" }) {
+		specs = append(slices.Clip(specs), workload.MustGet("mcf"))
+	}
 	var jobs []job
-	for _, name := range names {
-		spec := cfg.mustWorkload(name)
+	for _, spec := range specs {
 		base := cfg.machineConfig(cfg.Sockets, machine.C3D, spec.PreferredPolicy)
 		filtered := base
 		filtered.EnableBroadcastFilter = true
 		jobs = append(jobs,
-			job{key: key("sec6c", name, "base"), spec: spec, mcfg: base},
-			job{key: key("sec6c", name, "filtered"), spec: spec, mcfg: filtered})
+			job{key: key("sec6c", spec.Name, "base"), spec: spec, mcfg: base},
+			job{key: key("sec6c", spec.Name, "filtered"), spec: spec, mcfg: filtered})
 	}
 	results, err := cfg.runJobs(ctx, jobs)
 	if err != nil {
 		return BroadcastFilterResult{}, err
 	}
 	out := BroadcastFilterResult{PerWorkload: make(map[string]BroadcastFilterRow)}
-	for _, name := range names {
+	for _, spec := range specs {
+		name := spec.Name
 		base := results[key("sec6c", name, "base")]
 		filtered := results[key("sec6c", name, "filtered")]
 		row := BroadcastFilterRow{

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"c3d/internal/sample"
 	"c3d/internal/workload"
 )
 
@@ -49,7 +50,7 @@ func TestSampledSweepDeterministicAcrossParallelism(t *testing.T) {
 		cfg := testConfig()
 		cfg.AccessesPerThread = 8000
 		cfg.Parallelism = parallelism
-		cfg.Sampling = "stretch=2800,warm=30,win=30"
+		cfg.Sampling = sample.Spec{Stretch: 2800, Warm: 30, Window: 30}
 		res, err := Fig6(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("sampled Fig6 at parallelism %d: %v", parallelism, err)
@@ -77,7 +78,7 @@ func TestSeedChangesTracesButStaysComparable(t *testing.T) {
 	run := func(seed int64) []byte {
 		cfg := testConfig()
 		cfg.AccessesPerThread = 2000
-		cfg.Workloads = []string{"streamcluster"}
+		cfg.Workloads = specs("streamcluster")
 		cfg.Seed = seed
 		res, err := TableI(context.Background(), cfg)
 		if err != nil {
@@ -147,7 +148,7 @@ func TestScalingDeterministicAcrossParallelism(t *testing.T) {
 	run := func(parallelism int) []byte {
 		cfg := testConfig()
 		cfg.AccessesPerThread = 2000
-		cfg.Workloads = []string{"streamcluster"}
+		cfg.Workloads = specs("streamcluster")
 		cfg.Parallelism = parallelism
 		res, err := Scaling(context.Background(), cfg)
 		if err != nil {

@@ -73,11 +73,10 @@ func (r SpeedupResult) Table() *stats.Table {
 // (workload, design).
 func designComparison(ctx context.Context, cfg Config, sockets int, tag string) (map[string]machine.RunResult, error) {
 	var jobs []job
-	for _, name := range cfg.workloadNames() {
-		spec := cfg.mustWorkload(name)
+	for _, spec := range cfg.workloads() {
 		for _, d := range machine.EvaluatedDesigns() {
 			jobs = append(jobs, job{
-				key:  key(tag, name, d),
+				key:  key(tag, spec.Name, d),
 				spec: spec,
 				mcfg: cfg.machineConfig(sockets, d, spec.PreferredPolicy),
 			})
@@ -92,7 +91,7 @@ func speedupsFrom(cfg Config, tag string, results map[string]machine.RunResult, 
 		Speedup: make(map[string]map[string]float64),
 		Geomean: make(map[string]float64),
 	}
-	sampled := cfg.Sampling != ""
+	sampled := cfg.Sampling.Enabled()
 	if sampled {
 		out.Bars = make(map[string]map[string]float64)
 		out.GeomeanBars = make(map[string]float64)
@@ -196,11 +195,10 @@ func (r Fig8Result) Table() *stats.Table {
 // Fig8 runs the memory-traffic study (4-socket, C3D versus baseline).
 func Fig8(ctx context.Context, cfg Config) (Fig8Result, error) {
 	var jobs []job
-	for _, name := range cfg.workloadNames() {
-		spec := cfg.mustWorkload(name)
+	for _, spec := range cfg.workloads() {
 		for _, d := range []machine.Design{machine.Baseline, machine.C3D} {
 			jobs = append(jobs, job{
-				key:  key("fig8", name, d),
+				key:  key("fig8", spec.Name, d),
 				spec: spec,
 				mcfg: cfg.machineConfig(cfg.Sockets, d, spec.PreferredPolicy),
 			})

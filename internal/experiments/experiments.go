@@ -50,23 +50,21 @@ type Config struct {
 	// WarmupFraction is the fraction of each thread's stream used to warm
 	// caches before measurement.
 	WarmupFraction float64
-	// Workloads restricts the workload set (nil means the paper's nine).
-	Workloads []string
-	// Extra holds workload specs resolvable by name in addition to the
-	// workload catalog — compiled workload-spec documents joined for this
-	// campaign only. Names here shadow catalog workloads.
-	Extra []workload.Spec
+	// Workloads is the resolved workload set (nil means the paper's nine).
+	// Callers resolve names before a campaign starts — the SDK session
+	// does, shadowing catalog names with its workload-spec document — so
+	// experiments only range over specs.
+	Workloads []workload.Spec
 	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS). It only
 	// affects wall-clock time: results are bit-identical at any value.
 	Parallelism int
-	// Sampling, when non-empty, runs every simulation in SMARTS-style
-	// sampled mode under this schedule spec
-	// ("stretch=N,warm=N,win=N[,seed=S]", see internal/sample): detailed
-	// simulation only inside warm-up and measured windows, functional
-	// warming between them, and per-metric 95% confidence half-widths on
-	// every result. Results remain bit-identical at any Parallelism for a
-	// fixed (config, seed, spec).
-	Sampling string
+	// Sampling, when enabled, runs every simulation in SMARTS-style sampled
+	// mode under this schedule (see internal/sample): detailed simulation
+	// only inside warm-up and measured windows, functional warming between
+	// them, and per-metric 95% confidence half-widths on every result.
+	// Results remain bit-identical at any Parallelism for a fixed (config,
+	// seed, spec).
+	Sampling sample.Spec
 	// Seed offsets workload generation. Zero reproduces the default runs;
 	// the same seed always regenerates the same traces, and every design
 	// sees the same trace for a given workload regardless of seed.
@@ -100,34 +98,34 @@ func QuickConfig() Config {
 	return cfg
 }
 
-// workloadNames returns the workload set for this config.
-func (c Config) workloadNames() []string {
+// workloads returns the workload set for this config.
+func (c Config) workloads() []workload.Spec {
 	if len(c.Workloads) > 0 {
 		return c.Workloads
 	}
-	return workload.Names()
+	names := workload.Names()
+	out := make([]workload.Spec, len(names))
+	for i, n := range names {
+		out[i] = workload.MustGet(n)
+	}
+	return out
 }
 
-// workload resolves a name against this config: campaign-local extra specs
-// first (compiled workload-spec documents), then the workload catalog
-// (built-ins, then presets).
-func (c Config) workload(name string) (workload.Spec, error) {
-	for _, s := range c.Extra {
-		if s.Name == name {
-			return s, nil
-		}
+// workloadNames returns the names of the workload set, in order.
+func (c Config) workloadNames() []string {
+	specs := c.workloads()
+	out := make([]string, len(specs))
+	for i, s := range specs {
+		out[i] = s.Name
 	}
-	return wspec.Lookup(name)
+	return out
 }
 
-// mustWorkload is workload for names the campaign itself produced (its
-// workloadNames); an unknown name here is a programming error.
-func (c Config) mustWorkload(name string) workload.Spec {
-	s, err := c.workload(name)
-	if err != nil {
-		panic(err)
-	}
-	return s
+// short reports whether the campaign pins short streams, under 50k accesses
+// per thread, as quick configurations do. Short campaigns bound the larger
+// verification search and stop the scaling sweep at 8 sockets.
+func (c Config) short() bool {
+	return c.AccessesPerThread > 0 && c.AccessesPerThread < 50_000
 }
 
 // tableNames orders result-map keys for rendering: catalog order first (the
@@ -376,11 +374,7 @@ func (c Config) runOne(ctx context.Context, j job, seed int64) (machine.RunResul
 		AccessesPerThread: accesses,
 		SeedOffset:        seed,
 	}
-	sspec, err := sample.Parse(c.Sampling)
-	if err != nil {
-		return machine.RunResult{}, err
-	}
-	runOpts := machine.RunOptions{WarmupFraction: c.WarmupFraction, Sampling: sspec}
+	runOpts := machine.RunOptions{WarmupFraction: c.WarmupFraction, Sampling: c.Sampling}
 	// Validate before construction: machine.New panics on a bad config, and
 	// a panic in a sweep worker kills the whole process (CLI or daemon). A
 	// session-level check cannot catch everything — experiments fix their

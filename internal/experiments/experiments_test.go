@@ -8,6 +8,7 @@ import (
 	"c3d/internal/interconnect"
 	"c3d/internal/machine"
 	"c3d/internal/workload"
+	"c3d/pkg/c3d/api"
 )
 
 // testConfig keeps experiment smoke tests fast: two representative workloads,
@@ -17,8 +18,17 @@ import (
 func testConfig() Config {
 	cfg := QuickConfig()
 	cfg.AccessesPerThread = 8000
-	cfg.Workloads = []string{"streamcluster", "nutch"}
+	cfg.Workloads = specs("streamcluster", "nutch")
 	return cfg
+}
+
+// specs resolves built-in workload names the way a session would.
+func specs(names ...string) []workload.Spec {
+	out := make([]workload.Spec, len(names))
+	for i, n := range names {
+		out[i] = workload.MustGet(n)
+	}
+	return out
 }
 
 func TestRegistryCoversEveryPaperArtefact(t *testing.T) {
@@ -168,7 +178,7 @@ func TestFig9C3DCutsTrafficAndStaysNearFullDir(t *testing.T) {
 
 func TestSec6CFilterRemovesAllMcfBroadcasts(t *testing.T) {
 	cfg := testConfig()
-	cfg.Workloads = []string{"streamcluster"}
+	cfg.Workloads = specs("streamcluster")
 	res, err := Sec6C(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -192,8 +202,28 @@ func TestSec6CFilterRemovesAllMcfBroadcasts(t *testing.T) {
 	}
 }
 
+// TestSec6CRunsMcfOnce checks a workload set that already names mcf runs it
+// once: two workloads, two simulations each.
+func TestSec6CRunsMcfOnce(t *testing.T) {
+	cfg := testConfig()
+	cfg.AccessesPerThread = 300
+	cfg.Workloads = specs("mcf", "streamcluster")
+	total := 0
+	cfg.Progress = func(e Event) { total = e.Total }
+	res, err := Sec6C(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total != 4 {
+		t.Errorf("sec6c ran %d simulations, want 4", total)
+	}
+	if len(res.PerWorkload) != 2 {
+		t.Errorf("sec6c reported %d workloads, want 2", len(res.PerWorkload))
+	}
+}
+
 func TestVerifyPasses(t *testing.T) {
-	res, err := Verify(context.Background(), VerifyConfig{Sockets: 2, LoadsPerCore: 1, StoresPerCore: 1, IncludeFullDirVariant: true})
+	res, err := Verify(context.Background(), VerifyConfig{VerifySpec: api.VerifySpec{Sockets: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +258,7 @@ func TestQuickAndDefaultConfigs(t *testing.T) {
 func TestScalingStudyShapesAndSanity(t *testing.T) {
 	cfg := testConfig()
 	cfg.AccessesPerThread = 2000
-	cfg.Workloads = []string{"streamcluster"}
+	cfg.Workloads = specs("streamcluster")
 	res, err := Scaling(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -276,7 +306,7 @@ func TestTopologyConfigReachesMachines(t *testing.T) {
 	run := func(topo interconnect.Topology) TableIResult {
 		cfg := testConfig()
 		cfg.AccessesPerThread = 2000
-		cfg.Workloads = []string{"streamcluster"}
+		cfg.Workloads = specs("streamcluster")
 		cfg.Topology = topo
 		res, err := TableI(context.Background(), cfg)
 		if err != nil {
@@ -312,7 +342,7 @@ func TestTopologyConfigReachesMachines(t *testing.T) {
 func TestTopologyShapeConflictIsAnErrorNotAPanic(t *testing.T) {
 	cfg := testConfig()
 	cfg.AccessesPerThread = 500
-	cfg.Workloads = []string{"streamcluster"}
+	cfg.Workloads = specs("streamcluster")
 	cfg.Topology = interconnect.Ring
 	_, err := Fig7(context.Background(), cfg)
 	if err == nil || !strings.Contains(err.Error(), "hosts 3-16 sockets, not 2") {
@@ -325,7 +355,7 @@ func TestLatencySensitivityShapes(t *testing.T) {
 		t.Skip("sensitivity sweeps are slow; run without -short")
 	}
 	cfg := testConfig()
-	cfg.Workloads = []string{"streamcluster"}
+	cfg.Workloads = specs("streamcluster")
 	f10, err := Fig10(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -354,7 +384,7 @@ func TestPrivateVsSharedAndAblation(t *testing.T) {
 		t.Skip("ablation sweeps are slow; run without -short")
 	}
 	cfg := testConfig()
-	cfg.Workloads = []string{"streamcluster"}
+	cfg.Workloads = specs("streamcluster")
 	pvs, err := PrivateVsShared(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -34,11 +34,10 @@ func (r TableIResult) Table() *stats.Table {
 // TableI runs the Table I characterisation.
 func TableI(ctx context.Context, cfg Config) (TableIResult, error) {
 	var jobs []job
-	for _, name := range cfg.workloadNames() {
-		spec := cfg.mustWorkload(name)
+	for _, spec := range cfg.workloads() {
 		// Table I is collected under first-touch placement (§II-A).
 		jobs = append(jobs, job{
-			key:  key("table1", name),
+			key:  key("table1", spec.Name),
 			spec: spec,
 			mcfg: cfg.machineConfig(cfg.Sockets, machine.Baseline, spec.PreferredPolicy),
 		})
@@ -108,14 +107,13 @@ func Fig2(ctx context.Context, cfg Config) (Fig2Result, error) {
 		},
 	}
 	var jobs []job
-	for _, name := range cfg.workloadNames() {
-		spec := cfg.mustWorkload(name)
+	for _, spec := range cfg.workloads() {
 		// Jobs are built in the paper's presentation order, not map order:
 		// job order decides progress-event order, which is wire-visible.
 		for _, ideal := range append([]string{"baseline"}, Fig2Idealisations...) {
 			mcfg := cfg.machineConfig(cfg.Sockets, machine.Baseline, spec.PreferredPolicy)
 			edits[ideal](&mcfg)
-			jobs = append(jobs, job{key: key("fig2", name, ideal), spec: spec, mcfg: mcfg})
+			jobs = append(jobs, job{key: key("fig2", spec.Name, ideal), spec: spec, mcfg: mcfg})
 		}
 	}
 	results, err := cfg.runJobs(ctx, jobs)
@@ -183,12 +181,11 @@ func (r Fig3Result) Table() *stats.Table {
 // Fig3 runs the LLC capacity sweep.
 func Fig3(ctx context.Context, cfg Config) (Fig3Result, error) {
 	var jobs []job
-	for _, name := range cfg.workloadNames() {
-		spec := cfg.mustWorkload(name)
+	for _, spec := range cfg.workloads() {
 		for _, capacity := range Fig3Capacities {
 			mcfg := cfg.machineConfig(cfg.Sockets, machine.Baseline, spec.PreferredPolicy)
 			mcfg.LLCSizeBytes = capacity
-			jobs = append(jobs, job{key: key("fig3", name, capacity), spec: spec, mcfg: mcfg})
+			jobs = append(jobs, job{key: key("fig3", spec.Name, capacity), spec: spec, mcfg: mcfg})
 		}
 	}
 	results, err := cfg.runJobs(ctx, jobs)

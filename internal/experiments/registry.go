@@ -81,11 +81,8 @@ var registry = []Entry{
 		ID: "verify", Paper: "§IV-C",
 		Description: "model-check the C3D protocol (SWMR, data-value, deadlock freedom)",
 		Run: func(ctx context.Context, c Config) (Result, error) {
-			vc := DefaultVerifyConfig()
-			vc.Parallelism = c.Parallelism
-			vc.Progress = c.Progress
-			if c.AccessesPerThread > 0 && c.AccessesPerThread < 50_000 {
-				// Quick configurations bound the larger search.
+			vc := VerifyConfig{Parallelism: c.Parallelism, Progress: c.Progress}
+			if c.short() {
 				vc.MaxStates = 200_000
 			}
 			return Verify(ctx, vc)

@@ -22,7 +22,7 @@ var scalingDesigns = []machine.Design{machine.Baseline, machine.C3D}
 // configurations stop at 8 sockets; full runs include the 16-socket ceiling
 // of the built-in fabrics.
 func scalingSocketCounts(cfg Config) []int {
-	if cfg.AccessesPerThread > 0 && cfg.AccessesPerThread < 50_000 {
+	if cfg.short() {
 		return []int{2, 4, 8}
 	}
 	return []int{2, 4, 8, 16}
@@ -83,16 +83,15 @@ type scalingShape struct {
 
 // scalingJobs builds the (shape x workload x design) job grid shared by the
 // full and sampled variants of the study.
-func scalingJobs(cfg Config, tag string, shapes []scalingShape, names []string) []job {
+func scalingJobs(cfg Config, tag string, shapes []scalingShape) []job {
 	var jobs []job
 	for _, sh := range shapes {
-		for _, name := range names {
-			spec := cfg.mustWorkload(name)
+		for _, spec := range cfg.workloads() {
 			for _, d := range scalingDesigns {
 				mcfg := cfg.machineConfig(sh.sockets, d, spec.PreferredPolicy)
 				mcfg.Topology = sh.topo
 				jobs = append(jobs, job{
-					key:  key(tag, sh.sockets, sh.topo, name, d),
+					key:  key(tag, sh.sockets, sh.topo, spec.Name, d),
 					spec: spec,
 					mcfg: mcfg,
 				})
@@ -126,7 +125,7 @@ func scalingShapes(cfg Config) []scalingShape {
 func Scaling(ctx context.Context, cfg Config) (ScalingResult, error) {
 	shapes := scalingShapes(cfg)
 	names := cfg.workloadNames()
-	results, err := cfg.runJobs(ctx, scalingJobs(cfg, "scaling", shapes, names))
+	results, err := cfg.runJobs(ctx, scalingJobs(cfg, "scaling", shapes))
 	if err != nil {
 		return ScalingResult{}, err
 	}
@@ -163,30 +162,27 @@ func Scaling(ctx context.Context, cfg Config) (ScalingResult, error) {
 
 // --- sampled scaling variant ---
 
-// DefaultSamplingSpec is the schedule the sampled experiment variants use
-// when the configuration does not pin one: long enough stretches for a
+// defaultSampling is the schedule the sampled experiment variants use when
+// the configuration does not pin one: long enough stretches for a
 // several-fold speedup at quick scale, short enough units that even a
 // 6000-access quick stream yields a handful of measured windows (and a
 // paper-scale stream over a hundred).
-const DefaultSamplingSpec = "stretch=1400,warm=60,win=60"
+var defaultSampling = sample.Spec{Stretch: 1400, Warm: 60, Window: 60}
 
 // defaultSamplingSpec derives the schedule for a sweep whose configuration
-// does not pin one: DefaultSamplingSpec, with the stretch shortened when the
+// does not pin one: defaultSampling, with the stretch shortened when the
 // shortest per-thread stream in the sweep could not otherwise host a useful
 // number of measured windows (smoke tests run streams of a few hundred
 // accesses; paper scale runs hundreds of thousands). Purely a function of the
 // configuration, so the derived spec — recorded in the result — is as
 // deterministic as a pinned one.
-func (c Config) defaultSamplingSpec() string {
-	def, err := sample.Parse(DefaultSamplingSpec)
-	if err != nil {
-		panic(err) // the constant is well-formed by construction
-	}
+func (c Config) defaultSamplingSpec() sample.Spec {
+	def := defaultSampling
 	shortest := int(^uint(0) >> 1)
-	for _, name := range c.workloadNames() {
+	for _, spec := range c.workloads() {
 		n := c.AccessesPerThread
 		if n <= 0 {
-			n = c.mustWorkload(name).AccessesPerThread
+			n = spec.AccessesPerThread
 		}
 		if n < shortest {
 			shortest = n
@@ -205,7 +201,7 @@ func (c Config) defaultSamplingSpec() string {
 		stretch = 1
 	}
 	def.Stretch = stretch
-	return def.String()
+	return def
 }
 
 // SampledScalingPoint is one (sockets, topology, design) cell of the sampled
@@ -260,21 +256,17 @@ func (r SampledScalingResult) Table() *stats.Table {
 // half-width. Results are deterministic at any Config.Parallelism for a
 // fixed (config, seed, spec).
 func SampledScaling(ctx context.Context, cfg Config) (SampledScalingResult, error) {
-	if cfg.Sampling == "" {
+	if !cfg.Sampling.Enabled() {
 		cfg.Sampling = cfg.defaultSamplingSpec()
-	}
-	spec, err := sample.Parse(cfg.Sampling)
-	if err != nil {
-		return SampledScalingResult{}, err
 	}
 	shapes := scalingShapes(cfg)
 	names := cfg.workloadNames()
-	results, err := cfg.runJobs(ctx, scalingJobs(cfg, "scaling-sampled", shapes, names))
+	results, err := cfg.runJobs(ctx, scalingJobs(cfg, "scaling-sampled", shapes))
 	if err != nil {
 		return SampledScalingResult{}, err
 	}
 
-	out := SampledScalingResult{Spec: spec.String()}
+	out := SampledScalingResult{Spec: cfg.Sampling.String()}
 	for _, sh := range shapes {
 		for _, d := range scalingDesigns {
 			windows := 0

@@ -68,13 +68,12 @@ func latencySensitivity(ctx context.Context, cfg Config, parameter, tag string, 
 	apply func(*machine.Config, float64)) (SensitivityResult, error) {
 	designs := append([]machine.Design{machine.Baseline}, sensitivityDesigns...)
 	var jobs []job
-	for _, name := range cfg.workloadNames() {
-		spec := cfg.mustWorkload(name)
+	for _, spec := range cfg.workloads() {
 		for _, d := range designs {
 			for _, v := range values {
 				mcfg := cfg.machineConfig(cfg.Sockets, d, spec.PreferredPolicy)
 				apply(&mcfg, v)
-				jobs = append(jobs, job{key: key(tag, name, d, v), spec: spec, mcfg: mcfg})
+				jobs = append(jobs, job{key: key(tag, spec.Name, d, v), spec: spec, mcfg: mcfg})
 			}
 		}
 	}

@@ -7,22 +7,17 @@ import (
 	"c3d/internal/core"
 	"c3d/internal/mc"
 	"c3d/internal/stats"
+	"c3d/pkg/c3d/api"
 )
 
 // --- §IV-C: protocol verification ---
 
-// VerifyConfig parameterises the model-checking experiment.
+// VerifyConfig parameterises the model-checking experiment: the wire
+// bounds of a verify job plus the run-time knobs. Zero bounds mean the
+// defaults — the 2- and 3-socket configurations with one load and one store
+// per core, both protocol variants, searched exhaustively.
 type VerifyConfig struct {
-	// Sockets is the number of sockets in the verified configuration (the
-	// paper verifies small configurations exhaustively).
-	Sockets int
-	// LoadsPerCore and StoresPerCore bound each core's operations.
-	LoadsPerCore  int
-	StoresPerCore int
-	// MaxStates truncates the search (0 = exhaustive).
-	MaxStates int
-	// IncludeFullDirVariant also checks the c3d-full-dir protocol variant.
-	IncludeFullDirVariant bool
+	api.VerifySpec
 	// Parallelism is the number of model-checker workers per configuration
 	// (<= 0 means GOMAXPROCS). Reports are bit-identical at any value.
 	Parallelism int
@@ -30,12 +25,6 @@ type VerifyConfig struct {
 	// per checker progress tick (Event.Job names the model, Event.States the
 	// count).
 	Progress func(Event)
-}
-
-// DefaultVerifyConfig verifies 2-socket and 3-socket configurations with one
-// load and one store per core, for both protocol variants.
-func DefaultVerifyConfig() VerifyConfig {
-	return VerifyConfig{Sockets: 3, LoadsPerCore: 1, StoresPerCore: 1, IncludeFullDirVariant: true}
 }
 
 // VerifyResult collects the model-checking reports.
@@ -85,7 +74,13 @@ func Verify(ctx context.Context, cfg VerifyConfig) (VerifyResult, error) {
 		ctx = context.Background()
 	}
 	if cfg.Sockets <= 0 {
-		cfg = DefaultVerifyConfig()
+		cfg.Sockets = 3
+	}
+	if cfg.LoadsPerCore <= 0 {
+		cfg.LoadsPerCore = 1
+	}
+	if cfg.StoresPerCore <= 0 {
+		cfg.StoresPerCore = 1
 	}
 	var result VerifyResult
 	run := func(sockets int, trackDRAM bool) {
@@ -113,12 +108,12 @@ func Verify(ctx context.Context, cfg VerifyConfig) (VerifyResult, error) {
 	// Always include the 2-socket configuration (fast, exhaustive), then the
 	// configured size if larger.
 	run(2, false)
-	if cfg.IncludeFullDirVariant {
+	if !cfg.BaseOnly {
 		run(2, true)
 	}
 	if cfg.Sockets > 2 {
 		run(cfg.Sockets, false)
-		if cfg.IncludeFullDirVariant {
+		if !cfg.BaseOnly {
 			run(cfg.Sockets, true)
 		}
 	}

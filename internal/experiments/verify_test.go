@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"testing"
+
+	"c3d/pkg/c3d/api"
 )
 
 // TestVerifyDeterministicAcrossParallelism is the model-checking counterpart
@@ -15,11 +18,8 @@ import (
 func TestVerifyDeterministicAcrossParallelism(t *testing.T) {
 	run := func(parallelism int) []byte {
 		res, verr := Verify(context.Background(), VerifyConfig{
-			Sockets:               2,
-			LoadsPerCore:          1,
-			StoresPerCore:         1,
-			IncludeFullDirVariant: true,
-			Parallelism:           parallelism,
+			VerifySpec:  api.VerifySpec{Sockets: 2},
+			Parallelism: parallelism,
 		})
 		if verr != nil {
 			t.Fatal(verr)
@@ -45,11 +45,8 @@ func TestVerifyDeterministicAcrossParallelism(t *testing.T) {
 func TestVerifyBoundedDeterministic(t *testing.T) {
 	run := func(parallelism int) []byte {
 		res, verr := Verify(context.Background(), VerifyConfig{
-			Sockets:       2,
-			LoadsPerCore:  1,
-			StoresPerCore: 2,
-			MaxStates:     5000,
-			Parallelism:   parallelism,
+			VerifySpec:  api.VerifySpec{Sockets: 2, LoadsPerCore: 1, StoresPerCore: 2, MaxStates: 5000, BaseOnly: true},
+			Parallelism: parallelism,
 		})
 		if verr != nil {
 			t.Fatal(verr)
@@ -62,5 +59,30 @@ func TestVerifyBoundedDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(run(1), run(8)) {
 		t.Fatal("bounded verification reports differ across parallelism levels")
+	}
+}
+
+// TestVerifyZeroConfigKeepsRunSettings checks a zero VerifyConfig takes the
+// default bounds field by field and keeps the caller's run-time settings:
+// progress reaches the caller's callback for the default 1-load 1-store
+// model. The search is cancelled at the first tick.
+func TestVerifyZeroConfigKeepsRunSettings(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var models []string
+	res, err := Verify(ctx, VerifyConfig{Progress: func(e Event) {
+		if e.Kind == EventStatesExplored {
+			models = append(models, e.Job)
+			cancel()
+		}
+	}})
+	if len(models) == 0 {
+		t.Fatalf("no states-explored event reached the caller's callback (err %v)", err)
+	}
+	if models[0] != "c3d/2-socket/1L1S" {
+		t.Errorf("first progress event names %q, want the default c3d/2-socket/1L1S model", models[0])
+	}
+	if !errors.Is(err, context.Canceled) || len(res.Reports) == 0 {
+		t.Errorf("cancelled verification returned %d reports, err %v", len(res.Reports), err)
 	}
 }

@@ -216,13 +216,7 @@ func (s *Server) run(j *job) {
 		}
 	case api.KindVerify:
 		var res *c3d.VerifyResult
-		res, err = sess.Verify(ctx, c3d.VerifyRequest{
-			Sockets:       j.spec.Verify.Sockets,
-			LoadsPerCore:  j.spec.Verify.LoadsPerCore,
-			StoresPerCore: j.spec.Verify.StoresPerCore,
-			MaxStates:     j.spec.Verify.MaxStates,
-			BaseOnly:      j.spec.Verify.BaseOnly,
-		})
+		res, err = sess.Verify(ctx, c3d.VerifyRequest(j.spec.Verify))
 		if err == nil {
 			if !res.Passed() {
 				err = fmt.Errorf("verification found violations")

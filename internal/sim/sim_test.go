@@ -60,86 +60,6 @@ func TestTimeSubPanicsOnNegative(t *testing.T) {
 	Time(5).Sub(Time(10))
 }
 
-func TestEngineOrdering(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	e.Schedule(30, func(Time) { order = append(order, 3) })
-	e.Schedule(10, func(Time) { order = append(order, 1) })
-	e.Schedule(20, func(Time) { order = append(order, 2) })
-	end := e.Run()
-	if end != 30 {
-		t.Errorf("final time = %v, want 30", end)
-	}
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Errorf("execution order = %v", order)
-	}
-	if e.Fired() != 3 {
-		t.Errorf("Fired = %d, want 3", e.Fired())
-	}
-}
-
-func TestEngineFIFOAtSameTime(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	for i := 0; i < 10; i++ {
-		i := i
-		e.Schedule(5, func(Time) { order = append(order, i) })
-	}
-	e.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("events at equal time not FIFO: %v", order)
-		}
-	}
-}
-
-func TestEngineScheduleFromEvent(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	var chain func(now Time)
-	chain = func(now Time) {
-		count++
-		if count < 5 {
-			e.ScheduleAfter(10, chain)
-		}
-	}
-	e.Schedule(0, chain)
-	end := e.Run()
-	if count != 5 {
-		t.Errorf("count = %d, want 5", count)
-	}
-	if end != 40 {
-		t.Errorf("end = %v, want 40", end)
-	}
-}
-
-func TestEngineSchedulePastPanics(t *testing.T) {
-	e := NewEngine()
-	e.Schedule(10, func(Time) {})
-	e.Run()
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic scheduling in the past")
-		}
-	}()
-	e.Schedule(5, func(Time) {})
-}
-
-func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	for i := 1; i <= 10; i++ {
-		e.Schedule(Time(i*10), func(Time) { fired++ })
-	}
-	e.RunUntil(50)
-	if fired != 5 {
-		t.Errorf("fired = %d, want 5", fired)
-	}
-	if e.Pending() != 5 {
-		t.Errorf("pending = %d, want 5", e.Pending())
-	}
-}
-
 func TestResourceInfinite(t *testing.T) {
 	r := NewResource("inf", 0)
 	start, done := r.Acquire(100, 1<<20)

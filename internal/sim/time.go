@@ -1,6 +1,6 @@
 // Package sim provides the timing substrate for the trace-driven simulator:
-// the cycle clock, an event queue ordered by time, and bandwidth-regulated
-// resources that turn byte counts into occupancy and queueing delay.
+// the cycle clock and bandwidth-regulated resources that turn byte counts
+// into occupancy and queueing delay.
 //
 // Everything in the simulated machine is expressed in core cycles. The C3D
 // paper models 3 GHz cores, so nanosecond parameters from Table II are

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -46,64 +45,6 @@ func (l *LatencyAccumulator) Mean() float64 {
 		return 0
 	}
 	return float64(l.total) / float64(l.count)
-}
-
-// Histogram is a fixed-bucket latency histogram. Buckets are upper bounds in
-// cycles; observations above the last bound land in an overflow bucket.
-type Histogram struct {
-	bounds []uint64
-	counts []uint64
-	total  uint64
-}
-
-// NewHistogram builds a histogram with the given ascending bucket upper
-// bounds.
-func NewHistogram(bounds ...uint64) *Histogram {
-	if !sort.SliceIsSorted(bounds, func(i, j int) bool { return bounds[i] < bounds[j] }) {
-		panic("stats: histogram bounds must be ascending")
-	}
-	return &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
-}
-
-// Observe adds a value to the histogram.
-func (h *Histogram) Observe(v uint64) {
-	h.total++
-	for i, b := range h.bounds {
-		if v <= b {
-			h.counts[i]++
-			return
-		}
-	}
-	h.counts[len(h.bounds)]++
-}
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 { return h.total }
-
-// Bucket returns the count in bucket i (the last index is the overflow
-// bucket).
-func (h *Histogram) Bucket(i int) uint64 { return h.counts[i] }
-
-// NumBuckets returns the number of buckets including overflow.
-func (h *Histogram) NumBuckets() int { return len(h.counts) }
-
-// Quantile returns an approximate quantile (0..1) using bucket upper bounds.
-func (h *Histogram) Quantile(q float64) uint64 {
-	if h.total == 0 {
-		return 0
-	}
-	target := uint64(math.Ceil(q * float64(h.total)))
-	var cum uint64
-	for i, c := range h.counts {
-		cum += c
-		if cum >= target {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return math.MaxUint64
-		}
-	}
-	return math.MaxUint64
 }
 
 // Ratio returns a/b, or 0 when b is zero.

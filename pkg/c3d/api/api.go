@@ -113,13 +113,21 @@ type JobSpec struct {
 	Verify VerifySpec `json:"verify,omitempty"`
 }
 
-// VerifySpec mirrors c3d.VerifyRequest in JSON form.
+// VerifySpec bounds a protocol verification (§IV-C); c3d.VerifyRequest is
+// a defined type over it. Zero fields mean the defaults; negative ones are
+// rejected.
 type VerifySpec struct {
-	Sockets       int  `json:"sockets,omitempty"`
-	LoadsPerCore  int  `json:"loads,omitempty"`
-	StoresPerCore int  `json:"stores,omitempty"`
-	MaxStates     int  `json:"max_states,omitempty"`
-	BaseOnly      bool `json:"base_only,omitempty"`
+	// Sockets is the largest socket count to verify (default 3; the
+	// 2-socket configuration is always included).
+	Sockets int `json:"sockets,omitempty"`
+	// LoadsPerCore and StoresPerCore bound each core's operations
+	// (default 1 each).
+	LoadsPerCore  int `json:"loads,omitempty"`
+	StoresPerCore int `json:"stores,omitempty"`
+	// MaxStates truncates the search (0 = exhaustive).
+	MaxStates int `json:"max_states,omitempty"`
+	// BaseOnly skips the c3d-full-dir protocol variant.
+	BaseOnly bool `json:"base_only,omitempty"`
 }
 
 // Job and campaign lifecycle states.

@@ -24,8 +24,6 @@
 package c3d
 
 import (
-	"fmt"
-
 	"c3d/internal/experiments"
 	"c3d/internal/interconnect"
 	"c3d/internal/machine"
@@ -34,6 +32,7 @@ import (
 	"c3d/internal/sample"
 	"c3d/internal/stats"
 	"c3d/internal/trace"
+	"c3d/internal/workload"
 	"c3d/internal/wspec"
 )
 
@@ -130,9 +129,11 @@ func Topologies() []Topology { return interconnect.Topologies() }
 // every method applies to its run. Sessions are immutable, cheap to create
 // and safe for concurrent use — the c3dd daemon builds one per job.
 type Session struct {
-	p        Params          // validated by Params.Session
-	spec     *wspec.Compiled // p.Spec compiled, or nil
-	progress func(Event)
+	p         Params          // validated by Params.Session
+	spec      *wspec.Compiled // p.Spec compiled, or nil
+	workloads []workload.Spec // p.Workloads resolved, or the spec alone
+	sampling  sample.Spec     // p.Sampling parsed
+	progress  func(Event)
 }
 
 // WithProgress returns a copy of the session that delivers structured
@@ -142,19 +143,4 @@ func (s *Session) WithProgress(fn func(Event)) *Session {
 	c := *s
 	c.progress = fn
 	return &c
-}
-
-// newMachine converts machine.New's configuration panic into an error at the
-// SDK boundary.
-func newMachine(cfg machine.Config) (m *machine.Machine, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if e, ok := r.(error); ok {
-				err = fmt.Errorf("c3d: invalid machine configuration: %w", e)
-			} else {
-				err = fmt.Errorf("c3d: invalid machine configuration: %v", r)
-			}
-		}
-	}()
-	return machine.New(cfg), nil
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"os"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -24,16 +23,6 @@ func session(t *testing.T, p Params) *Session {
 		t.Fatal(err)
 	}
 	return sess
-}
-
-// TestNewMachineWrapsPanic checks the machine.New panic is converted into an
-// error at the SDK boundary.
-func TestNewMachineWrapsPanic(t *testing.T) {
-	if _, err := newMachine(machine.Config{}); err == nil {
-		t.Fatal("newMachine accepted the zero configuration")
-	} else if !strings.Contains(err.Error(), "invalid machine configuration") {
-		t.Fatalf("unexpected error: %v", err)
-	}
 }
 
 // TestSimulateMatchesDirectRun is the SDK parity contract: Simulate must be
@@ -167,7 +156,7 @@ func TestExperimentMatchesInternalRun(t *testing.T) {
 	}
 
 	cfg := experiments.QuickConfig()
-	cfg.Workloads = []string{"streamcluster"}
+	cfg.Workloads = []workload.Spec{workload.MustGet("streamcluster")}
 	cfg.AccessesPerThread = 2000
 	want, err := experiments.TableI(t.Context(), cfg)
 	if err != nil {

@@ -7,18 +7,14 @@ import (
 	"io"
 
 	"c3d/internal/experiments"
+	"c3d/pkg/c3d/api"
 )
 
 // ExperimentInfo describes one runnable experiment of the paper's
-// evaluation.
-type ExperimentInfo struct {
-	// ID is the identifier accepted by Experiment ("table1", "fig6", ...).
-	ID string `json:"id"`
-	// Paper names the table or figure being reproduced.
-	Paper string `json:"paper"`
-	// Description is a one-line summary.
-	Description string `json:"description"`
-}
+// evaluation: its id (accepted by Experiment), the table or figure it
+// reproduces and a one-line summary. It is the capabilities document's
+// entry type.
+type ExperimentInfo = api.ExperimentInfo
 
 // Experiments lists every experiment in presentation order.
 func Experiments() []ExperimentInfo {

@@ -2,7 +2,6 @@ package c3d
 
 import (
 	"fmt"
-	"slices"
 
 	"c3d/internal/experiments"
 	"c3d/internal/interconnect"
@@ -41,21 +40,13 @@ const defaultSockets = 4
 // Negative numeric fields are rejected rather than dropped, because running
 // a default the caller never asked for would be worse than failing.
 func (p Params) Session() (*Session, error) {
-	for _, field := range []struct {
-		name string
-		v    int
-	}{
-		{"sockets", p.Sockets},
-		{"threads", p.Threads},
-		{"accesses", p.Accesses},
-		{"scale", p.Scale},
-		{"parallel", p.Parallelism},
-	} {
-		if field.v < 0 {
-			// Checked in declaration order so a spec with several negative
-			// fields always reports the same one first.
-			return nil, fmt.Errorf("c3d: negative %s %d", field.name, field.v)
-		}
+	if err := checkNonNegative("",
+		namedInt{"sockets", p.Sockets},
+		namedInt{"threads", p.Threads},
+		namedInt{"accesses", p.Accesses},
+		namedInt{"scale", p.Scale},
+		namedInt{"parallel", p.Parallelism}); err != nil {
+		return nil, err
 	}
 	if p.Design != "" {
 		if _, err := ParseDesign(p.Design); err != nil {
@@ -76,15 +67,13 @@ func (p Params) Session() (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.Sampling = sampling.String() // canonical, as campaigns report it
-	// The session owns its copy: later edits to the caller's slice or
-	// warm-up pointer must not reach a validated session.
-	p.Workloads = slices.Clone(p.Workloads)
+	// The session owns its copy: later edits to the caller's warm-up
+	// pointer must not reach a validated session.
 	if p.Warmup != nil {
 		w := *p.Warmup
 		p.Warmup = &w
 	}
-	s := &Session{p: p}
+	s := &Session{p: p, sampling: sampling}
 	if len(p.Spec) > 0 {
 		if s.spec, err = wspec.Load(p.Spec); err != nil {
 			return nil, fmt.Errorf("c3d: %w", err)
@@ -94,9 +83,17 @@ func (p Params) Session() (*Session, error) {
 		return nil, fmt.Errorf("c3d: warm-up fraction %v outside [0,1)", *p.Warmup)
 	}
 	for _, name := range p.Workloads {
-		if _, err := s.resolveWorkload(name); err != nil {
+		w, err := s.resolveWorkload(name)
+		if err != nil {
 			return nil, err
 		}
+		s.workloads = append(s.workloads, w)
+	}
+	if s.spec != nil && len(s.workloads) == 0 {
+		// With no explicit subset a compiled spec document *is* the suite,
+		// which is how scaling and fig experiments run a spec in place of
+		// the catalog workloads.
+		s.workloads = []workload.Spec{s.spec.Spec()}
 	}
 	// Eagerly reject shapes no machine could host, using the session's
 	// socket default. Experiments that fix their own socket counts (Fig. 7's
@@ -112,6 +109,24 @@ func (p Params) Session() (*Session, error) {
 		return nil, fmt.Errorf("c3d: %w", err)
 	}
 	return s, nil
+}
+
+// namedInt is a numeric field under its wire name.
+type namedInt struct {
+	name string
+	v    int
+}
+
+// checkNonNegative rejects the first negative field. Fields are checked in
+// declaration order, so a spec with several negative fields always reports
+// the same one first.
+func checkNonNegative(what string, fields ...namedInt) error {
+	for _, f := range fields {
+		if f.v < 0 {
+			return fmt.Errorf("c3d: negative %s%s %d", what, f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // ParseSampling parses a sampling schedule spec of the form
@@ -177,8 +192,8 @@ func (s *Session) machineConfigFor(spec workload.Spec) machine.Config {
 	return mcfg
 }
 
-// experimentsConfig resolves the session into an experiment campaign
-// configuration.
+// experimentsConfig hands the session's resolved values to an experiment
+// campaign.
 func (s *Session) experimentsConfig() experiments.Config {
 	cfg := experiments.DefaultConfig()
 	if s.p.Quick {
@@ -199,23 +214,11 @@ func (s *Session) experimentsConfig() experiments.Config {
 	if s.p.Warmup != nil {
 		cfg.WarmupFraction = *s.p.Warmup
 	}
-	if len(s.p.Workloads) > 0 {
-		cfg.Workloads = s.p.Workloads
-	}
-	if s.spec != nil {
-		// A compiled spec document joins the campaign as an extra resolvable
-		// workload; with no explicit subset it *is* the suite, which is how
-		// scaling and fig experiments run a spec in place of the catalog
-		// workloads.
-		cfg.Extra = []workload.Spec{s.spec.Spec()}
-		if len(s.p.Workloads) == 0 {
-			cfg.Workloads = []string{s.spec.Name()}
-		}
-	}
+	cfg.Workloads = s.workloads
 	cfg.Topology = Topology(s.p.Topology)
 	cfg.Parallelism = s.p.Parallelism
 	cfg.Seed = s.p.Seed
-	cfg.Sampling = s.p.Sampling
+	cfg.Sampling = s.sampling
 	cfg.Progress = s.progress
 	return cfg
 }

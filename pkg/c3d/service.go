@@ -20,13 +20,7 @@ func CurrentCapabilities() api.Capabilities {
 	for _, t := range Topologies() {
 		caps.Topologies = append(caps.Topologies, string(t))
 	}
-	for _, e := range Experiments() {
-		caps.Experiments = append(caps.Experiments, api.ExperimentInfo{
-			ID:          e.ID,
-			Paper:       e.Paper,
-			Description: e.Description,
-		})
-	}
+	caps.Experiments = Experiments()
 	for _, w := range Workloads() {
 		caps.Workloads = append(caps.Workloads, w.Name)
 	}
@@ -63,9 +57,7 @@ func ValidateJobSpec(spec api.JobSpec) error {
 			return err
 		}
 	case api.KindVerify:
-		if spec.Verify.Sockets < 0 || spec.Verify.MaxStates < 0 {
-			return fmt.Errorf("negative verify bounds")
-		}
+		return VerifyRequest(spec.Verify).validate()
 	default:
 		return fmt.Errorf("unknown job kind %q (want experiment, simulate or verify)", spec.Kind)
 	}

@@ -44,10 +44,10 @@ func (s *Session) Simulate(ctx context.Context, workloadName string) (*SimulateR
 	}
 	threads := min(requested, mcfg.Cores())
 
-	m, err := newMachine(mcfg)
-	if err != nil {
-		return nil, err
+	if err := mcfg.Validate(); err != nil {
+		return nil, fmt.Errorf("c3d: invalid machine configuration: %w", err)
 	}
+	m := machine.New(mcfg)
 	src, err := newSource(spec, workload.Options{
 		Threads:           threads,
 		Scale:             mcfg.Scale,
@@ -61,7 +61,7 @@ func (s *Session) Simulate(ctx context.Context, workloadName string) (*SimulateR
 	if s.p.Warmup != nil {
 		runOpts.WarmupFraction = *s.p.Warmup
 	}
-	runOpts.Sampling, _ = ParseSampling(s.p.Sampling) // validated by Session
+	runOpts.Sampling = s.sampling
 	res, err := m.RunSource(ctx, src, runOpts)
 	if err != nil {
 		return nil, err

@@ -62,6 +62,12 @@ func TestParamsValidationErrors(t *testing.T) {
 			"c3d: interconnect: no default topology hosts 32 sockets (max 16); pick one explicitly"},
 		{"mesh cannot host 32 sockets", experimentJob(Params{Topology: "mesh", Sockets: 32}),
 			`c3d: interconnect: topology "mesh" hosts 2-16 sockets, not 32`},
+		{"negative verify sockets", verifyJob(api.VerifySpec{Sockets: -1}), "c3d: negative verify sockets -1"},
+		{"negative verify loads", verifyJob(api.VerifySpec{Sockets: 2, LoadsPerCore: -1}), "c3d: negative verify loads -1"},
+		{"negative verify stores", verifyJob(api.VerifySpec{StoresPerCore: -2}), "c3d: negative verify stores -2"},
+		{"negative verify max_states", verifyJob(api.VerifySpec{MaxStates: -5}), "c3d: negative verify max_states -5"},
+		{"first negative verify bound in field order",
+			verifyJob(api.VerifySpec{MaxStates: -1, StoresPerCore: -2, LoadsPerCore: -3}), "c3d: negative verify loads -3"},
 	}
 	for _, c := range cases {
 		err := ValidateJobSpec(c.spec)
@@ -72,13 +78,18 @@ func TestParamsValidationErrors(t *testing.T) {
 		if err.Error() != c.want {
 			t.Errorf("%s: error\n got %q\nwant %q", c.name, err, c.want)
 		}
-		if c.spec.Kind != api.KindExperiment {
-			continue
-		}
-		// Session construction is the same door: it must report the same
-		// text for every params-level rejection.
-		if _, serr := Params(c.spec.Params).Session(); serr == nil || serr.Error() != c.want {
-			t.Errorf("%s: Params.Session error %v, want %q", c.name, serr, c.want)
+		switch c.spec.Kind {
+		case api.KindExperiment:
+			// Session construction is the same door: it must report the
+			// same text for every params-level rejection.
+			if _, serr := Params(c.spec.Params).Session(); serr == nil || serr.Error() != c.want {
+				t.Errorf("%s: Params.Session error %v, want %q", c.name, serr, c.want)
+			}
+		case api.KindVerify:
+			// So is Session.Verify for verify bounds.
+			if _, verr := session(t, Params{}).Verify(t.Context(), VerifyRequest(c.spec.Verify)); verr == nil || verr.Error() != c.want {
+				t.Errorf("%s: Session.Verify error %v, want %q", c.name, verr, c.want)
+			}
 		}
 	}
 
@@ -93,6 +104,10 @@ func TestParamsValidationErrors(t *testing.T) {
 
 func experimentJob(p Params) api.JobSpec {
 	return api.JobSpec{Kind: api.KindExperiment, Params: api.Params(p)}
+}
+
+func verifyJob(v api.VerifySpec) api.JobSpec {
+	return api.JobSpec{Kind: api.KindVerify, Verify: v}
 }
 
 // TestDefaultSessionMachineConfig pins the machine a default session

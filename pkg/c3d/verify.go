@@ -6,23 +6,26 @@ import (
 	"io"
 
 	"c3d/internal/experiments"
+	"c3d/pkg/c3d/api"
 )
 
 // VerifyRequest parameterises protocol verification (§IV-C). The zero value
 // verifies the default configurations: 2- and 3-socket machines, one load
 // and one store per core, both protocol variants, exhaustively.
-type VerifyRequest struct {
-	// Sockets is the largest socket count to verify (default 3; the
-	// 2-socket configuration is always included).
-	Sockets int
-	// LoadsPerCore and StoresPerCore bound each core's operations
-	// (default 1 each).
-	LoadsPerCore  int
-	StoresPerCore int
-	// MaxStates truncates the search (0 = exhaustive).
-	MaxStates int
-	// BaseOnly skips the c3d-full-dir protocol variant.
-	BaseOnly bool
+//
+// Like Params, it is a defined type over its wire declaration,
+// api.VerifySpec, which documents the fields: convert with
+// api.VerifySpec(r) / VerifyRequest(w).
+type VerifyRequest api.VerifySpec
+
+// validate rejects negative bounds rather than running a default the caller
+// never asked for.
+func (r VerifyRequest) validate() error {
+	return checkNonNegative("verify ",
+		namedInt{"sockets", r.Sockets},
+		namedInt{"loads", r.LoadsPerCore},
+		namedInt{"stores", r.StoresPerCore},
+		namedInt{"max_states", r.MaxStates})
 }
 
 // Verify model-checks the C3D coherence protocol: SWMR, the data-value
@@ -37,29 +40,15 @@ func (s *Session) Verify(ctx context.Context, req VerifyRequest) (*VerifyResult,
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	cfg := experiments.VerifyConfig{
-		Sockets:               req.Sockets,
-		LoadsPerCore:          req.LoadsPerCore,
-		StoresPerCore:         req.StoresPerCore,
-		MaxStates:             req.MaxStates,
-		IncludeFullDirVariant: !req.BaseOnly,
-		Parallelism:           s.p.Parallelism,
-		Progress:              s.progress,
+	if err := req.validate(); err != nil {
+		return nil, err
 	}
-	if cfg.Sockets <= 0 {
-		cfg.Sockets = 3
-	}
-	if cfg.LoadsPerCore <= 0 {
-		cfg.LoadsPerCore = 1
-	}
-	if cfg.StoresPerCore <= 0 {
-		cfg.StoresPerCore = 1
-	}
-	result, err := experiments.Verify(ctx, cfg)
-	if err != nil {
-		return &result, err
-	}
-	return &result, nil
+	result, err := experiments.Verify(ctx, experiments.VerifyConfig{
+		VerifySpec:  api.VerifySpec(req),
+		Parallelism: s.p.Parallelism,
+		Progress:    s.progress,
+	})
+	return &result, err
 }
 
 // WriteReportsJSON writes model-checking reports in the canonical
