@@ -129,6 +129,8 @@ func (d *Directory) Config() DirConfig { return d.cfg }
 // whose recall needlessly invalidates cached data. Real designs mitigate this
 // with eviction hints or by probing before recalling — the predicate models
 // that ability. A nil predicate (the default) falls back to pure LRU.
+// The predicate must be pure, touching no LRU state or statistics: Update
+// asks it about only some ways of a full set, oldest first.
 func (d *Directory) SetStalePredicate(fn func(addr.Block) bool) { d.stale = fn }
 
 // Unbounded reports whether the directory has unlimited capacity.
@@ -183,8 +185,17 @@ func (d *Directory) Probe(b addr.Block) (Entry, bool) {
 
 // Update stores entry for block b, allocating a slot if necessary. If the
 // block is absent and the directory is sparse and the set is full, the LRU
-// entry is evicted and returned as a recall that the caller must act on.
+// entry is evicted and returned as a recall that the caller must act on,
+// unless the stale predicate names an entry that can go without one.
 // Storing an entry in DirInvalid state removes the block instead.
+//
+// Update scans the set once and picks the way separate present, free-way and
+// LRU scans would: a present block is updated in place; otherwise the block
+// takes the lowest-index invalid way. Only a full set asks the stale
+// predicate, from the oldest way to the newest, and the first stale way wins.
+// That is the oldest stale way an all-ways scan would pick: every way of a
+// full set holds a distinct tick, and the predicate is pure, so the answers
+// not asked for cannot change anything.
 func (d *Directory) Update(b addr.Block, e Entry) Recall {
 	if e.State == DirInvalid {
 		d.Remove(b)
@@ -199,49 +210,45 @@ func (d *Directory) Update(b addr.Block, e Entry) Recall {
 		return Recall{}
 	}
 	set := d.set(b)
-	// Present: update in place.
+	free, lru := -1, 0
 	for i := range set {
-		if set[i].valid && set[i].block == b {
+		if !set[i].valid {
+			if free < 0 {
+				free = i
+			}
+		} else if set[i].block == b {
 			d.tick++
 			set[i].entry = e
 			set[i].lastUse = d.tick
 			return Recall{}
+		} else if set[i].lastUse < set[lru].lastUse {
+			lru = i
 		}
 	}
 	d.stats.Allocations++
-	// Free way?
-	victim := -1
-	for i := range set {
-		if !set[i].valid {
-			victim = i
-			break
+	victim := free
+	if victim < 0 && d.stale != nil {
+		// Full set: ask about the ways oldest first, stopping at the first
+		// stale one. The oldest is usually stale, so one answer is typical.
+		for i := lru; i >= 0; {
+			if d.stale(set[i].block) {
+				victim = i
+				break
+			}
+			prev := set[i].lastUse
+			i = -1
+			for j := range set {
+				if set[j].lastUse > prev && (i < 0 || set[j].lastUse < set[i].lastUse) {
+					i = j
+				}
+			}
 		}
 	}
 	var recall Recall
 	if victim < 0 {
-		// Prefer the least recently used *stale* entry (its block has left
-		// every cache, so no recall invalidation is needed); fall back to
-		// plain LRU when every entry is still live or no predicate is set.
-		lru, lruStale := 0, -1
-		for i := 1; i < len(set); i++ {
-			if set[i].lastUse < set[lru].lastUse {
-				lru = i
-			}
-		}
-		if d.stale != nil {
-			for i := range set {
-				if d.stale(set[i].block) && (lruStale < 0 || set[i].lastUse < set[lruStale].lastUse) {
-					lruStale = i
-				}
-			}
-		}
-		if lruStale >= 0 {
-			victim = lruStale
-		} else {
-			victim = lru
-			recall = Recall{Block: set[victim].block, Entry: set[victim].entry, Valid: true}
-			d.stats.Recalls++
-		}
+		victim = lru
+		recall = Recall{Block: set[victim].block, Entry: set[victim].entry, Valid: true}
+		d.stats.Recalls++
 	}
 	d.tick++
 	set[victim] = dirLine{block: b, entry: e, valid: true, lastUse: d.tick}

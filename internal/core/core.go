@@ -114,7 +114,8 @@ func (d *Directory) Config() DirConfig { return d.cfg }
 // SetStalePredicate forwards a staleness hint to the underlying sparse
 // structure (see coherence.Directory.SetStalePredicate); it lets the
 // replacement policy victimise entries whose blocks have already left every
-// on-chip cache instead of recalling live ones.
+// on-chip cache instead of recalling live ones. As there, the predicate must
+// be pure and may be asked about only some ways of a full set, oldest first.
 func (d *Directory) SetStalePredicate(fn func(addr.Block) bool) { d.dir.SetStalePredicate(fn) }
 
 // Stats returns the protocol decision counters.

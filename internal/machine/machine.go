@@ -68,8 +68,12 @@ func New(cfg Config) *Machine {
 	m.filter = core.NewBroadcastFilter(m.classifier, cfg.EnableBroadcastFilter)
 
 	// Sparse directory slices prefer to victimise entries whose block has
-	// already left every on-chip cache (the LLCs are inclusive of the L1s,
-	// so probing the LLCs is sufficient).
+	// already left every on-chip cache. The LLCs are inclusive of the L1s,
+	// so probing the LLCs is sufficient, and no design with a sparse slice
+	// needs the DRAM caches probed: the baseline has none, snoopy's and
+	// shared's are not tracked by the directory, and c3d's are clean. The
+	// probe touches no LRU state or statistics, so the slice may ask about
+	// as few ways as it likes.
 	uncached := func(b addr.Block) bool {
 		for _, s := range m.sockets {
 			if s.llc.Contains(b) {
