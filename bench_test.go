@@ -398,8 +398,8 @@ func BenchmarkMachineSimulationManyCores(b *testing.B) {
 	b.ReportMetric(float64(accesses*b.N)/b.Elapsed().Seconds(), "accesses/s")
 }
 
-// BenchmarkSweepOverhead measures the sweep harness itself (job dispatch,
-// seeding, result collection) with trivial jobs, so harness regressions are
+// BenchmarkSweepOverhead measures the sweep harness itself (job dispatch and
+// result collection) with trivial jobs, so harness regressions are
 // visible independently of simulation cost.
 func BenchmarkSweepOverhead(b *testing.B) {
 	b.ReportAllocs()
@@ -407,8 +407,9 @@ func BenchmarkSweepOverhead(b *testing.B) {
 	for i := range jobs {
 		i := i
 		jobs[i] = sweep.Job[int]{
-			Key: fmt.Sprintf("job-%d", i),
-			Run: func(_ context.Context, seed int64) (int, error) { return i + int(seed%3), nil },
+			Key:  fmt.Sprintf("job-%d", i),
+			Seed: int64(i),
+			Run:  func(_ context.Context, seed int64) (int, error) { return i + int(seed%3), nil },
 		}
 	}
 	b.ResetTimer()

@@ -53,18 +53,28 @@ func BlockAddr(b Block) Addr { return Addr(b) << BlockShift }
 func PageAddr(p Page) Addr { return Addr(p) << PageShift }
 
 // BlockAlign rounds a down to the start of its cache block.
+//
+//c3dlint:allow unused(no caller outside its tests; deletion deferred to ROADMAP item 9)
 func BlockAlign(a Addr) Addr { return a &^ (BlockBytes - 1) }
 
 // PageAlign rounds a down to the start of its page.
+//
+//c3dlint:allow unused(no caller outside its tests; deletion deferred to ROADMAP item 9)
 func PageAlign(a Addr) Addr { return a &^ (PageBytes - 1) }
 
 // BlockOffset returns the offset of a within its cache block.
+//
+//c3dlint:allow unused(no caller outside its tests; deletion deferred to ROADMAP item 9)
 func BlockOffset(a Addr) uint64 { return uint64(a) & (BlockBytes - 1) }
 
 // PageOffset returns the offset of a within its page.
+//
+//c3dlint:allow unused(no caller outside its tests; deletion deferred to ROADMAP item 9)
 func PageOffset(a Addr) uint64 { return uint64(a) & (PageBytes - 1) }
 
 // BlockInPage returns the index of block b within its page, in [0, BlocksPerPage).
+//
+//c3dlint:allow unused(no caller outside its tests; deletion deferred to ROADMAP item 9)
 func BlockInPage(b Block) int { return int(uint64(b) & (BlocksPerPage - 1)) }
 
 // String renders the address in hex, e.g. "0x00000000deadbec0".

@@ -132,6 +132,8 @@ func (l *Loader) Load(path string) (*Package, error) {
 // production path, so path-scoped analyzers fire on them. Fixture packages
 // are never memoized: the synthetic path must not shadow the real package
 // in the loader's cache.
+//
+//c3dlint:allow unused(how the fixture tests load testdata packages under production import paths)
 func (l *Loader) LoadDir(dir, asPath string) (*Package, error) {
 	return l.load(asPath, dir, false)
 }

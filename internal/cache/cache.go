@@ -27,8 +27,7 @@ const StateInvalid State = 0
 
 // Config describes a cache structure.
 type Config struct {
-	// Name is used in diagnostics and stats output (e.g. "L1", "LLC",
-	// "dramcache").
+	// Name is used in diagnostics (e.g. "L1", "LLC", "dramcache").
 	Name string
 	// SizeBytes is the total data capacity. Must be a multiple of
 	// Ways*addr.BlockBytes.
@@ -63,28 +62,6 @@ type Victim struct {
 	Valid bool
 }
 
-// Stats holds the access counters of one cache instance.
-type Stats struct {
-	Hits       uint64
-	Misses     uint64
-	Fills      uint64
-	Evictions  uint64
-	DirtyEvict uint64
-	Invalidate uint64
-}
-
-// Accesses returns hits+misses.
-func (s Stats) Accesses() uint64 { return s.Hits + s.Misses }
-
-// HitRate returns hits/(hits+misses), or 0 when the cache was never accessed.
-func (s Stats) HitRate() float64 {
-	a := s.Accesses()
-	if a == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(a)
-}
-
 // Cache is a set-associative tag/metadata array with LRU replacement.
 type Cache struct {
 	cfg     Config
@@ -92,7 +69,6 @@ type Cache struct {
 	ways    int
 	lines   []Line // sets*ways entries, row-major by set
 	tick    uint32
-	stats   Stats
 	setMask uint64
 }
 
@@ -160,24 +136,15 @@ func New(cfg Config) *Cache {
 	}
 }
 
-// Config returns the configuration the cache was built with.
-func (c *Cache) Config() Config { return c.cfg }
-
 // Sets returns the number of sets.
+//
+//c3dlint:allow unused(set count the cache tests check geometry with and TestWarmedStateMatchesGolden walks)
 func (c *Cache) Sets() int { return c.sets }
 
 // Ways returns the associativity.
+//
+//c3dlint:allow unused(associativity the cache tests check geometry with)
 func (c *Cache) Ways() int { return c.ways }
-
-// Capacity returns the data capacity in bytes.
-func (c *Cache) Capacity() uint64 { return c.cfg.SizeBytes }
-
-// Stats returns a snapshot of the access counters.
-func (c *Cache) Stats() Stats { return c.stats }
-
-// ResetStats clears the counters without touching cache contents (used at the
-// warm-up/measurement boundary).
-func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 func (c *Cache) setOf(b addr.Block) int { return int(uint64(b) & c.setMask) }
 
@@ -189,21 +156,19 @@ func (c *Cache) set(b addr.Block) []Line {
 // Lookup probes the cache for block b. On a hit it refreshes the line's LRU
 // position and returns a pointer to the line (which the caller may mutate,
 // e.g. to change its coherence state) and true. On a miss it returns nil and
-// false. Hit/miss statistics are updated.
+// false.
 func (c *Cache) Lookup(b addr.Block) (*Line, bool) {
 	set := c.set(b)
 	for i := range set {
 		if set[i].valid && set[i].Block == b {
 			set[i].lastUse = c.bump()
-			c.stats.Hits++
 			return &set[i], true
 		}
 	}
-	c.stats.Misses++
 	return nil, false
 }
 
-// Probe is like Lookup but does not update LRU state or statistics. It is
+// Probe is like Lookup but does not update LRU state. It is
 // used by coherence engines for snoops and invalidation checks that should
 // not perturb replacement behaviour.
 func (c *Cache) Probe(b addr.Block) (*Line, bool) {
@@ -216,19 +181,17 @@ func (c *Cache) Probe(b addr.Block) (*Line, bool) {
 	return nil, false
 }
 
-// Contains reports whether block b is present (without touching LRU/stats).
+// Contains reports whether block b is present (without touching LRU state).
 func (c *Cache) Contains(b addr.Block) bool {
 	_, ok := c.Probe(b)
 	return ok
 }
 
 // Touch is the functional-warming accessor: one set scan that behaves like
-// Lookup-then-Fill without the second scan and without any statistics
-// updates. On a hit it refreshes the line's LRU position — state and dirty
-// bit are left untouched — and reports hit=true. On a miss it installs the
-// block clean in the given state and returns the evicted victim, if any.
-// Neither hits, misses nor fills are counted: Touch exists for fast-forward
-// warming, whose traffic must stay invisible to every measured statistic.
+// Lookup-then-Fill without the second scan. On a hit it refreshes the line's
+// LRU position — state and dirty bit are left untouched — and reports
+// hit=true. On a miss it installs the block clean in the given state and
+// returns the evicted victim, if any.
 func (c *Cache) Touch(b addr.Block, st State) (Victim, bool) {
 	set := c.set(b)
 	invalidIdx, lruIdx := -1, 0
@@ -256,7 +219,7 @@ func (c *Cache) Touch(b addr.Block, st State) (Victim, bool) {
 	return victim, false
 }
 
-// TouchDirty is Touch's store flavour: one statistics-free scan that on a hit
+// TouchDirty is Touch's store flavour: one scan that on a hit
 // upgrades the line to st, sets its dirty bit and refreshes its LRU position,
 // and on a miss installs the block dirty in st, returning the victim.
 func (c *Cache) TouchDirty(b addr.Block, st State) (Victim, bool) {
@@ -288,8 +251,7 @@ func (c *Cache) TouchDirty(b addr.Block, st State) (Victim, bool) {
 	return victim, false
 }
 
-// TouchState is the state-upgrading flavour of Touch: one statistics-free
-// scan that on a hit sets the line's state to st (leaving the dirty bit
+// TouchState is the state-upgrading flavour of Touch: one scan that on a hit sets the line's state to st (leaving the dirty bit
 // alone), refreshes its LRU position and returns the state the line held
 // before the upgrade; on a miss it installs the block clean in st, silently
 // dropping the LRU victim. It exists for functional warming of stores, where
@@ -336,7 +298,6 @@ func (c *Cache) Fill(b addr.Block, st State, dirty bool) Victim {
 	if st == StateInvalid {
 		panic(fmt.Sprintf("cache %s: Fill with invalid state", c.cfg.Name))
 	}
-	c.stats.Fills++
 	set := c.set(b)
 	invalidIdx, lruIdx := -1, 0
 	for i := range set {
@@ -362,10 +323,6 @@ func (c *Cache) Fill(b addr.Block, st State, dirty bool) Victim {
 		victimIdx = lruIdx
 		v := set[victimIdx]
 		victim = Victim{Block: v.Block, State: v.State, Dirty: v.Dirty, Valid: true}
-		c.stats.Evictions++
-		if v.Dirty {
-			c.stats.DirtyEvict++
-		}
 	}
 	set[victimIdx] = Line{Block: b, State: st, Dirty: dirty, valid: true, lastUse: c.bump()}
 	return victim
@@ -379,7 +336,6 @@ func (c *Cache) Invalidate(b addr.Block) Victim {
 		if set[i].valid && set[i].Block == b {
 			v := set[i]
 			set[i] = Line{}
-			c.stats.Invalidate++
 			return Victim{Block: v.Block, State: v.State, Dirty: v.Dirty, Valid: true}
 		}
 	}
@@ -441,6 +397,8 @@ func (c *Cache) ForEach(fn func(Line)) {
 // LRUOrder returns the valid lines of set s from least to most recently
 // used. Intended for tests that compare replacement state across runs; the
 // order, not the raw timestamps, is what replacement reads.
+//
+//c3dlint:allow unused(LRU order digested by TestWarmedStateMatchesGolden)
 func (c *Cache) LRUOrder(s int) []Line {
 	set := slices.Clone(c.lines[s*c.ways : (s+1)*c.ways])
 	set = slices.DeleteFunc(set, func(l Line) bool { return !l.valid })
@@ -449,6 +407,8 @@ func (c *Cache) LRUOrder(s int) []Line {
 }
 
 // Flush removes every line and returns the number of lines that were dirty.
+//
+//c3dlint:allow unused(no caller outside its tests; deletion deferred to ROADMAP item 9)
 func (c *Cache) Flush() int {
 	dirty := 0
 	for i := range c.lines {

@@ -19,11 +19,8 @@ func small() *Cache {
 
 func TestGeometry(t *testing.T) {
 	c := small()
-	if c.Sets() != 8 || c.Ways() != 2 || c.Capacity() != 1024 {
-		t.Fatalf("geometry: sets=%d ways=%d cap=%d", c.Sets(), c.Ways(), c.Capacity())
-	}
-	if c.Config().Name != "t" {
-		t.Error("config not retained")
+	if c.Sets() != 8 || c.Ways() != 2 {
+		t.Fatalf("geometry: sets=%d ways=%d", c.Sets(), c.Ways())
 	}
 }
 
@@ -57,20 +54,6 @@ func TestMissThenHit(t *testing.T) {
 	if !hit || line.Block != b || line.State != stS {
 		t.Fatalf("expected hit on filled block, got %+v hit=%v", line, hit)
 	}
-	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Fills != 1 {
-		t.Errorf("stats %+v", st)
-	}
-	if st.HitRate() != 0.5 {
-		t.Errorf("hit rate %v", st.HitRate())
-	}
-}
-
-func TestHitRateEmpty(t *testing.T) {
-	var s Stats
-	if s.HitRate() != 0 {
-		t.Error("empty stats hit rate should be 0")
-	}
 }
 
 func TestFillInvalidStatePanics(t *testing.T) {
@@ -97,9 +80,6 @@ func TestLRUEviction(t *testing.T) {
 	if !c.Contains(b0) || !c.Contains(b2) || c.Contains(b1) {
 		t.Error("post-eviction contents wrong")
 	}
-	if c.Stats().Evictions != 1 {
-		t.Errorf("evictions = %d", c.Stats().Evictions)
-	}
 }
 
 func TestDirtyEvictionReported(t *testing.T) {
@@ -109,9 +89,6 @@ func TestDirtyEvictionReported(t *testing.T) {
 	v := c.Fill(addr.Block(16), stS, false) // evicts LRU = block 0 (dirty)
 	if !v.Valid || !v.Dirty || v.Block != 0 {
 		t.Fatalf("expected dirty victim of block 0, got %+v", v)
-	}
-	if c.Stats().DirtyEvict != 1 {
-		t.Errorf("dirty evictions = %d", c.Stats().DirtyEvict)
 	}
 }
 
@@ -138,13 +115,9 @@ func TestProbeDoesNotPerturb(t *testing.T) {
 	// Probe b0 (should NOT refresh LRU), then fill a conflicting block:
 	// the victim must be b0 because probes don't touch recency.
 	c.Probe(addr.Block(0))
-	before := c.Stats()
 	v := c.Fill(addr.Block(16), stS, false)
 	if v.Block != 0 {
 		t.Errorf("probe perturbed LRU; victim = %+v", v)
-	}
-	if c.Stats().Hits != before.Hits || c.Stats().Misses != before.Misses {
-		t.Error("probe should not change hit/miss stats")
 	}
 }
 
@@ -160,9 +133,6 @@ func TestInvalidate(t *testing.T) {
 	}
 	if v2 := c.Invalidate(addr.Block(7)); v2.Valid {
 		t.Error("double invalidate should report absent")
-	}
-	if c.Stats().Invalidate != 1 {
-		t.Errorf("invalidate count = %d", c.Stats().Invalidate)
 	}
 }
 
@@ -222,19 +192,6 @@ func TestFlushAndForEach(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	c := small()
-	c.Lookup(addr.Block(1))
-	c.Fill(addr.Block(1), stS, false)
-	c.ResetStats()
-	if c.Stats() != (Stats{}) {
-		t.Errorf("stats not cleared: %+v", c.Stats())
-	}
-	if !c.Contains(addr.Block(1)) {
-		t.Error("ResetStats must not drop contents")
-	}
-}
-
 func TestDirectMapped(t *testing.T) {
 	c := New(Config{Name: "dm", SizeBytes: 4 * 64, Ways: 1})
 	if c.Sets() != 4 || c.Ways() != 1 {
@@ -252,7 +209,7 @@ func TestDirectMapped(t *testing.T) {
 func TestOccupancyProperty(t *testing.T) {
 	f := func(blocks []uint16) bool {
 		c := New(Config{Name: "p", SizeBytes: 2048, Ways: 4})
-		capacity := int(c.Capacity() / addr.BlockBytes)
+		capacity := c.Sets() * c.Ways()
 		for _, b := range blocks {
 			blk := addr.Block(b)
 			c.Fill(blk, stS, b%3 == 0)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"c3d/internal/addr"
-	"c3d/internal/sim"
 )
 
 // Entry is one global-directory entry: the stable state of a block plus the
@@ -16,7 +15,10 @@ type Entry struct {
 	Owner   int
 }
 
-// Owner socket as a sharer set (convenience for invalidation fan-out).
+// OwnerSet returns the owner socket as a sharer set (convenience for
+// invalidation fan-out).
+//
+//c3dlint:allow unused(no caller outside its tests; deletion deferred to ROADMAP item 9)
 func (e Entry) OwnerSet() SharerSet {
 	if e.State != DirModified {
 		return 0
@@ -35,24 +37,6 @@ type DirConfig struct {
 	// Ways is the associativity of a bounded directory. Ignored when
 	// Entries is zero. Table II models a sparse 2x, 32-way directory.
 	Ways int
-	// AccessLatency is charged by the protocol engines per directory lookup
-	// (10 cycles in Table II). The directory itself does not apply it; it is
-	// carried here so machine configuration stays in one place.
-	AccessLatency sim.Cycles
-}
-
-// DirStats counts directory activity.
-type DirStats struct {
-	Lookups     uint64
-	Hits        uint64
-	Misses      uint64
-	Allocations uint64
-	// Recalls counts entries evicted from a bounded (sparse) directory to
-	// make room for a new allocation. Each recall forces invalidation of the
-	// tracked copies, which the protocol engine must perform.
-	Recalls uint64
-	Updates uint64
-	Removes uint64
 }
 
 // Directory is one socket's slice of the global directory: a mapping from
@@ -60,14 +44,10 @@ type DirStats struct {
 // (no recalls); otherwise it is a sparse set-associative structure whose
 // evictions the caller must turn into recall invalidations.
 type Directory struct {
-	cfg   DirConfig
-	stats DirStats
-
 	// Unbounded storage.
 	unbounded map[addr.Block]Entry
 
 	// Bounded (sparse) storage.
-	sets    int
 	ways    int
 	setMask uint64
 	lines   []dirLine
@@ -97,7 +77,7 @@ type Recall struct {
 // NewDirectory builds a directory slice from cfg. It panics on invalid
 // bounded geometry.
 func NewDirectory(cfg DirConfig) *Directory {
-	d := &Directory{cfg: cfg}
+	d := &Directory{}
 	if cfg.Entries <= 0 {
 		d.unbounded = make(map[addr.Block]Entry)
 		return d
@@ -112,15 +92,11 @@ func NewDirectory(cfg DirConfig) *Directory {
 	if sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("coherence: directory %s: number of sets %d must be a power of two", cfg.Name, sets))
 	}
-	d.sets = sets
 	d.ways = cfg.Ways
 	d.setMask = uint64(sets - 1)
 	d.lines = make([]dirLine, sets*cfg.Ways)
 	return d
 }
-
-// Config returns the configuration the directory was built with.
-func (d *Directory) Config() DirConfig { return d.cfg }
 
 // SetStalePredicate installs a callback that reports whether a tracked block
 // has already left every cache covered by this directory. Caches evict clean
@@ -129,30 +105,15 @@ func (d *Directory) Config() DirConfig { return d.cfg }
 // whose recall needlessly invalidates cached data. Real designs mitigate this
 // with eviction hints or by probing before recalling — the predicate models
 // that ability. A nil predicate (the default) falls back to pure LRU.
-// The predicate must be pure, touching no LRU state or statistics: Update
+// The predicate must be pure, touching no LRU state: Update
 // asks it about only some ways of a full set, oldest first.
 func (d *Directory) SetStalePredicate(fn func(addr.Block) bool) { d.stale = fn }
-
-// Unbounded reports whether the directory has unlimited capacity.
-func (d *Directory) Unbounded() bool { return d.unbounded != nil }
-
-// Stats returns a snapshot of the activity counters.
-func (d *Directory) Stats() DirStats { return d.stats }
-
-// ResetStats clears the activity counters without touching contents.
-func (d *Directory) ResetStats() { d.stats = DirStats{} }
 
 // Lookup returns the entry for block b and whether one exists. A missing
 // entry means DirInvalid.
 func (d *Directory) Lookup(b addr.Block) (Entry, bool) {
-	d.stats.Lookups++
 	if d.unbounded != nil {
 		e, ok := d.unbounded[b]
-		if ok {
-			d.stats.Hits++
-		} else {
-			d.stats.Misses++
-		}
 		return e, ok
 	}
 	set := d.set(b)
@@ -160,15 +121,13 @@ func (d *Directory) Lookup(b addr.Block) (Entry, bool) {
 		if set[i].valid && set[i].block == b {
 			d.tick++
 			set[i].lastUse = d.tick
-			d.stats.Hits++
 			return set[i].entry, true
 		}
 	}
-	d.stats.Misses++
 	return Entry{}, false
 }
 
-// Probe is like Lookup but does not update LRU order or statistics.
+// Probe is like Lookup but does not update LRU order.
 func (d *Directory) Probe(b addr.Block) (Entry, bool) {
 	if d.unbounded != nil {
 		e, ok := d.unbounded[b]
@@ -201,11 +160,7 @@ func (d *Directory) Update(b addr.Block, e Entry) Recall {
 		d.Remove(b)
 		return Recall{}
 	}
-	d.stats.Updates++
 	if d.unbounded != nil {
-		if _, ok := d.unbounded[b]; !ok {
-			d.stats.Allocations++
-		}
 		d.unbounded[b] = e
 		return Recall{}
 	}
@@ -225,7 +180,6 @@ func (d *Directory) Update(b addr.Block, e Entry) Recall {
 			lru = i
 		}
 	}
-	d.stats.Allocations++
 	victim := free
 	if victim < 0 && d.stale != nil {
 		// Full set: ask about the ways oldest first, stopping at the first
@@ -248,7 +202,6 @@ func (d *Directory) Update(b addr.Block, e Entry) Recall {
 	if victim < 0 {
 		victim = lru
 		recall = Recall{Block: set[victim].block, Entry: set[victim].entry, Valid: true}
-		d.stats.Recalls++
 	}
 	d.tick++
 	set[victim] = dirLine{block: b, entry: e, valid: true, lastUse: d.tick}
@@ -261,7 +214,6 @@ func (d *Directory) Remove(b addr.Block) bool {
 	if d.unbounded != nil {
 		if _, ok := d.unbounded[b]; ok {
 			delete(d.unbounded, b)
-			d.stats.Removes++
 			return true
 		}
 		return false
@@ -270,7 +222,6 @@ func (d *Directory) Remove(b addr.Block) bool {
 	for i := range set {
 		if set[i].valid && set[i].block == b {
 			set[i] = dirLine{}
-			d.stats.Removes++
 			return true
 		}
 	}
@@ -295,6 +246,8 @@ func (d *Directory) Entries() int {
 // ForEach calls fn for every (block, entry) pair. Iteration order over an
 // unbounded directory is unspecified; tests that need determinism should use
 // a bounded directory or sort the results.
+//
+//c3dlint:allow unused(no caller outside its tests; deletion deferred to ROADMAP item 9)
 func (d *Directory) ForEach(fn func(addr.Block, Entry)) {
 	if d.unbounded != nil {
 		for b, e := range d.unbounded {

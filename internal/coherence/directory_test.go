@@ -17,9 +17,6 @@ func newSparseDir(entries, ways int) *Directory {
 
 func TestDirectoryUnboundedBasics(t *testing.T) {
 	d := newUnboundedDir()
-	if !d.Unbounded() {
-		t.Fatal("expected unbounded directory")
-	}
 	b := addr.Block(42)
 	if _, ok := d.Lookup(b); ok {
 		t.Fatal("empty directory should miss")
@@ -43,6 +40,12 @@ func TestDirectoryUnboundedBasics(t *testing.T) {
 	}
 }
 
+func TestStateNames(t *testing.T) {
+	if DirInvalid.String() != "I" || DirShared.String() != "S" || DirModified.String() != "M" {
+		t.Error("unexpected DirState names")
+	}
+}
+
 func TestDirectoryUpdateInvalidRemoves(t *testing.T) {
 	d := newUnboundedDir()
 	b := addr.Block(7)
@@ -53,32 +56,9 @@ func TestDirectoryUpdateInvalidRemoves(t *testing.T) {
 	}
 }
 
-func TestDirectoryStats(t *testing.T) {
-	d := newUnboundedDir()
-	b := addr.Block(1)
-	d.Lookup(b)
-	d.Update(b, Entry{State: DirShared, Sharers: NewSharerSet(0)})
-	d.Lookup(b)
-	d.Remove(b)
-	s := d.Stats()
-	if s.Lookups != 2 || s.Hits != 1 || s.Misses != 1 {
-		t.Errorf("stats = %+v; want 2 lookups, 1 hit, 1 miss", s)
-	}
-	if s.Allocations != 1 || s.Updates != 1 || s.Removes != 1 {
-		t.Errorf("stats = %+v; want 1 allocation, 1 update, 1 remove", s)
-	}
-	d.ResetStats()
-	if d.Stats() != (DirStats{}) {
-		t.Error("ResetStats did not clear counters")
-	}
-}
-
 func TestDirectorySparseRecall(t *testing.T) {
 	// 1 set x 2 ways: the third distinct block must evict the LRU entry.
 	d := newSparseDir(2, 2)
-	if d.Unbounded() {
-		t.Fatal("expected bounded directory")
-	}
 	r1 := d.Update(addr.Block(0), Entry{State: DirShared, Sharers: NewSharerSet(0)})
 	r2 := d.Update(addr.Block(1), Entry{State: DirShared, Sharers: NewSharerSet(1)})
 	if r1.Valid || r2.Valid {
@@ -94,9 +74,6 @@ func TestDirectorySparseRecall(t *testing.T) {
 	}
 	if r3.Block != addr.Block(1) {
 		t.Errorf("recalled block = %d, want 1 (the LRU)", r3.Block)
-	}
-	if d.Stats().Recalls != 1 {
-		t.Errorf("Recalls = %d, want 1", d.Stats().Recalls)
 	}
 	// The new entry must be present, the recalled one absent.
 	if _, ok := d.Probe(addr.Block(2)); !ok {

@@ -73,6 +73,8 @@ func (p StorageParams) StorageBytes() uint64 {
 }
 
 // StorageMB returns the storage requirement in mebibytes.
+//
+//c3dlint:allow unused(no caller outside its tests; deletion deferred to ROADMAP item 9)
 func (p StorageParams) StorageMB() float64 {
 	return float64(p.StorageBytes()) / (1 << 20)
 }
@@ -95,6 +97,8 @@ func NonInclusiveDirCost(llcBytes uint64, sockets int, provisioning float64) uin
 // StorageSavings returns the fraction of directory storage saved by C3D's
 // non-inclusive directory compared with an inclusive directory over the DRAM
 // cache, for the given capacities.
+//
+//c3dlint:allow unused(no caller outside its tests; deletion deferred to ROADMAP item 9)
 func StorageSavings(dramCacheBytes, llcBytes uint64, sockets int, provisioning float64) float64 {
 	incl := InclusiveDirCost(dramCacheBytes, llcBytes, sockets, provisioning)
 	noninc := NonInclusiveDirCost(llcBytes, sockets, provisioning)

@@ -80,26 +80,3 @@ func TestOwnerSet(t *testing.T) {
 		t.Errorf("OwnerSet() of a Shared entry = %v, want empty", e.OwnerSet())
 	}
 }
-
-func TestStateNames(t *testing.T) {
-	if DirInvalid.String() != "I" || DirShared.String() != "S" || DirModified.String() != "M" {
-		t.Error("unexpected DirState names")
-	}
-	if LineStateName(LineInvalid) != "I" || LineStateName(LineShared) != "S" || LineStateName(LineModified) != "M" {
-		t.Error("unexpected line state names")
-	}
-}
-
-func TestMsgTypeProperties(t *testing.T) {
-	dataCarrying := map[MsgType]bool{
-		MsgPutX: true, MsgData: true, MsgDataMem: true, MsgWriteback: true,
-	}
-	for m := MsgType(0); int(m) < NumMsgTypes; m++ {
-		if got := m.CarriesData(); got != dataCarrying[m] {
-			t.Errorf("%v.CarriesData() = %v, want %v", m, got, dataCarrying[m])
-		}
-		if m.String() == "" {
-			t.Errorf("MsgType %d has no name", m)
-		}
-	}
-}

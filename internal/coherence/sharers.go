@@ -42,6 +42,8 @@ func (s SharerSet) Remove(socket int) SharerSet {
 }
 
 // Contains reports whether socket is in the set.
+//
+//c3dlint:allow unused(membership test the core directory tests read sharing vectors with)
 func (s SharerSet) Contains(socket int) bool {
 	checkSocket(socket)
 	return s&(1<<uint(socket)) != 0
@@ -54,6 +56,8 @@ func (s SharerSet) Count() int { return bits.OnesCount64(uint64(s)) }
 func (s SharerSet) Empty() bool { return s == 0 }
 
 // Only reports whether the set contains exactly the given socket.
+//
+//c3dlint:allow unused(no caller outside its tests; deletion deferred to ROADMAP item 9)
 func (s SharerSet) Only(socket int) bool {
 	checkSocket(socket)
 	return s == 1<<uint(socket)
@@ -74,6 +78,8 @@ func (s SharerSet) ForEach(fn func(socket int)) {
 }
 
 // Sockets returns the members in ascending order.
+//
+//c3dlint:allow unused(no caller outside its tests; deletion deferred to ROADMAP item 9)
 func (s SharerSet) Sockets() []int {
 	out := make([]int, 0, s.Count())
 	s.ForEach(func(i int) { out = append(out, i) })
@@ -81,6 +87,8 @@ func (s SharerSet) Sockets() []int {
 }
 
 // Union returns the union of two sets.
+//
+//c3dlint:allow unused(no caller outside its tests; deletion deferred to ROADMAP item 9)
 func (s SharerSet) Union(o SharerSet) SharerSet { return s | o }
 
 // String renders the set like "{0,2,3}".

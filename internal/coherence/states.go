@@ -1,8 +1,7 @@
 // Package coherence provides the vocabulary and bookkeeping structures shared
 // by every coherence protocol engine in the simulator: MSI line states, the
-// socket-grain sharer set, the global-directory structures (sparse and full),
-// the message taxonomy used for traffic accounting, and the directory storage
-// cost model from §III-B of the C3D paper.
+// socket-grain sharer set, and the global-directory structures (sparse and
+// full).
 //
 // The package deliberately contains no timing: protocol engines (in
 // internal/machine and internal/core) decide which messages travel where and
@@ -29,20 +28,6 @@ const (
 	// be dirty with respect to memory.
 	LineModified cache.State = 2
 )
-
-// LineStateName returns a human-readable name for a line-level state.
-func LineStateName(s cache.State) string {
-	switch s {
-	case LineInvalid:
-		return "I"
-	case LineShared:
-		return "S"
-	case LineModified:
-		return "M"
-	default:
-		return fmt.Sprintf("State(%d)", uint8(s))
-	}
-}
 
 // DirState is the stable state of a global-directory entry. The C3D global
 // directory (Fig. 5 of the paper) and the baseline/full directories all use
@@ -74,95 +59,5 @@ func (s DirState) String() string {
 		return "M"
 	default:
 		return fmt.Sprintf("DirState(%d)", uint8(s))
-	}
-}
-
-// MsgType enumerates the coherence messages exchanged between sockets. The
-// set mirrors the protocol description in §IV-C plus the messages needed by
-// the naive snoopy and full-directory designs of §III.
-type MsgType uint8
-
-const (
-	// MsgGetS is a read request forwarded to the home directory after a miss
-	// in the requesting socket.
-	MsgGetS MsgType = iota
-	// MsgGetX is a write (read-for-ownership) request.
-	MsgGetX
-	// MsgUpgrade is a write request by a socket that already holds the block
-	// in Shared; the response carries no data.
-	MsgUpgrade
-	// MsgPutX is a write-back of a Modified block (LLC eviction, downgrade
-	// response, or invalidation response carrying data).
-	MsgPutX
-	// MsgFwdGetS is the home directory forwarding a read request to the
-	// owning socket.
-	MsgFwdGetS
-	// MsgFwdGetX is the home directory forwarding a write request to the
-	// owning socket.
-	MsgFwdGetX
-	// MsgInv is an invalidation request sent to a sharer (or broadcast to
-	// all DRAM caches for untracked blocks in C3D).
-	MsgInv
-	// MsgInvAck acknowledges an invalidation.
-	MsgInvAck
-	// MsgData carries a cache block to the requester.
-	MsgData
-	// MsgDataMem carries a cache block read from memory to the requester.
-	MsgDataMem
-	// MsgAck is a dataless acknowledgement (e.g. upgrade grant, write-back
-	// ack).
-	MsgAck
-	// MsgSnoop is a snoopy-protocol probe of a remote socket's caches.
-	MsgSnoop
-	// MsgSnoopResp is the response to a snoop (hit/miss, possibly with
-	// data).
-	MsgSnoopResp
-	// MsgWriteback is a data message writing a dirty block back to the home
-	// memory (distinct from MsgPutX so traffic accounting can separate
-	// directory write-backs from memory write-throughs).
-	MsgWriteback
-	// MsgRecall is a directory-initiated invalidation caused by a sparse
-	// directory entry eviction.
-	MsgRecall
-)
-
-var msgNames = [...]string{
-	MsgGetS:      "GetS",
-	MsgGetX:      "GetX",
-	MsgUpgrade:   "Upgrade",
-	MsgPutX:      "PutX",
-	MsgFwdGetS:   "FwdGetS",
-	MsgFwdGetX:   "FwdGetX",
-	MsgInv:       "Inv",
-	MsgInvAck:    "InvAck",
-	MsgData:      "Data",
-	MsgDataMem:   "DataMem",
-	MsgAck:       "Ack",
-	MsgSnoop:     "Snoop",
-	MsgSnoopResp: "SnoopResp",
-	MsgWriteback: "Writeback",
-	MsgRecall:    "Recall",
-}
-
-func (m MsgType) String() string {
-	if int(m) < len(msgNames) && msgNames[m] != "" {
-		return msgNames[m]
-	}
-	return fmt.Sprintf("MsgType(%d)", uint8(m))
-}
-
-// NumMsgTypes is the number of distinct message types (useful for
-// per-message-type counters).
-const NumMsgTypes = int(MsgRecall) + 1
-
-// CarriesData reports whether a message of this type carries a full cache
-// block (and therefore travels as an 80-byte data packet rather than a
-// 16-byte control packet).
-func (m MsgType) CarriesData() bool {
-	switch m {
-	case MsgPutX, MsgData, MsgDataMem, MsgWriteback:
-		return true
-	default:
-		return false
 	}
 }

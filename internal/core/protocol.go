@@ -165,12 +165,6 @@ type ProtocolConfig struct {
 	TrackDRAMCache bool
 }
 
-// DefaultProtocolConfig returns the configuration used by the verification
-// experiment: 3 sockets, each core doing one load and one store.
-func DefaultProtocolConfig() ProtocolConfig {
-	return ProtocolConfig{Sockets: 3, LoadsPerCore: 1, StoresPerCore: 1}
-}
-
 // ProtocolModel is the explorable model; it implements the interface expected
 // by internal/mc (via duck typing — mc defines the interface).
 type ProtocolModel struct {

@@ -6,7 +6,7 @@ import (
 )
 
 func TestProtocolModelInitial(t *testing.T) {
-	m := NewProtocolModel(DefaultProtocolConfig())
+	m := NewProtocolModel(ProtocolConfig{Sockets: 3, LoadsPerCore: 1, StoresPerCore: 1})
 	init := m.Initial()
 	if len(init) != 1 {
 		t.Fatalf("Initial returned %d states, want 1", len(init))

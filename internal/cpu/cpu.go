@@ -32,8 +32,6 @@ type MemorySystem interface {
 type Config struct {
 	// ID is the global core id.
 	ID int
-	// Socket is the socket the core belongs to.
-	Socket int
 	// StoreQueueEntries is the number of in-flight stores the core tolerates
 	// before it must stall (32 in Table II).
 	StoreQueueEntries int
@@ -59,6 +57,8 @@ type Stats struct {
 }
 
 // IPC returns instructions per cycle.
+//
+//c3dlint:allow unused(no caller outside its tests; deletion deferred to ROADMAP item 9)
 func (s Stats) IPC() float64 {
 	if s.Cycles == 0 {
 		return 0
@@ -85,12 +85,6 @@ func New(cfg Config) *Core {
 	return &Core{cfg: cfg, storeQueue: make([]sim.Time, 0, cfg.StoreQueueEntries)}
 }
 
-// ID returns the core's global id.
-func (c *Core) ID() int { return c.cfg.ID }
-
-// Socket returns the socket the core belongs to.
-func (c *Core) Socket() int { return c.cfg.Socket }
-
 // Now returns the core's current local time.
 func (c *Core) Now() sim.Time { return c.clock }
 
@@ -102,6 +96,8 @@ func (c *Core) Stats() Stats {
 }
 
 // PendingStores returns the number of stores still in flight.
+//
+//c3dlint:allow unused(store-queue depth the cpu tests check stalls and retirement with)
 func (c *Core) PendingStores() int { return len(c.storeQueue) }
 
 // ResetTiming rewinds the core's clock and statistics to zero while keeping

@@ -28,7 +28,7 @@ func (m *fakeMem) Write(now sim.Time, core int, a addr.Addr) sim.Time {
 }
 
 func TestGapInstructionsCostOneCycleEach(t *testing.T) {
-	c := New(Config{ID: 0, Socket: 0})
+	c := New(Config{ID: 0})
 	mem := &fakeMem{readLat: 10}
 	c.Execute(trace.Record{Kind: trace.Read, Addr: 0x40, Gap: 7}, mem)
 	// 7 gap cycles + 10 load cycles.
@@ -42,7 +42,7 @@ func TestGapInstructionsCostOneCycleEach(t *testing.T) {
 }
 
 func TestLoadsBlockTheCore(t *testing.T) {
-	c := New(Config{ID: 1, Socket: 0})
+	c := New(Config{ID: 1})
 	mem := &fakeMem{readLat: 100}
 	for i := 0; i < 3; i++ {
 		c.Execute(trace.Record{Kind: trace.Read, Addr: addr.Addr(i * 64)}, mem)
@@ -56,7 +56,7 @@ func TestLoadsBlockTheCore(t *testing.T) {
 }
 
 func TestStoresAreOffTheCriticalPath(t *testing.T) {
-	c := New(Config{ID: 2, Socket: 0, StoreQueueEntries: 32})
+	c := New(Config{ID: 2, StoreQueueEntries: 32})
 	mem := &fakeMem{writeLat: 500}
 	for i := 0; i < 10; i++ {
 		c.Execute(trace.Record{Kind: trace.Write, Addr: addr.Addr(i * 64)}, mem)
@@ -75,7 +75,7 @@ func TestStoresAreOffTheCriticalPath(t *testing.T) {
 }
 
 func TestFullStoreQueueStalls(t *testing.T) {
-	c := New(Config{ID: 3, Socket: 0, StoreQueueEntries: 2})
+	c := New(Config{ID: 3, StoreQueueEntries: 2})
 	mem := &fakeMem{writeLat: 100}
 	// First two stores fill the queue (issue at cycles 0 and 1, perform at
 	// 100 and 101). The third store must wait for the oldest to perform.
@@ -91,7 +91,7 @@ func TestFullStoreQueueStalls(t *testing.T) {
 }
 
 func TestDrainWaitsForStores(t *testing.T) {
-	c := New(Config{ID: 4, Socket: 1})
+	c := New(Config{ID: 4})
 	mem := &fakeMem{writeLat: 1000}
 	c.Execute(trace.Record{Kind: trace.Write, Addr: 0x80}, mem)
 	if c.Now() >= 1000 {
@@ -111,7 +111,7 @@ func TestDrainWaitsForStores(t *testing.T) {
 }
 
 func TestStoreQueueRetiresCompletedStores(t *testing.T) {
-	c := New(Config{ID: 5, Socket: 0, StoreQueueEntries: 2})
+	c := New(Config{ID: 5, StoreQueueEntries: 2})
 	mem := &fakeMem{writeLat: 5}
 	// Stores separated by large gaps retire before the next store issues, so
 	// the queue never fills and the core never stalls.
@@ -127,7 +127,7 @@ func TestStoreQueueRetiresCompletedStores(t *testing.T) {
 }
 
 func TestResetTiming(t *testing.T) {
-	c := New(Config{ID: 6, Socket: 0})
+	c := New(Config{ID: 6})
 	mem := &fakeMem{readLat: 10, writeLat: 10}
 	c.Execute(trace.Record{Kind: trace.Read, Addr: 0x40}, mem)
 	c.Execute(trace.Record{Kind: trace.Write, Addr: 0x80}, mem)
@@ -138,7 +138,7 @@ func TestResetTiming(t *testing.T) {
 }
 
 func TestStatsIPC(t *testing.T) {
-	c := New(Config{ID: 7, Socket: 0})
+	c := New(Config{ID: 7})
 	mem := &fakeMem{readLat: 1}
 	c.Execute(trace.Record{Kind: trace.Read, Addr: 0x40, Gap: 3}, mem)
 	s := c.Stats()
@@ -153,7 +153,7 @@ func TestStatsIPC(t *testing.T) {
 }
 
 func TestDefaultStoreQueueDepth(t *testing.T) {
-	c := New(Config{ID: 8, Socket: 0})
+	c := New(Config{ID: 8})
 	if c.cfg.StoreQueueEntries != DefaultStoreQueueEntries {
 		t.Errorf("default store queue = %d, want %d", c.cfg.StoreQueueEntries, DefaultStoreQueueEntries)
 	}
@@ -165,7 +165,7 @@ func TestUnknownKindPanics(t *testing.T) {
 			t.Error("unknown record kind should panic")
 		}
 	}()
-	New(Config{ID: 9, Socket: 0}).Execute(trace.Record{Kind: trace.Kind(7)}, &fakeMem{})
+	New(Config{ID: 9}).Execute(trace.Record{Kind: trace.Kind(7)}, &fakeMem{})
 }
 
 func TestTimeTravelPanics(t *testing.T) {
@@ -175,7 +175,7 @@ func TestTimeTravelPanics(t *testing.T) {
 			t.Error("a memory system answering in the past should panic")
 		}
 	}()
-	c := New(Config{ID: 10, Socket: 0})
+	c := New(Config{ID: 10})
 	c.Execute(trace.Record{Kind: trace.Read, Addr: 0x40, Gap: 100}, bad)
 }
 
@@ -188,7 +188,7 @@ func (badMem) Write(now sim.Time, core int, a addr.Addr) sim.Time { return 0 }
 // of loads, stores and gaps, and total cycles >= gap cycles.
 func TestClockMonotoneProperty(t *testing.T) {
 	f := func(ops []uint16) bool {
-		c := New(Config{ID: 0, Socket: 0, StoreQueueEntries: 4})
+		c := New(Config{ID: 0, StoreQueueEntries: 4})
 		mem := &fakeMem{readLat: 7, writeLat: 90}
 		prev := sim.Time(0)
 		for _, op := range ops {

@@ -19,7 +19,7 @@ import (
 
 // Config describes one socket's memory subsystem.
 type Config struct {
-	// Name identifies the controller in stats output, e.g. "mem0".
+	// Name identifies the controller in diagnostics, e.g. "mem0".
 	Name string
 	// AccessLatency is the row access latency (queueing excluded).
 	AccessLatency sim.Cycles
@@ -30,33 +30,10 @@ type Config struct {
 	ChannelBandwidthGBs float64
 }
 
-// DefaultConfig returns the Table II memory parameters: 50 ns, 2 channels of
-// 12.8 GB/s.
-func DefaultConfig(name string) Config {
-	return Config{
-		Name:                name,
-		AccessLatency:       sim.NsToCycles(50),
-		Channels:            2,
-		ChannelBandwidthGBs: 12.8,
-	}
-}
-
-// Stats holds the per-controller access counters.
-type Stats struct {
-	Reads      uint64
-	Writes     uint64
-	ReadBytes  uint64
-	WriteBytes uint64
-}
-
-// Accesses returns reads+writes.
-func (s Stats) Accesses() uint64 { return s.Reads + s.Writes }
-
 // Controller is one socket's memory controller.
 type Controller struct {
 	cfg      Config
 	channels []*sim.Resource
-	stats    Stats
 }
 
 // New builds a controller from cfg. It panics on a non-positive channel
@@ -74,15 +51,9 @@ func New(cfg Config) *Controller {
 	return c
 }
 
-// Config returns the controller's configuration.
-func (c *Controller) Config() Config { return c.cfg }
-
-// Stats returns a snapshot of the counters.
-func (c *Controller) Stats() Stats { return c.stats }
-
-// ResetStats clears the counters and channel occupancy.
+// ResetStats is the controller's warm-up boundary reset. The controller
+// keeps no counters, so it clears channel occupancy only.
 func (c *Controller) ResetStats() {
-	c.stats = Stats{}
 	for _, ch := range c.channels {
 		ch.Reset()
 	}
@@ -106,8 +77,6 @@ func (c *Controller) channelOf(b addr.Block) *sim.Resource {
 // time: queueing delay on the block's channel, then the access latency, then
 // the 64 B transfer.
 func (c *Controller) Read(now sim.Time, b addr.Block) sim.Time {
-	c.stats.Reads++
-	c.stats.ReadBytes += addr.BlockBytes
 	ch := c.channelOf(b)
 	_, done := ch.Acquire(now, addr.BlockBytes)
 	return done.Add(c.cfg.AccessLatency)
@@ -118,18 +87,7 @@ func (c *Controller) Read(now sim.Time, b addr.Block) sim.Time {
 // the returned latency is on the critical path (it normally is not, because
 // stores drain from the store queue).
 func (c *Controller) Write(now sim.Time, b addr.Block) sim.Time {
-	c.stats.Writes++
-	c.stats.WriteBytes += addr.BlockBytes
 	ch := c.channelOf(b)
 	_, done := ch.Acquire(now, addr.BlockBytes)
 	return done.Add(c.cfg.AccessLatency)
-}
-
-// ChannelStats returns the occupancy statistics of every channel.
-func (c *Controller) ChannelStats() []sim.ResourceStats {
-	out := make([]sim.ResourceStats, len(c.channels))
-	for i, ch := range c.channels {
-		out[i] = ch.Stats()
-	}
-	return out
 }

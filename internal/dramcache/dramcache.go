@@ -51,7 +51,7 @@ func (p Policy) String() string {
 
 // Config describes one socket's DRAM cache.
 type Config struct {
-	// Name identifies the cache in stats output, e.g. "dram$0".
+	// Name identifies the cache in diagnostics, e.g. "dram$0".
 	Name string
 	// SizeBytes is the data capacity (1 GB per socket in Table II).
 	SizeBytes uint64
@@ -72,21 +72,6 @@ type Config struct {
 	PredictorEntries int
 	// Policy selects clean (write-through) or dirty (write-back) operation.
 	Policy Policy
-}
-
-// DefaultConfig returns the Table II DRAM cache configuration with the given
-// capacity and policy.
-func DefaultConfig(name string, sizeBytes uint64, policy Policy) Config {
-	return Config{
-		Name:                name,
-		SizeBytes:           sizeBytes,
-		Ways:                1,
-		AccessLatency:       sim.NsToCycles(40),
-		Channels:            8,
-		ChannelBandwidthGBs: 12.8,
-		PredictorEntries:    4096,
-		Policy:              policy,
-	}
 }
 
 // Stats aggregates DRAM cache activity.
@@ -199,17 +184,7 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// Config returns the cache's configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
-// Policy returns the write policy.
-func (c *Cache) Policy() Policy { return c.cfg.Policy }
-
-// Capacity returns the data capacity in bytes.
-func (c *Cache) Capacity() uint64 { return c.cfg.SizeBytes }
-
-// Stats returns a snapshot of the counters (including tag-array and predictor
-// statistics).
+// Stats returns a snapshot of the counters (including the predictor's).
 func (c *Cache) Stats() Stats {
 	s := c.stats
 	if c.predictor != nil {
@@ -218,15 +193,10 @@ func (c *Cache) Stats() Stats {
 	return s
 }
 
-// TagStats exposes the underlying tag-array counters (hits/misses as seen by
-// the cache structure itself).
-func (c *Cache) TagStats() cache.Stats { return c.tags.Stats() }
-
 // ResetStats clears counters and channel occupancy without evicting contents
 // (used at the warm-up boundary).
 func (c *Cache) ResetStats() {
 	c.stats = Stats{}
-	c.tags.ResetStats()
 	if c.predictor != nil {
 		c.predictor.ResetStats()
 	}
@@ -307,6 +277,8 @@ func (c *Cache) Probe(now sim.Time, b addr.Block) (line cache.Line, present bool
 }
 
 // Contains reports whether block b is resident (no timing, no stats).
+//
+//c3dlint:allow unused(residency the machine tests check victim-cache fills and invalidations with)
 func (c *Cache) Contains(b addr.Block) bool { return c.tags.Contains(b) }
 
 // FillResult describes the consequence of inserting a block.
@@ -422,6 +394,8 @@ func (c *Cache) Invalidate(b addr.Block) cache.Victim {
 // SetState changes the coherence state of a resident block and reports
 // whether it was present. Setting LineInvalid removes the block (and informs
 // the predictor).
+//
+//c3dlint:allow unused(no caller outside its tests; deletion deferred to ROADMAP item 9)
 func (c *Cache) SetState(b addr.Block, st cache.State) bool {
 	if st == coherence.LineInvalid {
 		return c.Invalidate(b).Valid
@@ -433,10 +407,14 @@ func (c *Cache) SetState(b addr.Block, st cache.State) bool {
 // DRAM cache writes a block back but retains it).
 func (c *Cache) CleanBlock(b addr.Block) bool { return c.tags.CleanBlock(b) }
 
-// ValidLines returns the number of resident blocks (for tests/reporting).
+// ValidLines returns the number of resident blocks.
+//
+//c3dlint:allow unused(occupancy the DRAM cache tests check capacity bounds with)
 func (c *Cache) ValidLines() int { return c.tags.ValidLines() }
 
-// ForEach calls fn for every resident line (diagnostics only).
+// ForEach calls fn for every resident line.
+//
+//c3dlint:allow unused(resident lines TestWarmedStateMatchesGolden digests)
 func (c *Cache) ForEach(fn func(cache.Line)) { c.tags.ForEach(fn) }
 
 // HasDirtyBlocks reports whether any resident line is dirty. For a
@@ -452,15 +430,7 @@ func (c *Cache) HasDirtyBlocks() bool {
 	return dirty
 }
 
-// ChannelStats returns occupancy statistics for every channel.
-func (c *Cache) ChannelStats() []sim.ResourceStats {
-	out := make([]sim.ResourceStats, len(c.channels))
-	for i, ch := range c.channels {
-		out[i] = ch.Stats()
-	}
-	return out
-}
-
-// SetAccessLatency overrides the access latency (used by the Fig. 10
-// sensitivity study).
+// SetAccessLatency overrides the access latency.
+//
+//c3dlint:allow unused(no caller outside its tests; deletion deferred to ROADMAP item 9)
 func (c *Cache) SetAccessLatency(l sim.Cycles) { c.cfg.AccessLatency = l }

@@ -17,6 +17,21 @@ func newTestCache(t *testing.T, policy Policy) *Cache {
 	return New(cfg)
 }
 
+// DefaultConfig returns the Table II DRAM cache configuration with the given
+// capacity and policy, which the tests build from.
+func DefaultConfig(name string, sizeBytes uint64, policy Policy) Config {
+	return Config{
+		Name:                name,
+		SizeBytes:           sizeBytes,
+		Ways:                1,
+		AccessLatency:       sim.NsToCycles(40),
+		Channels:            8,
+		ChannelBandwidthGBs: 12.8,
+		PredictorEntries:    4096,
+		Policy:              policy,
+	}
+}
+
 func TestDefaultConfigMatchesTableII(t *testing.T) {
 	cfg := DefaultConfig("dram$0", 1<<30, Clean)
 	if cfg.Ways != 1 {
@@ -51,8 +66,8 @@ func TestAccessMissThenHit(t *testing.T) {
 	if !res.Hit {
 		t.Fatal("filled block should hit")
 	}
-	if res.Done < sim.Time(c.Config().AccessLatency) {
-		t.Errorf("hit Done = %v, want at least the access latency %v", res.Done, c.Config().AccessLatency)
+	if res.Done < sim.Time(c.cfg.AccessLatency) {
+		t.Errorf("hit Done = %v, want at least the access latency %v", res.Done, c.cfg.AccessLatency)
 	}
 	s := c.Stats()
 	if s.Reads != 2 || s.ReadHits != 1 {
@@ -74,7 +89,7 @@ func TestFalseHitPaysTagCheck(t *testing.T) {
 	if !res.PredictedHit {
 		t.Fatal("same-region block should predict hit")
 	}
-	if res.Done < sim.Time(c.Config().AccessLatency) {
+	if res.Done < sim.Time(c.cfg.AccessLatency) {
 		t.Errorf("mispredicted miss Done = %v, want at least one access latency", res.Done)
 	}
 	if c.Stats().Predictor.FalseHits != 1 {
@@ -96,7 +111,7 @@ func TestCleanPolicyNeverDirty(t *testing.T) {
 		t.Error("clean cache stored a dirty line")
 	}
 	if line.State != coherence.LineShared {
-		t.Errorf("state = %v, want Shared", coherence.LineStateName(line.State))
+		t.Errorf("state = %d, want Shared (%d)", line.State, coherence.LineShared)
 	}
 	// Write hits do not mark the line dirty either.
 	c.Access(0, b, true)
@@ -115,7 +130,7 @@ func TestDirtyPolicyMarksDirty(t *testing.T) {
 		t.Error("write hit under the Dirty policy should mark the line dirty")
 	}
 	if line.State != coherence.LineModified {
-		t.Errorf("state = %v, want Modified", coherence.LineStateName(line.State))
+		t.Errorf("state = %d, want Modified (%d)", line.State, coherence.LineModified)
 	}
 	if !c.HasDirtyBlocks() {
 		t.Error("HasDirtyBlocks should report the dirty line")
@@ -184,7 +199,7 @@ func TestProbeDoesNotPerturbStats(t *testing.T) {
 	if !ok {
 		t.Fatal("Probe should find the block")
 	}
-	if done < sim.Time(c.Config().AccessLatency) {
+	if done < sim.Time(c.cfg.AccessLatency) {
 		t.Error("Probe should cost a DRAM cache access")
 	}
 	after := c.Stats()

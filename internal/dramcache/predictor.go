@@ -21,7 +21,6 @@ import (
 // depends on them — the protocol engines only use them to decide what to
 // overlap.
 type MissPredictor struct {
-	entries int
 	mask    uint64
 	regions []predictorEntry
 	stats   PredictorStats
@@ -56,6 +55,8 @@ type PredictorStats struct {
 
 // Accuracy returns the fraction of predictions that were correct, or 0 when
 // no prediction has been made.
+//
+//c3dlint:allow unused(no caller outside its tests; deletion deferred to ROADMAP item 9)
 func (s PredictorStats) Accuracy() float64 {
 	if s.Predictions == 0 {
 		return 0
@@ -76,14 +77,10 @@ func NewMissPredictor(entries int) *MissPredictor {
 		n *= 2
 	}
 	return &MissPredictor{
-		entries: n,
 		mask:    uint64(n - 1),
 		regions: make([]predictorEntry, n),
 	}
 }
-
-// Entries returns the table capacity.
-func (p *MissPredictor) Entries() int { return p.entries }
 
 // Stats returns a snapshot of the prediction counters.
 func (p *MissPredictor) Stats() PredictorStats { return p.stats }
@@ -168,7 +165,8 @@ func (p *MissPredictor) BlockEvicted(b addr.Block) {
 }
 
 // TrackedRegions returns how many table entries currently predict hits.
-// Intended for tests and reporting.
+//
+//c3dlint:allow unused(no caller outside its tests; deletion deferred to ROADMAP item 9)
 func (p *MissPredictor) TrackedRegions() int {
 	n := 0
 	for i := range p.regions {

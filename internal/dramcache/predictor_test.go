@@ -11,8 +11,8 @@ func TestPredictorRoundsToPowerOfTwo(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
 		{4096, 4096}, {5000, 4096}, {1, 1}, {0, 1}, {3, 2},
 	} {
-		if got := NewMissPredictor(tc.in).Entries(); got != tc.want {
-			t.Errorf("NewMissPredictor(%d).Entries() = %d, want %d", tc.in, got, tc.want)
+		if got := len(NewMissPredictor(tc.in).regions); got != tc.want {
+			t.Errorf("NewMissPredictor(%d) has %d entries, want %d", tc.in, got, tc.want)
 		}
 	}
 }

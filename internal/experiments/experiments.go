@@ -320,14 +320,12 @@ func (c Config) runJobs(ctx context.Context, jobs []job) (map[string]machine.Run
 	sjobs := make([]sweep.Job[machine.RunResult], len(jobs))
 	for i, j := range jobs {
 		j := j
-		// The seed is explicit rather than key-derived: every design
-		// simulating a given workload must share its trace, so the seed
-		// depends on the workload stream (seedOff) and the campaign (Seed),
-		// never on the design part of the key.
-		seed := j.seedOff + c.Seed
+		// Every design simulating a given workload must share its trace, so
+		// the seed depends on the workload stream (seedOff) and the campaign
+		// (Seed), never on the design part of the key.
 		sjobs[i] = sweep.Job[machine.RunResult]{
 			Key:  j.key,
-			Seed: &seed,
+			Seed: j.seedOff + c.Seed,
 			Run: func(ctx context.Context, seed int64) (machine.RunResult, error) {
 				return c.runOne(ctx, j, seed)
 			},
@@ -344,8 +342,6 @@ func (c Config) runJobs(ctx context.Context, jobs []job) (map[string]machine.Run
 			c.Progress(Event{Kind: EventSimulationDone, Job: p.Key, Done: p.Done, Total: p.Total, Elapsed: p.Elapsed})
 		}
 	}
-	// BaseSeed is deliberately not set: every job carries an explicit seed
-	// (seedOff + c.Seed above), so sweep's key-derived seeding never applies.
 	results, err := sweep.Run(ctx, sjobs, sweep.Options{
 		Parallelism: c.Parallelism,
 		Progress:    progress,

@@ -207,10 +207,9 @@ func Parse(spec string) (*Injector, error) {
 // requests race for decision indices, but the schedule itself — which indices
 // fault, and how — is fixed entirely by (plan, seed).
 type Injector struct {
-	plan     Plan
-	seed     uint64
-	n        atomic.Uint64 // decisions drawn
-	injected atomic.Uint64 // decisions that faulted
+	plan Plan
+	seed uint64
+	n    atomic.Uint64 // decisions drawn
 }
 
 // NewInjector builds an injector over a validated plan.
@@ -225,19 +224,14 @@ func NewInjector(plan Plan, seed uint64) *Injector {
 func (in *Injector) Plan() Plan   { return in.plan }
 func (in *Injector) Seed() uint64 { return in.seed }
 
-// Decisions and Injected report how many fault decisions were drawn and how
-// many actually faulted — the observability hooks chaos tests assert on.
+// Decisions reports how many fault decisions were drawn.
+//
+//c3dlint:allow unused(decision count TestTransportFaults checks the capabilities exemption and TestMiddlewareFaults the schedule with)
 func (in *Injector) Decisions() uint64 { return in.n.Load() }
-func (in *Injector) Injected() uint64  { return in.injected.Load() }
 
 // next draws the next decision from the schedule.
 func (in *Injector) next() (Fault, time.Duration) {
-	i := in.n.Add(1) - 1
-	f, d := in.plan.decide(in.seed, i)
-	if f != FaultNone {
-		in.injected.Add(1)
-	}
-	return f, d
+	return in.plan.decide(in.seed, in.n.Add(1)-1)
 }
 
 // exempt reports whether a request path is never faulted (the capabilities

@@ -204,7 +204,7 @@ func TestMiddlewareFaults(t *testing.T) {
 		t.Errorf("hang middleware released after %v", d)
 	}
 
-	// Counters: injected faults are observable.
+	// Every request draws one decision.
 	in := NewInjector(Plan{Name: "t", ServerError: 1}, 1)
 	ts := serve(in)
 	for i := 0; i < 3; i++ {
@@ -212,7 +212,7 @@ func TestMiddlewareFaults(t *testing.T) {
 			resp.Body.Close()
 		}
 	}
-	if in.Decisions() != 3 || in.Injected() != 3 {
-		t.Errorf("counters = %d decisions / %d injected, want 3/3", in.Decisions(), in.Injected())
+	if in.Decisions() != 3 {
+		t.Errorf("%d decisions drawn, want 3", in.Decisions())
 	}
 }

@@ -86,24 +86,6 @@ func (c Config) Validate() error {
 	return SupportsSockets(c.Topology, c.Sockets)
 }
 
-// DefaultConfig returns the Table II fabric for the given socket count —
-// point-to-point for 2 sockets, ring beyond, 20 ns per hop, 25.6 GB/s links —
-// or an error when no default topology hosts the count (fewer than 1 or more
-// than 16 sockets). Callers wanting a non-default topology set Config.Topology
-// themselves and Validate it.
-func DefaultConfig(sockets int) (Config, error) {
-	topo, err := DefaultTopology(sockets)
-	if err != nil {
-		return Config{}, err
-	}
-	return Config{
-		Sockets:          sockets,
-		Topology:         topo,
-		HopLatency:       sim.NsToCycles(20),
-		LinkBandwidthGBs: 25.6,
-	}, nil
-}
-
 // Stats accumulates fabric traffic.
 type Stats struct {
 	Messages      uint64
@@ -197,9 +179,6 @@ func hopTable(l Layout) []int {
 	return hops
 }
 
-// Config returns the fabric's configuration.
-func (f *Fabric) Config() Config { return f.cfg }
-
 // Topology returns the fabric's topology.
 func (f *Fabric) Topology() Topology { return f.cfg.Topology }
 
@@ -252,14 +231,6 @@ func (f *Fabric) SetInfiniteBandwidth() {
 	}
 }
 
-// Hops returns the number of fabric hops between two sockets (0 if they are
-// the same socket).
-func (f *Fabric) Hops(from, to int) int {
-	f.checkSocket(from)
-	f.checkSocket(to)
-	return f.hops[from*f.cfg.Sockets+to]
-}
-
 // Send models one message travelling from socket `from` to socket `to`
 // starting at now. It returns the arrival time at the destination. Traffic
 // statistics account every link the message crosses; latency is per-hop
@@ -306,6 +277,8 @@ func (f *Fabric) Send(now sim.Time, from, to int, class MessageClass) sim.Time {
 // RoundTrip models a request/response pair: a control request from `from` to
 // `to` followed by a response of the given class back to `from`. It returns
 // the time the response arrives.
+//
+//c3dlint:allow unused(no caller outside its tests; deletion deferred to ROADMAP item 9)
 func (f *Fabric) RoundTrip(now sim.Time, from, to int, response MessageClass) sim.Time {
 	arrive := f.Send(now, from, to, Control)
 	return f.Send(arrive, to, from, response)
@@ -315,6 +288,8 @@ func (f *Fabric) RoundTrip(now sim.Time, from, to int, response MessageClass) si
 // returns the time at which the last destination has received it, along with
 // the per-destination arrival times indexed by socket id (the entry for
 // `from` is now).
+//
+//c3dlint:allow unused(no caller outside its tests; deletion deferred to ROADMAP item 9)
 func (f *Fabric) Broadcast(now sim.Time, from int, class MessageClass) (last sim.Time, arrivals []sim.Time) {
 	arrivals = make([]sim.Time, f.cfg.Sockets)
 	last = now
@@ -330,18 +305,6 @@ func (f *Fabric) Broadcast(now sim.Time, from int, class MessageClass) (last sim
 		}
 	}
 	return last, arrivals
-}
-
-// LinkStats returns occupancy statistics for every directed link, in
-// deterministic (from, to) order.
-func (f *Fabric) LinkStats() []sim.ResourceStats {
-	var out []sim.ResourceStats
-	for _, l := range f.links {
-		if l != nil {
-			out = append(out, l.Stats())
-		}
-	}
-	return out
 }
 
 func (f *Fabric) checkSocket(s int) {

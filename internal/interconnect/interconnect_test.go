@@ -8,6 +8,27 @@ import (
 	"c3d/internal/sim"
 )
 
+// DefaultConfig returns the Table II fabric the tests build from for the
+// given socket count — point-to-point for 2 sockets, ring beyond, 20 ns per
+// hop, 25.6 GB/s links — or an error when no default topology hosts the count
+// (fewer than 1 or more than 16 sockets).
+func DefaultConfig(sockets int) (Config, error) {
+	topo, err := DefaultTopology(sockets)
+	if err != nil {
+		return Config{}, err
+	}
+	return Config{
+		Sockets:          sockets,
+		Topology:         topo,
+		HopLatency:       sim.NsToCycles(20),
+		LinkBandwidthGBs: 25.6,
+	}, nil
+}
+
+// hops returns the precomputed hop count between two sockets, the table Send
+// routes by.
+func hops(f *Fabric, from, to int) int { return f.hops[from*f.cfg.Sockets+to] }
+
 // mustDefault builds the default fabric config for a socket count, failing
 // the test on error.
 func mustDefault(t *testing.T, sockets int) Config {
@@ -177,7 +198,7 @@ func TestNewPanicsOnBadSocketCount(t *testing.T) {
 
 func TestHopsP2P(t *testing.T) {
 	f := New(mustDefault(t, 2))
-	if f.Hops(0, 0) != 0 || f.Hops(0, 1) != 1 || f.Hops(1, 0) != 1 {
+	if hops(f, 0, 0) != 0 || hops(f, 0, 1) != 1 || hops(f, 1, 0) != 1 {
 		t.Error("p2p hop counts wrong")
 	}
 }
@@ -189,7 +210,7 @@ func TestHopsRing4(t *testing.T) {
 		{1, 3, 2}, {2, 0, 2}, {3, 0, 1}, {3, 1, 2},
 	}
 	for _, c := range cases {
-		if got := f.Hops(c.from, c.to); got != c.want {
+		if got := hops(f, c.from, c.to); got != c.want {
 			t.Errorf("Hops(%d,%d) = %d, want %d", c.from, c.to, got, c.want)
 		}
 	}
@@ -230,7 +251,7 @@ func TestHopCountsPerTopology(t *testing.T) {
 	}
 	for _, c := range cases {
 		f := fabricFor(t, c.sockets, c.topo)
-		if got := f.Hops(c.from, c.to); got != c.want {
+		if got := hops(f, c.from, c.to); got != c.want {
 			t.Errorf("%s@%d Hops(%d,%d) = %d, want %d", c.topo, c.sockets, c.from, c.to, got, c.want)
 		}
 	}
@@ -248,17 +269,17 @@ func TestRoutesTerminateAndAccount(t *testing.T) {
 			f := fabricFor(t, n, topo)
 			for from := 0; from < n; from++ {
 				for to := 0; to < n; to++ {
-					hops := f.Hops(from, to)
-					if from == to && hops != 0 {
-						t.Fatalf("%s@%d Hops(%d,%d) = %d, want 0", topo, n, from, to, hops)
+					h := hops(f, from, to)
+					if from == to && h != 0 {
+						t.Fatalf("%s@%d Hops(%d,%d) = %d, want 0", topo, n, from, to, h)
 					}
-					if from != to && (hops < 1 || hops >= n) {
-						t.Fatalf("%s@%d Hops(%d,%d) = %d out of range", topo, n, from, to, hops)
+					if from != to && (h < 1 || h >= n) {
+						t.Fatalf("%s@%d Hops(%d,%d) = %d out of range", topo, n, from, to, h)
 					}
 					before := f.Stats().TotalBytes
 					f.Send(0, from, to, Data)
 					sent := f.Stats().TotalBytes - before
-					if want := uint64(hops * DataBytes); sent != want {
+					if want := uint64(h * DataBytes); sent != want {
 						t.Fatalf("%s@%d Send(%d,%d) accounted %d bytes, want %d", topo, n, from, to, sent, want)
 					}
 				}
@@ -296,18 +317,21 @@ func TestLinkCounts(t *testing.T) {
 // distance the ring routes clockwise (ascending socket ids), so the 0->1
 // link carries the tied 0->2 message on a 4-ring.
 func TestRingTieBreaksClockwise(t *testing.T) {
-	f := New(mustDefault(t, 4))
-	f.Send(0, 0, 2, Data)
-	for _, ls := range f.LinkStats() {
-		switch ls.Name {
-		case "link0-1", "link1-2":
-			if ls.BytesServed != DataBytes {
-				t.Errorf("%s served %d bytes, want %d", ls.Name, ls.BytesServed, DataBytes)
-			}
-		default:
-			if ls.BytesServed != 0 {
-				t.Errorf("%s served %d bytes, want 0", ls.Name, ls.BytesServed)
-			}
+	// A link that carried the tied message delays a later one-hop message
+	// sent when the tied one crossed it; an idle link does not. The second
+	// hop starts once the first one has arrived.
+	second := New(mustDefault(t, 4)).Send(0, 0, 1, Data)
+	for _, c := range []struct {
+		from, to int
+		at       sim.Time
+		busy     bool
+	}{{0, 1, 0, true}, {1, 2, second, true}, {0, 3, 0, false}, {3, 2, second, false}} {
+		f := New(mustDefault(t, 4))
+		f.Send(0, 0, 2, Data)
+		got := f.Send(c.at, c.from, c.to, Data)
+		idle := New(mustDefault(t, 4)).Send(c.at, c.from, c.to, Data)
+		if (got > idle) != c.busy {
+			t.Errorf("link%d-%d after the tied 0->2 message: arrival %v, idle %v; want busy=%v", c.from, c.to, got, idle, c.busy)
 		}
 	}
 }
@@ -455,21 +479,19 @@ func TestResetStats(t *testing.T) {
 	}
 }
 
-func TestLinkStats(t *testing.T) {
+func TestLinksAreDirected(t *testing.T) {
 	f := New(mustDefault(t, 2))
-	f.Send(0, 0, 1, Data)
-	ls := f.LinkStats()
-	if len(ls) != 2 {
-		t.Fatalf("2-socket p2p should have 2 directed links, got %d", len(ls))
+	if f.LinkCount() != 2 {
+		t.Fatalf("2-socket p2p should have 2 directed links, got %d", f.LinkCount())
 	}
-	var used int
-	for _, l := range ls {
-		if l.Transfers > 0 {
-			used++
-		}
+	// A message occupies only its own direction's link: the reverse message
+	// arrives as on an idle fabric, a second forward one queues.
+	first := f.Send(0, 0, 1, Data)
+	if back := f.Send(0, 1, 0, Data); back != first {
+		t.Errorf("reverse message arrives at %v, want %v (its link is idle)", back, first)
 	}
-	if used != 1 {
-		t.Errorf("exactly one link should have traffic, got %d", used)
+	if again := f.Send(0, 0, 1, Data); again <= first {
+		t.Errorf("second forward message arrives at %v, want after %v", again, first)
 	}
 }
 
@@ -488,8 +510,8 @@ func TestHopsSymmetryProperty(t *testing.T) {
 	f := New(mustDefault(t, 4))
 	fn := func(a, b uint8) bool {
 		from, to := int(a%4), int(b%4)
-		h := f.Hops(from, to)
-		return h == f.Hops(to, from) && h <= 2 && (h == 0) == (from == to)
+		h := hops(f, from, to)
+		return h == hops(f, to, from) && h <= 2 && (h == 0) == (from == to)
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -507,12 +529,12 @@ func TestSendLatencyLowerBoundProperty(t *testing.T) {
 			class = Data
 		}
 		arr := f.Send(1000, from, to, class)
-		hops := f.Hops(from, to)
-		minArrival := sim.Time(1000).Add(sim.Cycles(hops) * f.Config().HopLatency)
+		h := hops(f, from, to)
+		minArrival := sim.Time(1000).Add(sim.Cycles(h) * f.cfg.HopLatency)
 		if arr < minArrival {
 			return false
 		}
-		return f.Stats().TotalBytes == uint64(hops*class.Bytes())
+		return f.Stats().TotalBytes == uint64(h*class.Bytes())
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

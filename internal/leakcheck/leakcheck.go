@@ -40,6 +40,8 @@ const modulePrefix = "c3d/"
 // Main runs the package's tests, then fails the binary if module-owned
 // goroutines survive the grace period. It exits the process and therefore
 // must be the last call in TestMain.
+//
+//c3dlint:allow unused(the goroutine-leak check the package tests run under)
 func Main(m *testing.M) {
 	code := m.Run()
 	if code == 0 {

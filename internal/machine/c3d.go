@@ -90,7 +90,7 @@ func (e *c3dEngine) WriteMiss(now sim.Time, sock *Socket, coreID int, b addr.Blo
 	t = dirRequestArrival(m, t, sock, home)
 
 	pagePrivate := m.filter.PagePrivate(b, coreID)
-	dec := home.c3dDir.HandleGetX(b, sock.id, upgrade, pagePrivate)
+	dec := home.c3dDir.HandleGetX(b, sock.id, pagePrivate)
 	handleRecall(m, t, home, dec.Recall)
 
 	var dataDone, acksDone sim.Time

@@ -99,13 +99,6 @@ func (d Design) HasDRAMCache() bool {
 	return err == nil && spec.HasDRAMCache
 }
 
-// HasPrivateDRAMCache reports whether the DRAM caches are private to each
-// socket (and therefore need coherence).
-func (d Design) HasPrivateDRAMCache() bool {
-	spec, err := designSpec(d)
-	return err == nil && spec.PrivateDRAMCache
-}
-
 // CleanDRAMCache reports whether the design keeps its DRAM caches clean
 // (write-through), which is C3D's defining property.
 func (d Design) CleanDRAMCache() bool {

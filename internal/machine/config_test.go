@@ -75,14 +75,6 @@ func TestDesignProperties(t *testing.T) {
 			t.Errorf("%v should have a DRAM cache", d)
 		}
 	}
-	for _, d := range []Design{Snoopy, FullDir, C3D, C3DFullDir} {
-		if !d.HasPrivateDRAMCache() {
-			t.Errorf("%v should have private DRAM caches", d)
-		}
-	}
-	if SharedDRAM.HasPrivateDRAMCache() {
-		t.Error("the shared organisation is not private")
-	}
 	if !C3D.CleanDRAMCache() || !C3DFullDir.CleanDRAMCache() {
 		t.Error("the C3D designs keep their DRAM caches clean")
 	}

@@ -41,9 +41,6 @@ type DesignSpec struct {
 	Evaluated bool
 	// HasDRAMCache gives each socket a DRAM cache.
 	HasDRAMCache bool
-	// PrivateDRAMCache marks the DRAM caches private per socket (needing
-	// coherence) rather than memory-side.
-	PrivateDRAMCache bool
 	// CleanDRAMCache keeps the DRAM caches clean (write-through) — C3D's
 	// defining property; it selects the dramcache write policy.
 	CleanDRAMCache bool
@@ -69,46 +66,42 @@ var designs = []DesignSpec{
 	// Private dirty DRAM caches kept coherent by snooping every remote
 	// socket (§III-A).
 	{
-		Name:             Snoopy,
-		Evaluated:        true,
-		HasDRAMCache:     true,
-		PrivateDRAMCache: true,
-		NewEngine:        func(m *Machine) Engine { return &snoopyEngine{m: m} },
-		NewDirectories:   sparseDirectories,
+		Name:           Snoopy,
+		Evaluated:      true,
+		HasDRAMCache:   true,
+		NewEngine:      func(m *Machine) Engine { return &snoopyEngine{m: m} },
+		NewDirectories: sparseDirectories,
 	},
 	// Private dirty DRAM caches tracked by an idealised inclusive full
 	// directory (§III-B). The paper models it without recalls (unbounded)
 	// and with the baseline's 10-cycle latency, an optimistic assumption it
 	// calls out explicitly.
 	{
-		Name:             FullDir,
-		Evaluated:        true,
-		HasDRAMCache:     true,
-		PrivateDRAMCache: true,
-		NewEngine:        func(m *Machine) Engine { return &fullDirEngine{m: m} },
-		NewDirectories:   unboundedDirectories,
+		Name:           FullDir,
+		Evaluated:      true,
+		HasDRAMCache:   true,
+		NewEngine:      func(m *Machine) Engine { return &fullDirEngine{m: m} },
+		NewDirectories: unboundedDirectories,
 	},
 	// Clean private DRAM caches plus a non-inclusive directory with
 	// broadcast invalidations (§IV).
 	{
-		Name:             C3D,
-		Evaluated:        true,
-		HasDRAMCache:     true,
-		PrivateDRAMCache: true,
-		CleanDRAMCache:   true,
-		NewEngine:        func(m *Machine) Engine { return &c3dEngine{m: m} },
-		NewDirectories:   c3dDirectories,
+		Name:           C3D,
+		Evaluated:      true,
+		HasDRAMCache:   true,
+		CleanDRAMCache: true,
+		NewEngine:      func(m *Machine) Engine { return &c3dEngine{m: m} },
+		NewDirectories: c3dDirectories,
 	},
 	// C3D with an idealised full directory that also tracks DRAM cache
 	// blocks (§V-A).
 	{
-		Name:             C3DFullDir,
-		Evaluated:        true,
-		HasDRAMCache:     true,
-		PrivateDRAMCache: true,
-		CleanDRAMCache:   true,
-		NewEngine:        func(m *Machine) Engine { return &c3dEngine{m: m} },
-		NewDirectories:   c3dFullDirectories,
+		Name:           C3DFullDir,
+		Evaluated:      true,
+		HasDRAMCache:   true,
+		CleanDRAMCache: true,
+		NewEngine:      func(m *Machine) Engine { return &c3dEngine{m: m} },
+		NewDirectories: c3dFullDirectories,
 	},
 	// Memory-side DRAM caches fronting each socket's memory: no coherence,
 	// no traffic reduction (§II-C).

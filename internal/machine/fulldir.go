@@ -13,8 +13,9 @@ import (
 // covers every cached block in the system. The directory is modelled
 // optimistically, exactly as the paper does: unbounded capacity (no recalls)
 // and the baseline's 10-cycle access latency, even though a real
-// implementation would need tens to hundreds of megabytes per socket
-// (coherence.InclusiveDirCost quantifies that).
+// implementation would need tens to hundreds of megabytes per socket (§III-B:
+// 32 MB for a 2x-provisioned directory over a 256 MB DRAM cache, 128 MB over
+// a 1 GB one).
 //
 // Its remaining weakness is inherent: a block that is dirty in a remote
 // socket's DRAM cache must be fetched from that DRAM cache, which is slower

@@ -96,19 +96,24 @@ func New(cfg Config) *Machine {
 }
 
 // Config returns the machine's configuration.
+//
+//c3dlint:allow unused(the configuration the machine tests read cache geometry and latencies from)
 func (m *Machine) Config() Config { return m.cfg }
 
 // Sockets returns the machine's sockets.
+//
+//c3dlint:allow unused(the sockets whose caches the machine tests and TestWarmedStateMatchesGolden inspect)
 func (m *Machine) Sockets() []*Socket { return m.sockets }
 
 // Fabric returns the inter-socket interconnect.
+//
+//c3dlint:allow unused(the fabric whose topology TestMachineBuildsSelectedTopology checks)
 func (m *Machine) Fabric() *interconnect.Fabric { return m.fabric }
 
 // PageTable returns the NUMA page table.
+//
+//c3dlint:allow unused(the page table the placement tests read homes from)
 func (m *Machine) PageTable() *numa.PageTable { return m.pageTable }
-
-// Classifier returns the OS page classifier used by the §IV-D filter.
-func (m *Machine) Classifier() *tlb.Classifier { return m.classifier }
 
 // socketOf returns the socket owning the given global core id.
 func (m *Machine) socketOf(coreID int) *Socket {
@@ -197,14 +202,11 @@ func (m *Machine) Write(now sim.Time, coreID int, a addr.Addr) sim.Time {
 }
 
 // classify records the access with the OS page classifier (used by the §IV-D
-// broadcast filter) and the core's TLB (miss statistics only).
+// broadcast filter).
 func (m *Machine) classify(coreID int, a addr.Addr) {
-	page := addr.PageOf(a)
-	sock := m.socketOf(coreID)
-	sock.tlbOf(coreID).Access(page)
 	// Threads are pinned in this simulator, so the thread id equals the core
 	// id and migrations never occur.
-	m.classifier.Access(page, coreID, coreID)
+	m.classifier.Access(addr.PageOf(a), coreID, coreID)
 }
 
 // fillL1 installs the block in the requesting core's L1. L1 victims are
@@ -276,6 +278,8 @@ func (m *Machine) dirLatency() sim.Cycles { return m.cfg.GlobalDirLatency }
 // Counters returns the machine-level counters accumulated since the machine
 // was built or last warmed up. Broadcast counts are aggregated from
 // the C3D directory slices; they are zero for the other designs.
+//
+//c3dlint:allow unused(the counters the machine tests check protocol behaviour with)
 func (m *Machine) Counters() Counters {
 	c := m.tally().Counters
 	c.MeanLoadLatency = m.loadLatency.Mean()
@@ -334,7 +338,6 @@ func (m *Machine) resetStats() {
 	for _, s := range m.sockets {
 		s.resetStats()
 	}
-	m.classifier.ResetStats()
 	m.filter.ResetStats()
 }
 

@@ -11,7 +11,6 @@ import (
 	"c3d/internal/dram"
 	"c3d/internal/dramcache"
 	"c3d/internal/sim"
-	"c3d/internal/tlb"
 )
 
 // Socket is one NUMA socket: its cores with private L1s, the shared LLC, the
@@ -23,7 +22,6 @@ type Socket struct {
 
 	cores []*cpu.Core
 	l1s   []*cache.Cache
-	tlbs  []*tlb.TLB
 	llc   *cache.Cache
 
 	dramCache *dramcache.Cache // nil for the Baseline design
@@ -43,7 +41,6 @@ func newSocket(id int, cfg Config, spec DesignSpec) *Socket {
 		coreID := id*cfg.CoresPerSocket + c
 		s.cores = append(s.cores, cpu.New(cpu.Config{
 			ID:                coreID,
-			Socket:            id,
 			StoreQueueEntries: cfg.StoreQueueEntries,
 		}))
 		s.l1s = append(s.l1s, cache.New(cache.Config{
@@ -51,7 +48,6 @@ func newSocket(id int, cfg Config, spec DesignSpec) *Socket {
 			SizeBytes: cfg.ScaledL1Size(),
 			Ways:      cfg.L1Ways,
 		}))
-		s.tlbs = append(s.tlbs, tlb.NewTLB(64))
 	}
 	s.llc = cache.New(cache.Config{
 		Name:      fmt.Sprintf("llc.%d", id),
@@ -88,20 +84,15 @@ func newSocket(id int, cfg Config, spec DesignSpec) *Socket {
 	return s
 }
 
-// ID returns the socket's index.
-func (s *Socket) ID() int { return s.id }
-
-// Cores returns the socket's cores.
-func (s *Socket) Cores() []*cpu.Core { return s.cores }
-
 // LLC returns the socket's last-level cache.
+//
+//c3dlint:allow unused(the LLC the machine tests check residency and geometry in)
 func (s *Socket) LLC() *cache.Cache { return s.llc }
 
 // DRAMCache returns the socket's DRAM cache (nil for the baseline design).
+//
+//c3dlint:allow unused(the DRAM cache the machine tests check victim fills and invalidations in)
 func (s *Socket) DRAMCache() *dramcache.Cache { return s.dramCache }
-
-// Memory returns the socket's memory controller.
-func (s *Socket) Memory() *dram.Controller { return s.mem }
 
 // l1Of returns the L1 of the given global core id (which must belong to this
 // socket).
@@ -111,12 +102,6 @@ func (s *Socket) l1Of(coreID int) *cache.Cache {
 		panic(fmt.Sprintf("machine: core %d does not belong to socket %d", coreID, s.id))
 	}
 	return s.l1s[local]
-}
-
-// tlbOf returns the TLB of the given global core id.
-func (s *Socket) tlbOf(coreID int) *tlb.TLB {
-	local := coreID - s.id*s.cfg.CoresPerSocket
-	return s.tlbs[local]
 }
 
 // probeOnChip checks whether the block is present in the socket's on-chip
@@ -176,24 +161,15 @@ func (s *Socket) downgradeOnChip(b addr.Block) bool {
 	return present
 }
 
-// resetStats clears every per-socket counter (cache, memory, directory)
-// without evicting contents. Used at the warm-up boundary.
+// resetStats clears the socket's counters (DRAM cache, C3D directory) and
+// its channel occupancy without evicting contents. Used at the warm-up
+// boundary.
 func (s *Socket) resetStats() {
-	for _, l1 := range s.l1s {
-		l1.ResetStats()
-	}
-	for _, t := range s.tlbs {
-		t.ResetStats()
-	}
-	s.llc.ResetStats()
 	s.mem.ResetStats()
 	if s.dramCache != nil {
 		s.dramCache.ResetStats()
 	}
 	if s.c3dDir != nil {
 		s.c3dDir.ResetStats()
-	}
-	if s.dir != nil {
-		s.dir.ResetStats()
 	}
 }

@@ -64,7 +64,9 @@ func ParsePolicy(s string) (Policy, error) {
 }
 
 // Policies lists every placement policy, in the order the paper introduces
-// them. Experiment code iterates this slice for profiling runs.
+// them.
+//
+//c3dlint:allow unused(the policy list the placement tests range over)
 func Policies() []Policy { return []Policy{Interleave, FirstTouch1, FirstTouch2} }
 
 // PageTable maps pages to home sockets. The zero value is not usable; build
@@ -101,12 +103,6 @@ func NewPageTable(sockets int, policy Policy) *PageTable {
 		stats:   Stats{PagesPerSocket: make([]uint64, sockets)},
 	}
 }
-
-// Sockets returns the socket count the table was built for.
-func (pt *PageTable) Sockets() int { return pt.sockets }
-
-// Policy returns the placement policy.
-func (pt *PageTable) Policy() Policy { return pt.policy }
 
 // Stats returns a snapshot of the placement statistics.
 func (pt *PageTable) Stats() Stats {
@@ -178,40 +174,4 @@ func (pt *PageTable) Home(p addr.Page) int {
 // HomeOfBlock resolves the home socket of the page containing block b.
 func (pt *PageTable) HomeOfBlock(b addr.Block) int {
 	return pt.Home(addr.PageOfBlock(b))
-}
-
-// HomeOfAddr resolves the home socket of the page containing address a.
-func (pt *PageTable) HomeOfAddr(a addr.Addr) int {
-	return pt.Home(addr.PageOf(a))
-}
-
-// IsLocal reports whether an access from the given socket to address a stays
-// on-socket.
-func (pt *PageTable) IsLocal(socket int, a addr.Addr) bool {
-	return pt.HomeOfAddr(a) == socket
-}
-
-// Imbalance returns the ratio between the most and least loaded sockets'
-// page counts (1 means perfectly balanced; 0 when no pages are placed or a
-// socket holds none).
-func (pt *PageTable) Imbalance() float64 {
-	min, max := uint64(0), uint64(0)
-	first := true
-	for _, n := range pt.stats.PagesPerSocket {
-		if first {
-			min, max = n, n
-			first = false
-			continue
-		}
-		if n < min {
-			min = n
-		}
-		if n > max {
-			max = n
-		}
-	}
-	if min == 0 {
-		return 0
-	}
-	return float64(max) / float64(min)
 }

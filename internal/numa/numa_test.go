@@ -43,9 +43,6 @@ func TestInterleavePlacement(t *testing.T) {
 			t.Errorf("socket %d holds %d pages, want 4", sock, n)
 		}
 	}
-	if pt.Imbalance() != 1 {
-		t.Errorf("Imbalance = %.2f, want 1 (perfectly balanced)", pt.Imbalance())
-	}
 }
 
 func TestFirstTouch1PlacesOnFirstToucherEvenDuringInit(t *testing.T) {
@@ -127,17 +124,11 @@ func TestFallbackCountedOncePerPage(t *testing.T) {
 func TestHomeOfBlockAndAddr(t *testing.T) {
 	pt := NewPageTable(4, Interleave)
 	a := addr.Addr(3 * addr.PageBytes) // page 3 -> socket 3
-	if got := pt.HomeOfAddr(a); got != 3 {
-		t.Errorf("HomeOfAddr = %d, want 3", got)
+	if got := pt.Home(addr.PageOf(a)); got != 3 {
+		t.Errorf("Home of the address's page = %d, want 3", got)
 	}
 	if got := pt.HomeOfBlock(addr.BlockOf(a)); got != 3 {
 		t.Errorf("HomeOfBlock = %d, want 3", got)
-	}
-	if !pt.IsLocal(3, a) {
-		t.Error("IsLocal(3, page 3) should be true")
-	}
-	if pt.IsLocal(0, a) {
-		t.Error("IsLocal(0, page 3) should be false")
 	}
 }
 
@@ -152,8 +143,10 @@ func TestFT1SerialInitImbalance(t *testing.T) {
 	if s.PagesPerSocket[0] != 100 {
 		t.Errorf("socket 0 holds %d pages, want all 100", s.PagesPerSocket[0])
 	}
-	if pt.Imbalance() != 0 {
-		t.Errorf("Imbalance = %.2f, want 0 (some sockets hold nothing)", pt.Imbalance())
+	for sock, n := range s.PagesPerSocket[1:] {
+		if n != 0 {
+			t.Errorf("socket %d holds %d pages, want none", sock+1, n)
+		}
 	}
 }
 

@@ -34,12 +34,6 @@ type Resource struct {
 	reservations []interval // sorted by start time, and so by end time
 	maxNow       Time
 	lastPrune    Time
-
-	// Statistics.
-	transfers   uint64
-	bytesServed uint64
-	busyCycles  uint64
-	waitCycles  uint64
 }
 
 type interval struct{ start, end Time }
@@ -68,9 +62,6 @@ func GBsToBytesPerCycle(gbPerSec float64) float64 {
 	const cyclesPerSec = DefaultCyclesPerNs * 1e9
 	return gbPerSec * 1e9 / cyclesPerSec
 }
-
-// Name returns the resource's diagnostic name.
-func (r *Resource) Name() string { return r.name }
 
 // Infinite reports whether the resource models infinite bandwidth.
 func (r *Resource) Infinite() bool { return r.bytesPerCycle <= 0 }
@@ -137,14 +128,12 @@ func (r *Resource) prune() {
 
 // Acquire reserves the resource for a transfer of size bytes starting no
 // earlier than now. It returns the time at which the transfer starts (after
-// any queueing) and the time at which it completes. State and statistics are
-// updated; callers use the returned completion time to accumulate latency.
+// any queueing) and the time at which it completes; callers use the returned
+// completion time to accumulate latency.
 func (r *Resource) Acquire(now Time, bytes int) (start, done Time) {
 	if bytes < 0 {
 		panic(fmt.Sprintf("sim: negative transfer size %d on %s", bytes, r.name))
 	}
-	r.transfers++
-	r.bytesServed += uint64(bytes)
 	if r.Infinite() || bytes == 0 {
 		return now, now
 	}
@@ -158,8 +147,6 @@ func (r *Resource) Acquire(now Time, bytes int) (start, done Time) {
 	service := r.serviceTime(bytes)
 	start, idx := r.place(now, service)
 	done = start.Add(service)
-	r.waitCycles += uint64(start.Sub(now))
-	r.busyCycles += uint64(service)
 	r.reservations = append(r.reservations, interval{})
 	copy(r.reservations[idx+1:], r.reservations[idx:])
 	r.reservations[idx] = interval{start: start, end: done}
@@ -168,6 +155,8 @@ func (r *Resource) Acquire(now Time, bytes int) (start, done Time) {
 
 // Peek returns the completion time a transfer of size bytes would observe if
 // issued at now, without reserving the resource.
+//
+//c3dlint:allow unused(no caller outside its tests; deletion deferred to ROADMAP item 9)
 func (r *Resource) Peek(now Time, bytes int) Time {
 	if r.Infinite() || bytes == 0 {
 		return now
@@ -177,42 +166,10 @@ func (r *Resource) Peek(now Time, bytes int) Time {
 	return start.Add(service)
 }
 
-// ResourceStats describes the accumulated occupancy of a resource.
-type ResourceStats struct {
-	Name        string
-	Transfers   uint64
-	BytesServed uint64
-	BusyCycles  uint64
-	WaitCycles  uint64
-}
-
-// Stats returns a snapshot of the resource's counters.
-func (r *Resource) Stats() ResourceStats {
-	return ResourceStats{
-		Name:        r.name,
-		Transfers:   r.transfers,
-		BytesServed: r.bytesServed,
-		BusyCycles:  r.busyCycles,
-		WaitCycles:  r.waitCycles,
-	}
-}
-
-// Utilisation returns busy cycles divided by the elapsed simulated time.
-func (r *Resource) Utilisation(elapsed Time) float64 {
-	if elapsed == 0 {
-		return 0
-	}
-	return float64(r.busyCycles) / float64(elapsed)
-}
-
-// Reset clears occupancy and statistics (used between warm-up and measured
-// phases of a run).
+// Reset clears occupancy (used between the warm-up and measured phases of a
+// run).
 func (r *Resource) Reset() {
 	r.reservations = r.reservations[:0]
 	r.maxNow = 0
 	r.lastPrune = 0
-	r.transfers = 0
-	r.bytesServed = 0
-	r.busyCycles = 0
-	r.waitCycles = 0
 }

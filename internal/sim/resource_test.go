@@ -15,7 +15,6 @@ type linearResource struct {
 	reservations  []interval
 	maxNow        Time
 	lastPrune     Time
-	stats         ResourceStats
 }
 
 func (r *linearResource) infinite() bool { return r.bytesPerCycle <= 0 }
@@ -62,8 +61,6 @@ func (r *linearResource) prune() {
 }
 
 func (r *linearResource) Acquire(now Time, bytes int) (start, done Time) {
-	r.stats.Transfers++
-	r.stats.BytesServed += uint64(bytes)
 	if r.infinite() || bytes == 0 {
 		return now, now
 	}
@@ -77,8 +74,6 @@ func (r *linearResource) Acquire(now Time, bytes int) (start, done Time) {
 	service := r.serviceTime(bytes)
 	start, idx := r.place(now, service)
 	done = start.Add(service)
-	r.stats.WaitCycles += uint64(start.Sub(now))
-	r.stats.BusyCycles += uint64(service)
 	r.reservations = slices.Insert(r.reservations, idx, interval{start: start, end: done})
 	return start, done
 }
@@ -95,7 +90,6 @@ func (r *linearResource) Peek(now Time, bytes int) Time {
 func (r *linearResource) Reset() {
 	r.reservations = r.reservations[:0]
 	r.maxNow, r.lastPrune = 0, 0
-	r.stats = ResourceStats{Name: r.stats.Name}
 }
 
 // checkReservations asserts the invariant place and prune rely on: every
@@ -130,7 +124,7 @@ func TestResourceMatchesLinearOracle(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		rate := rates[int(seed)%len(rates)]
 		r := NewResource("link", rate)
-		ref := &linearResource{bytesPerCycle: rate, stats: ResourceStats{Name: "link"}}
+		ref := &linearResource{bytesPerCycle: rate}
 		// A third of the sequences turn the resource infinite part-way.
 		infiniteAt := -1
 		if seed%3 == 0 {
@@ -180,9 +174,6 @@ func TestResourceMatchesLinearOracle(t *testing.T) {
 						seed, step, now, bytes, start, done, wantStart, wantDone)
 				}
 				checkReservations(t, r)
-			}
-			if got, want := r.Stats(), ref.stats; got != want {
-				t.Fatalf("seed %d step %d: Stats = %+v, want %+v", seed, step, got, want)
 			}
 			if !slices.Equal(r.reservations, ref.reservations) {
 				t.Fatalf("seed %d step %d: reservations diverged:\n got %v\nwant %v",

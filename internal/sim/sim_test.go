@@ -43,11 +43,8 @@ func TestTimeArithmetic(t *testing.T) {
 	if tm.Sub(40) != 60 {
 		t.Error("Sub failed")
 	}
-	if Max(Time(3), Time(7)) != 7 || Min(Time(3), Time(7)) != 3 {
-		t.Error("Max/Min failed")
-	}
-	if MaxCycles(3, 7) != 7 {
-		t.Error("MaxCycles failed")
+	if Max(Time(3), Time(7)) != 7 || Max(Time(7), Time(3)) != 7 {
+		t.Error("Max failed")
 	}
 }
 
@@ -80,14 +77,7 @@ func TestResourceServiceTime(t *testing.T) {
 	// Second transfer queues behind the first.
 	start, done2 := r.Acquire(0, 64)
 	if start != 16 || done2 != 32 {
-		t.Errorf("queued transfer start=%v done=%v, want 16/32", start, done2)
-	}
-	st := r.Stats()
-	if st.Transfers != 2 || st.BytesServed != 128 {
-		t.Errorf("stats = %+v", st)
-	}
-	if st.WaitCycles != 16 {
-		t.Errorf("wait cycles = %d, want 16", st.WaitCycles)
+		t.Errorf("queued transfer start=%v done=%v, want 16/32 (a 16-cycle wait)", start, done2)
 	}
 }
 
@@ -130,19 +120,12 @@ func TestResourceNegativePanics(t *testing.T) {
 	r.Acquire(0, -1)
 }
 
-func TestResourceUtilisationAndReset(t *testing.T) {
+func TestResourceReset(t *testing.T) {
 	r := NewResource("chan", 1)
-	r.Acquire(0, 100)
-	if u := r.Utilisation(200); u < 0.49 || u > 0.51 {
-		t.Errorf("utilisation = %v, want ~0.5", u)
-	}
-	if u := r.Utilisation(0); u != 0 {
-		t.Errorf("utilisation at time 0 = %v", u)
-	}
+	r.Acquire(0, 100) // busy until 100
 	r.Reset()
-	st := r.Stats()
-	if st.Transfers != 0 || st.BytesServed != 0 || st.BusyCycles != 0 {
-		t.Errorf("reset did not clear stats: %+v", st)
+	if start, done := r.Acquire(0, 100); start != 0 || done != 100 {
+		t.Errorf("transfer after Reset start=%v done=%v, want 0/100: occupancy survived", start, done)
 	}
 }
 

@@ -18,16 +18,12 @@ import (
 type LatencyAccumulator struct {
 	count uint64
 	total uint64
-	max   uint64
 }
 
 // Observe records one completed access with the given latency in cycles.
 func (l *LatencyAccumulator) Observe(latency uint64) {
 	l.count++
 	l.total += latency
-	if latency > l.max {
-		l.max = latency
-	}
 }
 
 // Count returns the number of observations.
@@ -36,23 +32,12 @@ func (l *LatencyAccumulator) Count() uint64 { return l.count }
 // Total returns the sum of all observed latencies.
 func (l *LatencyAccumulator) Total() uint64 { return l.total }
 
-// Max returns the largest observed latency.
-func (l *LatencyAccumulator) Max() uint64 { return l.max }
-
 // Mean returns the average latency, or zero if nothing was observed.
 func (l *LatencyAccumulator) Mean() float64 {
 	if l.count == 0 {
 		return 0
 	}
 	return float64(l.total) / float64(l.count)
-}
-
-// Ratio returns a/b, or 0 when b is zero.
-func Ratio(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
 }
 
 // Speedup returns baseline/design expressed as a speedup factor (>1 means the
@@ -93,6 +78,8 @@ func Geomean(xs []float64) float64 {
 }
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
+//
+//c3dlint:allow unused(no caller outside its tests; deletion deferred to ROADMAP item 9)
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
@@ -129,12 +116,18 @@ func (t *Table) AddRow(cells ...string) {
 }
 
 // NumRows returns the number of data rows.
+//
+//c3dlint:allow unused(row count the experiment, SDK and fleet tests check tables with)
 func (t *Table) NumRows() int { return len(t.rows) }
 
 // Header returns the column headers.
+//
+//c3dlint:allow unused(header the experiment, SDK and fleet tests check tables with)
 func (t *Table) Header() []string { return t.header }
 
 // Rows returns the data rows.
+//
+//c3dlint:allow unused(rows the experiment, SDK and fleet tests check tables with)
 func (t *Table) Rows() [][]string { return t.rows }
 
 // MarshalJSON encodes the table as {"header": [...], "rows": [[...], ...]},

@@ -15,8 +15,8 @@ func TestLatencyAccumulator(t *testing.T) {
 	l.Observe(10)
 	l.Observe(20)
 	l.Observe(60)
-	if l.Count() != 3 || l.Total() != 90 || l.Max() != 60 {
-		t.Errorf("count=%d total=%d max=%d", l.Count(), l.Total(), l.Max())
+	if l.Count() != 3 || l.Total() != 90 {
+		t.Errorf("count=%d total=%d", l.Count(), l.Total())
 	}
 	if l.Mean() != 30 {
 		t.Errorf("mean = %v, want 30", l.Mean())
@@ -24,9 +24,6 @@ func TestLatencyAccumulator(t *testing.T) {
 }
 
 func TestRatioSpeedupNormalized(t *testing.T) {
-	if Ratio(10, 0) != 0 || Ratio(10, 2) != 5 {
-		t.Error("Ratio")
-	}
 	if Speedup(100, 0) != 0 || Speedup(150, 100) != 1.5 {
 		t.Error("Speedup")
 	}

@@ -22,6 +22,8 @@ type record struct {
 // followed by a newline. Values are marshalled with encoding/json, so
 // experiment result types control their own representation; job errors are
 // emitted as strings in place of values.
+//
+//c3dlint:allow unused(the byte form TestRunDeterministicAcrossParallelism compares across parallelism)
 func WriteJSON[T any](w io.Writer, results []Result[T]) error {
 	records := make([]record, len(results))
 	for i, r := range results {
@@ -45,6 +47,8 @@ func WriteJSON[T any](w io.Writer, results []Result[T]) error {
 // columns and provides the per-value flattening; the key and seed columns
 // are always present. Failed jobs emit their error in an "error" column and
 // empty value cells.
+//
+//c3dlint:allow unused(no caller outside its tests; deletion deferred to ROADMAP item 9)
 func WriteCSV[T any](w io.Writer, results []Result[T], columns []string, row func(T) []string) error {
 	cw := csv.NewWriter(w)
 	header := append([]string{"key", "seed", "error"}, columns...)
@@ -69,6 +73,8 @@ func WriteCSV[T any](w io.Writer, results []Result[T], columns []string, row fun
 
 // SortByKey orders results by key (job order is the default; some consumers
 // want a key-sorted view when merging sweeps).
+//
+//c3dlint:allow unused(no caller outside its tests; deletion deferred to ROADMAP item 9)
 func SortByKey[T any](results []Result[T]) {
 	sort.SliceStable(results, func(i, j int) bool { return results[i].Key < results[j].Key })
 }

@@ -9,9 +9,9 @@
 //     first;
 //   - the reported error is the first failing job in job order, not the
 //     first failure in wall-clock order;
-//   - every job gets a seed derived only from the sweep's base seed and the
-//     job's key, so adding, removing or reordering other jobs — or changing
-//     Parallelism — never changes a job's random stream;
+//   - every job runs with the seed it carries, so adding, removing or
+//     reordering other jobs — or changing Parallelism — never changes a
+//     job's random stream;
 //   - progress callbacks are serialised (safe to print from).
 //
 // WriteJSON and WriteCSV (emit.go) serialise sweep results for tooling that
@@ -33,14 +33,12 @@ type Job[T any] struct {
 	// Keys should be unique within a sweep; results preserve job order, so
 	// duplicate keys are not fatal, but they make downstream maps lossy.
 	Key string
-	// Seed, when non-nil, is the job's seed; otherwise the runner derives
-	// one from the sweep base seed and the key (see SeedFor). Callers whose
-	// jobs must share random streams — e.g. every coherence design
-	// simulating the same workload trace — set it explicitly, so the seed
-	// recorded in the result is always the seed that actually ran.
-	Seed *int64
-	// Run executes the job. The seed parameter is the job's seed as decided
-	// above; jobs that use randomness must derive it all from this value.
+	// Seed is the job's seed, passed to Run and recorded in its result.
+	// Jobs that must share random streams — e.g. every coherence design
+	// simulating the same workload trace — carry the same seed.
+	Seed int64
+	// Run executes the job with its Seed; jobs that use randomness must
+	// derive it all from this value.
 	// The context is the sweep's context: long-running jobs should observe
 	// its cancellation.
 	Run func(ctx context.Context, seed int64) (T, error)
@@ -66,9 +64,6 @@ type Options struct {
 	// Parallelism bounds concurrently running jobs (<=0 means GOMAXPROCS).
 	// It affects wall-clock time only: results are identical at any value.
 	Parallelism int
-	// BaseSeed is mixed into every job's seed. Zero is a fine default; two
-	// sweeps with the same jobs and base seed produce identical results.
-	BaseSeed int64
 	// Progress, if non-nil, is called after each job completes. Calls are
 	// serialised but arrive in completion order.
 	Progress func(Progress)
@@ -87,28 +82,6 @@ type Result[T any] struct {
 	// observability and deliberately excluded from the serialised formats,
 	// which must be byte-identical across runs.
 	Elapsed time.Duration
-}
-
-// SeedFor derives a job's seed from the sweep base seed and the job key
-// alone. The derivation is an FNV-1a hash finalised with the splitmix64
-// mixer, so seeds are well distributed even for keys differing in one byte.
-func SeedFor(base int64, key string) int64 {
-	const (
-		fnvOffset = 0xcbf29ce484222325
-		fnvPrime  = 0x100000001b3
-	)
-	h := uint64(fnvOffset) ^ uint64(base)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= fnvPrime
-	}
-	// splitmix64 finalisation.
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return int64(h)
 }
 
 // Run executes the jobs and returns one result per job, in job order. The
@@ -157,18 +130,14 @@ func Run[T any](ctx context.Context, jobs []Job[T], opts Options) ([]Result[T], 
 			mu.Unlock()
 
 			job := jobs[i]
-			seed := SeedFor(opts.BaseSeed, job.Key)
-			if job.Seed != nil {
-				seed = *job.Seed
-			}
 			//c3dlint:allow determinism(Elapsed feeds progress reporting and Result.Elapsed, never emitted result bytes)
 			start := time.Now()
-			value, err := job.Run(ctx, seed)
+			value, err := job.Run(ctx, job.Seed)
 			elapsed := time.Since(start) //c3dlint:allow determinism(see start above: elapsed never reaches result bytes)
 			if err != nil {
 				err = fmt.Errorf("sweep job %s: %w", job.Key, err)
 			}
-			results[i] = Result[T]{Key: job.Key, Seed: seed, Value: value, Err: err, Elapsed: elapsed}
+			results[i] = Result[T]{Key: job.Key, Seed: job.Seed, Value: value, Err: err, Elapsed: elapsed}
 
 			mu.Lock()
 			done++

@@ -15,14 +15,16 @@ import (
 )
 
 // jitterJobs builds jobs whose run time varies, so parallel completion order
-// differs from job order, and whose value depends only on key and seed.
-func jitterJobs(n int) []Job[string] {
+// differs from job order, and whose value depends only on key and seed. Each
+// job's seed comes from its index and base.
+func jitterJobs(n int, base int64) []Job[string] {
 	jobs := make([]Job[string], n)
 	for i := 0; i < n; i++ {
 		i := i
 		key := fmt.Sprintf("job-%03d", i)
 		jobs[i] = Job[string]{
-			Key: key,
+			Key:  key,
+			Seed: base + int64(i)*7919,
 			Run: func(_ context.Context, seed int64) (string, error) {
 				rng := rand.New(rand.NewSource(seed))
 				time.Sleep(time.Duration(rng.Intn(300)) * time.Microsecond)
@@ -40,11 +42,11 @@ func TestRunDeterministicAcrossParallelism(t *testing.T) {
 	for _, par := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 		par := par
 		t.Run(fmt.Sprintf("parallel-%d", par), func(t *testing.T) {
-			serial, err := Run(context.Background(), jitterJobs(40), Options{Parallelism: 1, BaseSeed: 7})
+			serial, err := Run(context.Background(), jitterJobs(40, 7), Options{Parallelism: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			parallel, err := Run(context.Background(), jitterJobs(40), Options{Parallelism: par, BaseSeed: 7})
+			parallel, err := Run(context.Background(), jitterJobs(40, 7), Options{Parallelism: par})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,48 +110,27 @@ func TestRunFirstErrorByJobOrder(t *testing.T) {
 	}
 }
 
-// TestSeedForStability pins the seed derivation: per-job seeds must not
-// change when jobs are added or the sweep is re-ordered, and must respond to
-// both base seed and key.
-func TestSeedForStability(t *testing.T) {
-	if SeedFor(0, "fig6/c3d/streamcluster") != SeedFor(0, "fig6/c3d/streamcluster") {
-		t.Fatal("SeedFor is not a pure function")
-	}
-	if SeedFor(0, "a") == SeedFor(0, "b") {
-		t.Fatal("different keys should give different seeds")
-	}
-	if SeedFor(1, "a") == SeedFor(2, "a") {
-		t.Fatal("different base seeds should give different seeds")
-	}
-	// Seeds are properties of (base, key) only: run in any batch, any order.
-	jobs := jitterJobs(4)
-	res, err := Run(context.Background(), jobs, Options{BaseSeed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range res {
-		if want := SeedFor(3, jobs[i].Key); r.Seed != want {
-			t.Fatalf("job %d seed %d, want %d", i, r.Seed, want)
+// TestExplicitSeedOverride checks each job's own seed both reaches Run and
+// is the seed recorded in the result, whatever the other jobs carry — the
+// recorded seed is always the seed that actually ran.
+func TestExplicitSeedOverride(t *testing.T) {
+	seeds := []int64{12345, 12345, -3, 0}
+	jobs := make([]Job[int64], len(seeds))
+	for i, s := range seeds {
+		jobs[i] = Job[int64]{
+			Key:  strconv.Itoa(i),
+			Seed: s,
+			Run:  func(_ context.Context, seed int64) (int64, error) { return seed, nil },
 		}
 	}
-}
-
-// TestExplicitSeedOverride checks a job-supplied seed both reaches Run and
-// is the seed recorded in the result — the recorded seed is always the seed
-// that actually ran.
-func TestExplicitSeedOverride(t *testing.T) {
-	want := int64(12345)
-	jobs := []Job[int64]{{
-		Key:  "pinned",
-		Seed: &want,
-		Run:  func(_ context.Context, seed int64) (int64, error) { return seed, nil },
-	}}
-	res, err := Run(context.Background(), jobs, Options{BaseSeed: 99})
+	res, err := Run(context.Background(), jobs, Options{Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res[0].Seed != want || res[0].Value != want {
-		t.Fatalf("seed override: recorded %d, Run saw %d, want %d", res[0].Seed, res[0].Value, want)
+	for i, want := range seeds {
+		if res[i].Seed != want || res[i].Value != want {
+			t.Fatalf("job %d: recorded %d, Run saw %d, want %d", i, res[i].Seed, res[i].Value, want)
+		}
 	}
 }
 
@@ -159,7 +140,7 @@ func TestProgressSerialisedAndComplete(t *testing.T) {
 	var mu sync.Mutex
 	seen := map[string]int{}
 	maxDone := 0
-	_, err := Run(context.Background(), jitterJobs(25), Options{
+	_, err := Run(context.Background(), jitterJobs(25, 0), Options{
 		Parallelism: 5,
 		Progress: func(p Progress) {
 			// Already serialised by the runner; the map write would race

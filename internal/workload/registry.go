@@ -11,11 +11,7 @@ import (
 // 16 MB LLC per socket); Options.Scale shrinks them together with the caches
 // so the capacity ratios — which decide hit rates and therefore every result
 // — are preserved.
-const (
-	kib = 1 << 10
-	mib = 1 << 20
-	gib = 1 << 30
-)
+const mib = 1 << 20
 
 // The parameters below are not measurements of the original benchmarks; they
 // are the knobs of the synthetic generator chosen so each workload plays the

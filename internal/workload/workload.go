@@ -316,6 +316,8 @@ func Generate(s Spec, o Options) (*trace.Trace, error) {
 
 // MustGenerate is Generate for specs known to be valid (the built-in
 // workloads); it panics on error.
+//
+//c3dlint:allow unused(trace builder the tests of several packages use as a fixture)
 func MustGenerate(s Spec, o Options) *trace.Trace {
 	tr, err := Generate(s, o)
 	if err != nil {

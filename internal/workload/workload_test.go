@@ -219,7 +219,7 @@ func TestStreamclusterFitsInDRAMCacheScaledDown(t *testing.T) {
 	// DRAM cache (16 MiB at the default scale), because it is the paper's
 	// showcase for a fully DRAM-cache-resident workload.
 	l := BuildLayout(MustGet("streamcluster"), Options{Threads: 32, Scale: DefaultScale})
-	dramCache := uint64(1*gib) / DefaultScale
+	dramCache := uint64(1<<30) / DefaultScale
 	if l.SharedBytes > dramCache {
 		t.Errorf("streamcluster shared region (%d bytes) exceeds the scaled DRAM cache (%d bytes)",
 			l.SharedBytes, dramCache)

@@ -43,9 +43,6 @@ type Compiled struct {
 // Name returns the compiled workload's name.
 func (c *Compiled) Name() string { return c.doc.Name }
 
-// Doc returns the parsed document.
-func (c *Compiled) Doc() *Doc { return c.doc }
-
 // Spec returns the compiled workload.Spec, ready for workload.NewSource.
 func (c *Compiled) Spec() workload.Spec { return c.spec }
 
@@ -64,13 +61,6 @@ func Load(data []byte) (*Compiled, error) {
 // through Lookup.
 func Compile(d *Doc) (*Compiled, error) {
 	return compileOne(d, batch{lookup: Lookup})
-}
-
-// CompileAll compiles a batch of documents that may reference each other as
-// bases (in any order); cycles are rejected. Documents compile in input
-// order, and bases outside the batch resolve through Lookup.
-func CompileAll(docs []*Doc) ([]*Compiled, error) {
-	return compileAll(docs, Lookup)
 }
 
 // batch is what a compilation resolves base names against: the documents

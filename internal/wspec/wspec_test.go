@@ -89,14 +89,14 @@ func TestCompileRejectsBadReferences(t *testing.T) {
 		}
 		return d
 	}
-	_, err := CompileAll([]*Doc{
+	_, err := compileAll([]*Doc{
 		mustParse(`{"version":1,"name":"a","base":"b"}`),
 		mustParse(`{"version":1,"name":"b","base":"a"}`),
-	})
+	}, Lookup)
 	if err == nil || !strings.Contains(err.Error(), "cyclic base reference") {
 		t.Errorf("a<->b: err = %v, want cyclic base reference", err)
 	}
-	_, err = CompileAll([]*Doc{mustParse(`{"version":1,"name":"a","base":"a"}`)})
+	_, err = compileAll([]*Doc{mustParse(`{"version":1,"name":"a","base":"a"}`)}, Lookup)
 	if err == nil || !strings.Contains(err.Error(), "cyclic base reference") {
 		t.Errorf("a->a in batch: err = %v, want cyclic base reference", err)
 	}
@@ -106,18 +106,18 @@ func TestCompileRejectsBadReferences(t *testing.T) {
 		t.Errorf("built-in-shadowing spec: %v, want nil", err)
 	}
 	// A composite (tenants) doc cannot serve as a base.
-	_, err = CompileAll([]*Doc{
+	_, err = compileAll([]*Doc{
 		mustParse(`{"version":1,"name":"mix","tenants":[{"name":"t","base":"nutch"}]}`),
 		mustParse(`{"version":1,"name":"a","base":"mix"}`),
-	})
+	}, Lookup)
 	if err == nil || !strings.Contains(err.Error(), "composite") {
 		t.Errorf("composite base: err = %v, want composite rejection", err)
 	}
 	// Batch duplicates are rejected before any compilation.
-	_, err = CompileAll([]*Doc{
+	_, err = compileAll([]*Doc{
 		mustParse(`{"version":1,"name":"a","base":"facesim"}`),
 		mustParse(`{"version":1,"name":"a","base":"nutch"}`),
-	})
+	}, Lookup)
 	if err == nil || !strings.Contains(err.Error(), "appears twice") {
 		t.Errorf("batch duplicate: err = %v, want appears twice", err)
 	}
