@@ -105,14 +105,16 @@ trace-roundtrip:
 # workload-spec DSL, the text-trace ingester and the sampling schedule:
 # corrupt and truncated inputs must produce errors, never panics or unbounded
 # allocations, and an ingested text trace must round-trip through WriteText.
-# The last pass decodes bytes into sparse-directory operation sequences and
-# checks replacement against the all-ways reference.
+# The last two passes decode bytes into operation sequences and check them
+# against a reference: sparse-directory replacement against the all-ways
+# scan, and the chunked cache against a flat tag array.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=10s ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=10s ./internal/wspec
 	$(GO) test -run=^$$ -fuzz=FuzzIngest -fuzztime=10s ./internal/wspec
 	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=10s ./internal/sample
 	$(GO) test -run=^$$ -fuzz=FuzzDirectoryUpdate -fuzztime=10s ./internal/coherence
+	$(GO) test -run=^$$ -fuzz=FuzzCacheOps -fuzztime=10s ./internal/cache
 
 # Daemon gate through the real binary: build c3dd, start it, and drive it end
 # to end with the Go smoke driver — healthz, capabilities, error envelope,

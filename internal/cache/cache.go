@@ -6,6 +6,11 @@
 // trace-driven and never materialises data values. Each line carries a small
 // coherence state byte (interpreted by the owning protocol engine) and a
 // dirty bit. Replacement is true LRU within a set.
+//
+// The tag array is allocated in chunks of whole sets, about 4 KiB each, on
+// the first fill of a set in them, so a cache costs memory and construction
+// time for the sets a run fills, not for its capacity. Read paths never
+// allocate; they see a set whose chunk was never filled as empty.
 package cache
 
 import (
@@ -62,14 +67,26 @@ type Victim struct {
 	Valid bool
 }
 
-// Cache is a set-associative tag/metadata array with LRU replacement.
+// chunkLines bounds a tag chunk at 256 sixteen-byte lines, 4 KiB. A chunk
+// holds the most whole sets, a power of two, that fit, and at least one.
+const chunkLines = 256
+
+// Cache is a set-associative tag/metadata array with LRU replacement. Its
+// lines live in chunks of 2^chunkShift whole sets, row-major by set; a cache
+// smaller than one chunk has a single chunk. A chunk is nil until Fill or a
+// Touch accessor first writes a set in it. Lookup, Probe, Contains,
+// Invalidate, SetState and CleanBlock see such a set as empty and allocate
+// nothing; ValidLines, ForEach, LRUOrder and the clock renormalisation skip
+// it.
 type Cache struct {
-	cfg     Config
-	sets    int
-	ways    int
-	lines   []Line // sets*ways entries, row-major by set
-	tick    uint32
-	setMask uint64
+	cfg        Config
+	sets       int
+	ways       int
+	chunks     [][]Line
+	chunkShift uint   // log2 of the sets per chunk
+	chunkMask  uint64 // sets per chunk - 1
+	tick       uint32
+	setMask    uint64
 }
 
 // bump advances the LRU clock and returns the new timestamp. When the 32-bit
@@ -89,22 +106,26 @@ func (c *Cache) bump() uint32 {
 // reads, so this is invisible to every caller.
 func (c *Cache) renormalize() {
 	ranks := make([]uint32, c.ways)
-	for s := 0; s < c.sets; s++ {
-		set := c.lines[s*c.ways : (s+1)*c.ways]
-		for i := range set {
-			r := uint32(0)
-			for j := range set {
-				// Ties (only possible between never-used invalid ways) keep
-				// their index order, matching the scan tie-break.
-				if set[j].lastUse < set[i].lastUse ||
-					(set[j].lastUse == set[i].lastUse && j < i) {
-					r++
+	for _, chunk := range c.chunks {
+		// An unfilled chunk holds only invalid ways, whose timestamps no
+		// replacement decision reads.
+		for off := 0; off < len(chunk); off += c.ways {
+			set := chunk[off : off+c.ways]
+			for i := range set {
+				r := uint32(0)
+				for j := range set {
+					// Ties (only possible between never-used invalid ways)
+					// keep their index order, matching the scan tie-break.
+					if set[j].lastUse < set[i].lastUse ||
+						(set[j].lastUse == set[i].lastUse && j < i) {
+						r++
+					}
 				}
+				ranks[i] = r
 			}
-			ranks[i] = r
-		}
-		for i := range set {
-			set[i].lastUse = ranks[i]
+			for i := range set {
+				set[i].lastUse = ranks[i]
+			}
 		}
 	}
 	c.tick = uint32(c.ways)
@@ -127,12 +148,18 @@ func New(cfg Config) *Cache {
 	if sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache %s: number of sets %d must be a power of two", cfg.Name, sets))
 	}
+	shift := uint(0)
+	for 1<<shift < sets && 2<<shift*cfg.Ways <= chunkLines {
+		shift++
+	}
 	return &Cache{
-		cfg:     cfg,
-		sets:    sets,
-		ways:    cfg.Ways,
-		lines:   make([]Line, sets*cfg.Ways),
-		setMask: uint64(sets - 1),
+		cfg:        cfg,
+		sets:       sets,
+		ways:       cfg.Ways,
+		chunks:     make([][]Line, sets>>shift),
+		chunkShift: shift,
+		chunkMask:  1<<shift - 1,
+		setMask:    uint64(sets - 1),
 	}
 }
 
@@ -146,11 +173,25 @@ func (c *Cache) Sets() int { return c.sets }
 //c3dlint:allow unused(associativity the cache tests check geometry with)
 func (c *Cache) Ways() int { return c.ways }
 
-func (c *Cache) setOf(b addr.Block) int { return int(uint64(b) & c.setMask) }
-
+// set returns the ways of block b's set, or nil when its chunk was never
+// filled: the read paths' scans find nothing in a nil set. It is kept small
+// enough for the read paths that call it to stay inlinable; chunkShift is
+// below 64, and masking it spares the compiler's guard for larger shifts.
 func (c *Cache) set(b addr.Block) []Line {
-	s := c.setOf(b)
-	return c.lines[s*c.ways : (s+1)*c.ways]
+	chunk := c.chunks[uint64(b)&c.setMask>>(c.chunkShift&63)]
+	if chunk == nil {
+		return nil
+	}
+	return chunk[int(uint64(b)&c.chunkMask)*c.ways:][:c.ways]
+}
+
+// fillSet is set for the write paths: it first allocates b's chunk if no
+// set in it has been filled.
+func (c *Cache) fillSet(b addr.Block) []Line {
+	if chunk := &c.chunks[uint64(b)&c.setMask>>(c.chunkShift&63)]; *chunk == nil {
+		*chunk = make([]Line, c.ways<<c.chunkShift)
+	}
+	return c.set(b)
 }
 
 // Lookup probes the cache for block b. On a hit it refreshes the line's LRU
@@ -193,7 +234,7 @@ func (c *Cache) Contains(b addr.Block) bool {
 // hit=true. On a miss it installs the block clean in the given state and
 // returns the evicted victim, if any.
 func (c *Cache) Touch(b addr.Block, st State) (Victim, bool) {
-	set := c.set(b)
+	set := c.fillSet(b)
 	invalidIdx, lruIdx := -1, 0
 	for i := range set {
 		if set[i].valid {
@@ -223,7 +264,7 @@ func (c *Cache) Touch(b addr.Block, st State) (Victim, bool) {
 // upgrades the line to st, sets its dirty bit and refreshes its LRU position,
 // and on a miss installs the block dirty in st, returning the victim.
 func (c *Cache) TouchDirty(b addr.Block, st State) (Victim, bool) {
-	set := c.set(b)
+	set := c.fillSet(b)
 	invalidIdx, lruIdx := -1, 0
 	for i := range set {
 		if set[i].valid {
@@ -258,7 +299,7 @@ func (c *Cache) TouchDirty(b addr.Block, st State) (Victim, bool) {
 // the caller needs to know whether the line was already held (and in what
 // state) without paying a separate Lookup-then-Fill pair of scans.
 func (c *Cache) TouchState(b addr.Block, st State) (State, bool) {
-	set := c.set(b)
+	set := c.fillSet(b)
 	invalidIdx, lruIdx := -1, 0
 	for i := range set {
 		if set[i].valid {
@@ -298,7 +339,7 @@ func (c *Cache) Fill(b addr.Block, st State, dirty bool) Victim {
 	if st == StateInvalid {
 		panic(fmt.Sprintf("cache %s: Fill with invalid state", c.cfg.Name))
 	}
-	set := c.set(b)
+	set := c.fillSet(b)
 	invalidIdx, lruIdx := -1, 0
 	for i := range set {
 		if set[i].valid {
@@ -332,11 +373,10 @@ func (c *Cache) Fill(b addr.Block, st State, dirty bool) Victim {
 // returned Victim.Valid reports whether the block was present.
 func (c *Cache) Invalidate(b addr.Block) Victim {
 	set := c.set(b)
-	for i := range set {
-		if set[i].valid && set[i].Block == b {
-			v := set[i]
+	for i, l := range set {
+		if l.valid && l.Block == b {
 			set[i] = Line{}
-			return Victim{Block: v.Block, State: v.State, Dirty: v.Dirty, Valid: true}
+			return Victim{Block: b, State: l.State, Dirty: l.Dirty, Valid: true}
 		}
 	}
 	return Victim{}
@@ -376,20 +416,24 @@ func (c *Cache) CleanBlock(b addr.Block) bool {
 // and occupancy reporting, not for per-access hot paths.
 func (c *Cache) ValidLines() int {
 	n := 0
-	for i := range c.lines {
-		if c.lines[i].valid {
-			n++
+	for _, chunk := range c.chunks {
+		for i := range chunk {
+			if chunk[i].valid {
+				n++
+			}
 		}
 	}
 	return n
 }
 
-// ForEach calls fn for every valid line. Intended for diagnostics and the
-// model checker's small configurations; not used on hot paths.
+// ForEach calls fn for every valid line, in set order. It reads only the
+// filled chunks, so its cost follows what a run filled, not the capacity.
 func (c *Cache) ForEach(fn func(Line)) {
-	for i := range c.lines {
-		if c.lines[i].valid {
-			fn(c.lines[i])
+	for _, chunk := range c.chunks {
+		for i := range chunk {
+			if chunk[i].valid {
+				fn(chunk[i])
+			}
 		}
 	}
 }
@@ -400,22 +444,8 @@ func (c *Cache) ForEach(fn func(Line)) {
 //
 //c3dlint:allow unused(LRU order digested by TestWarmedStateMatchesGolden)
 func (c *Cache) LRUOrder(s int) []Line {
-	set := slices.Clone(c.lines[s*c.ways : (s+1)*c.ways])
+	set := slices.Clone(c.set(addr.Block(s)))
 	set = slices.DeleteFunc(set, func(l Line) bool { return !l.valid })
 	slices.SortStableFunc(set, func(a, b Line) int { return cmp.Compare(a.lastUse, b.lastUse) })
 	return set
-}
-
-// Flush removes every line and returns the number of lines that were dirty.
-//
-//c3dlint:allow unused(no caller outside its tests; deletion deferred to ROADMAP item 9)
-func (c *Cache) Flush() int {
-	dirty := 0
-	for i := range c.lines {
-		if c.lines[i].valid && c.lines[i].Dirty {
-			dirty++
-		}
-		c.lines[i] = Line{}
-	}
-	return dirty
 }

@@ -419,7 +419,8 @@ func (c *Cache) ForEach(fn func(cache.Line)) { c.tags.ForEach(fn) }
 
 // HasDirtyBlocks reports whether any resident line is dirty. For a
 // Clean-policy cache this must always be false; the machine's invariant
-// checks call it after every run.
+// checks call it after every run. It scans only the tag chunks a run has
+// filled, so its cost follows the sets the run touched, not the capacity.
 func (c *Cache) HasDirtyBlocks() bool {
 	dirty := false
 	c.tags.ForEach(func(l cache.Line) {

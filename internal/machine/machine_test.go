@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"c3d/internal/addr"
@@ -243,4 +245,38 @@ func TestNewPanicsOnInvalidConfig(t *testing.T) {
 	cfg := testConfig(C3D)
 	cfg.Sockets = 0
 	New(cfg)
+}
+
+// TestNewAllocatesForUse bounds what building a machine costs before it runs.
+// The quad-socket C3D machine at the default scale 64 has a 16 MiB DRAM cache
+// per socket, whose tag array alone is 4 MiB of lines; the caches allocate
+// tag chunks on first fill, so a fresh machine must stay under 4 MiB in all.
+func TestNewAllocatesForUse(t *testing.T) {
+	cfg := DefaultConfig(4, C3D)
+	if cfg.Scale != 64 {
+		t.Fatalf("default scale = %d, want 64", cfg.Scale)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m := New(cfg)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(m)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 4<<20 {
+		t.Errorf("New allocated %d bytes, want under 4 MiB", got)
+	}
+}
+
+// BenchmarkMachineNew builds the quad-socket C3D machine at the default scale
+// and at the service's scale 512: the fixed cost every simulation pays.
+func BenchmarkMachineNew(b *testing.B) {
+	for _, scale := range []int{64, 512} {
+		b.Run(fmt.Sprintf("scale=%d", scale), func(b *testing.B) {
+			b.ReportAllocs()
+			cfg := DefaultConfig(4, C3D)
+			cfg.Scale = scale
+			for b.Loop() {
+				New(cfg)
+			}
+		})
+	}
 }
