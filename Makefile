@@ -13,7 +13,7 @@ LDFLAGS := -X c3d/pkg/c3d.buildVersion=$(VERSION) \
            -X c3d/pkg/c3d.buildCommit=$(GIT_SHA) \
            -X c3d/pkg/c3d.buildDate=$(BUILD_DATE)
 
-.PHONY: all build binaries test bench-test race lint lint-fmt lint-analyzers vet bench bench-smoke determinism topology-smoke trace-roundtrip fuzz-smoke daemon-smoke fleet-smoke chaos-smoke spec-smoke sample-smoke ci
+.PHONY: all build binaries test bench-test race lint lint-fmt lint-analyzers lint-inline vet bench bench-smoke determinism topology-smoke trace-roundtrip fuzz-smoke daemon-smoke fleet-smoke chaos-smoke spec-smoke sample-smoke ci
 
 all: build
 
@@ -35,7 +35,7 @@ race:
 bench-test:
 	cd bench && $(GO) test ./...
 
-lint: lint-fmt vet lint-analyzers
+lint: lint-fmt vet lint-analyzers lint-inline
 
 # gofmt -l prints offending files; fail if any.
 lint-fmt:
@@ -51,6 +51,19 @@ vet:
 # everything else; the whole run is a few seconds warm.
 lint-analyzers:
 	$(GO) run ./cmd/c3dlint ./...
+
+# The cache read paths must stay inlinable: (*Cache).set and the four read
+# paths that call it sit within a few units of the compiler's inlining
+# budget, and a cache-bound run pays measurably when one stops inlining. The
+# target fails naming every function `go build -gcflags=-m` no longer reports
+# as `can inline`.
+INLINE_CACHE_FUNCS := set Probe Contains Invalidate CleanBlock
+lint-inline:
+	@out="$$($(GO) build -gcflags=-m ./internal/cache 2>&1)"; missing=; \
+	for f in $(INLINE_CACHE_FUNCS); do \
+		echo "$$out" | grep -q "can inline (\*Cache)\.$$f$$" || missing="$$missing (*Cache).$$f"; \
+	done; \
+	if [ -n "$$missing" ]; then echo "internal/cache: no longer inlinable:$$missing"; exit 1; fi
 
 # Full benchmark run (minutes): every paper artefact plus micro-benchmarks.
 bench:
@@ -106,8 +119,8 @@ trace-roundtrip:
 # corrupt and truncated inputs must produce errors, never panics or unbounded
 # allocations, and an ingested text trace must round-trip through WriteText.
 # The last two passes decode bytes into operation sequences and check them
-# against a reference: sparse-directory replacement against the all-ways
-# scan, and the chunked cache against a flat tag array.
+# against a reference: the sparse directory, whose sets grow on use, against
+# a flat fixed-ways array, and the chunked cache against a flat tag array.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=10s ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=10s ./internal/wspec

@@ -43,6 +43,12 @@ type DirConfig struct {
 // block to Entry. With Entries == 0 it behaves as an unbounded full map
 // (no recalls); otherwise it is a sparse set-associative structure whose
 // evictions the caller must turn into recall invalidations.
+//
+// A sparse directory's sets grow on use: each is nil until Update first
+// allocates in it, and gains one way at a time, up to the associativity,
+// when an allocation finds no free way. The new way is the lowest-index free
+// way of a full-size set, so the layout matches a set allocated whole. The
+// read paths and Remove see a nil set as empty and allocate nothing.
 type Directory struct {
 	// Unbounded storage.
 	unbounded map[addr.Block]Entry
@@ -50,7 +56,7 @@ type Directory struct {
 	// Bounded (sparse) storage.
 	ways    int
 	setMask uint64
-	lines   []dirLine
+	sets    [][]dirLine
 	tick    uint64
 
 	// stale, when set, reports whether a tracked block is no longer cached
@@ -94,7 +100,7 @@ func NewDirectory(cfg DirConfig) *Directory {
 	}
 	d.ways = cfg.Ways
 	d.setMask = uint64(sets - 1)
-	d.lines = make([]dirLine, sets*cfg.Ways)
+	d.sets = make([][]dirLine, sets)
 	return d
 }
 
@@ -116,7 +122,7 @@ func (d *Directory) Lookup(b addr.Block) (Entry, bool) {
 		e, ok := d.unbounded[b]
 		return e, ok
 	}
-	set := d.set(b)
+	set := d.sets[d.index(b)]
 	for i := range set {
 		if set[i].valid && set[i].block == b {
 			d.tick++
@@ -133,7 +139,7 @@ func (d *Directory) Probe(b addr.Block) (Entry, bool) {
 		e, ok := d.unbounded[b]
 		return e, ok
 	}
-	set := d.set(b)
+	set := d.sets[d.index(b)]
 	for i := range set {
 		if set[i].valid && set[i].block == b {
 			return set[i].entry, true
@@ -150,7 +156,8 @@ func (d *Directory) Probe(b addr.Block) (Entry, bool) {
 //
 // Update scans the set once and picks the way separate present, free-way and
 // LRU scans would: a present block is updated in place; otherwise the block
-// takes the lowest-index invalid way. Only a full set asks the stale
+// takes the lowest-index invalid way, growing the set by one way when it has
+// none and is not yet at full associativity. Only a full set asks the stale
 // predicate, from the oldest way to the newest, and the first stale way wins.
 // That is the oldest stale way an all-ways scan would pick: every way of a
 // full set holds a distinct tick, and the predicate is pure, so the answers
@@ -164,7 +171,8 @@ func (d *Directory) Update(b addr.Block, e Entry) Recall {
 		d.unbounded[b] = e
 		return Recall{}
 	}
-	set := d.set(b)
+	s := d.index(b)
+	set := d.sets[s]
 	free, lru := -1, 0
 	for i := range set {
 		if !set[i].valid {
@@ -181,6 +189,11 @@ func (d *Directory) Update(b addr.Block, e Entry) Recall {
 		}
 	}
 	victim := free
+	if victim < 0 && len(set) < d.ways {
+		victim = len(set)
+		set = append(set, dirLine{})
+		d.sets[s] = set
+	}
 	if victim < 0 && d.stale != nil {
 		// Full set: ask about the ways oldest first, stopping at the first
 		// stale one. The oldest is usually stale, so one answer is typical.
@@ -218,7 +231,7 @@ func (d *Directory) Remove(b addr.Block) bool {
 		}
 		return false
 	}
-	set := d.set(b)
+	set := d.sets[d.index(b)]
 	for i := range set {
 		if set[i].valid && set[i].block == b {
 			set[i] = dirLine{}
@@ -235,34 +248,18 @@ func (d *Directory) Entries() int {
 		return len(d.unbounded)
 	}
 	n := 0
-	for i := range d.lines {
-		if d.lines[i].valid {
-			n++
+	for _, set := range d.sets {
+		for i := range set {
+			if set[i].valid {
+				n++
+			}
 		}
 	}
 	return n
 }
 
-// ForEach calls fn for every (block, entry) pair. Iteration order over an
-// unbounded directory is unspecified; tests that need determinism should use
-// a bounded directory or sort the results.
-//
-//c3dlint:allow unused(no caller outside its tests; deletion deferred to ROADMAP item 9)
-func (d *Directory) ForEach(fn func(addr.Block, Entry)) {
-	if d.unbounded != nil {
-		for b, e := range d.unbounded {
-			fn(b, e)
-		}
-		return
-	}
-	for i := range d.lines {
-		if d.lines[i].valid {
-			fn(d.lines[i].block, d.lines[i].entry)
-		}
-	}
-}
-
-func (d *Directory) set(b addr.Block) []dirLine {
+// index returns the set block b maps to.
+func (d *Directory) index(b addr.Block) int {
 	// XOR-fold the block number before masking. A home-sliced directory only
 	// ever sees blocks whose page-interleave bits match its socket, so using
 	// the raw low bits would leave most sets unused; folding higher bits in
@@ -270,6 +267,5 @@ func (d *Directory) set(b addr.Block) []dirLine {
 	h := uint64(b)
 	h ^= h >> 8
 	h ^= h >> 16
-	s := int(h & d.setMask)
-	return d.lines[s*d.ways : (s+1)*d.ways]
+	return int(h & d.setMask)
 }

@@ -120,22 +120,30 @@ func TestDirectorySetIndexing(t *testing.T) {
 	}
 }
 
-func TestDirectoryForEach(t *testing.T) {
-	d := newSparseDir(8, 2)
-	want := map[addr.Block]DirState{
-		1: DirShared, 2: DirModified, 3: DirShared,
+// TestDirectoryReadsAllocateNothing checks that Lookup, Probe and Remove on
+// a fresh sparse directory leave every set unallocated, and that Update
+// allocates only the set it writes, growing it one way at a time.
+func TestDirectoryReadsAllocateNothing(t *testing.T) {
+	d := newSparseDir(64*32, 32)
+	for b := addr.Block(0); b < 4096; b++ {
+		d.Lookup(b)
+		d.Probe(b)
+		d.Remove(b)
 	}
-	d.Update(1, Entry{State: DirShared, Sharers: NewSharerSet(0)})
-	d.Update(2, Entry{State: DirModified, Owner: 1, Sharers: NewSharerSet(1)})
-	d.Update(3, Entry{State: DirShared, Sharers: NewSharerSet(2)})
-	got := map[addr.Block]DirState{}
-	d.ForEach(func(b addr.Block, e Entry) { got[b] = e.State })
-	if len(got) != len(want) {
-		t.Fatalf("ForEach visited %d entries, want %d", len(got), len(want))
+	for s, set := range d.sets {
+		if set != nil {
+			t.Fatalf("set %d allocated by a read: %d ways", s, len(set))
+		}
 	}
-	for b, st := range want {
-		if got[b] != st {
-			t.Errorf("block %d state = %v, want %v", b, got[b], st)
+	d.Update(5, Entry{State: DirShared, Sharers: NewSharerSet(0)})
+	d.Update(5, Entry{State: DirModified, Owner: 1, Sharers: NewSharerSet(1)})
+	for s, set := range d.sets {
+		want := 0
+		if s == d.index(5) {
+			want = 1
+		}
+		if len(set) != want {
+			t.Errorf("set %d has %d ways, want %d", s, len(set), want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -10,24 +11,78 @@ import (
 	"c3d/internal/cache"
 )
 
-// allWaysUpdate is the reference Update is checked against: a scan for the
-// present block, one for the lowest-index free way, one for the LRU way and,
-// in a full set, one that asks the stale predicate about every way, as
-// Update was first written.
-func allWaysUpdate(d *Directory, b addr.Block, e Entry) Recall {
-	if e.State == DirInvalid {
-		d.Remove(b)
-		return Recall{}
-	}
-	set := d.set(b)
+// refDir is the flat reference a sparse Directory is checked against: one
+// []dirLine of sets*ways entries, allocated whole, with every rule spelled
+// out as its own scan. A full set lists its ways oldest first and asks the
+// stale predicate about them in that order; the first stale way is replaced
+// without a recall, and the oldest way is recalled when none is stale.
+type refDir struct {
+	ways  int
+	lines []dirLine
+	tick  uint64
+	stale func(addr.Block) bool
+}
+
+func newRefDir(sets, ways int) *refDir {
+	return &refDir{ways: ways, lines: make([]dirLine, sets*ways)}
+}
+
+func (r *refDir) set(b addr.Block) []dirLine {
+	h := uint64(b)
+	h ^= h >> 8
+	h ^= h >> 16
+	s := int(h % uint64(len(r.lines)/r.ways))
+	return r.lines[s*r.ways : (s+1)*r.ways]
+}
+
+// find returns b's way, or nil.
+func (r *refDir) find(b addr.Block) *dirLine {
+	set := r.set(b)
 	for i := range set {
 		if set[i].valid && set[i].block == b {
-			d.tick++
-			set[i].entry = e
-			set[i].lastUse = d.tick
-			return Recall{}
+			return &set[i]
 		}
 	}
+	return nil
+}
+
+func (r *refDir) lookup(b addr.Block) (Entry, bool) {
+	l := r.find(b)
+	if l == nil {
+		return Entry{}, false
+	}
+	r.tick++
+	l.lastUse = r.tick
+	return l.entry, true
+}
+
+func (r *refDir) probe(b addr.Block) (Entry, bool) {
+	if l := r.find(b); l != nil {
+		return l.entry, true
+	}
+	return Entry{}, false
+}
+
+func (r *refDir) remove(b addr.Block) bool {
+	l := r.find(b)
+	if l == nil {
+		return false
+	}
+	*l = dirLine{}
+	return true
+}
+
+func (r *refDir) update(b addr.Block, e Entry) Recall {
+	if e.State == DirInvalid {
+		r.remove(b)
+		return Recall{}
+	}
+	r.tick++
+	if l := r.find(b); l != nil {
+		l.entry, l.lastUse = e, r.tick
+		return Recall{}
+	}
+	set := r.set(b)
 	victim := -1
 	for i := range set {
 		if !set[i].valid {
@@ -37,29 +92,36 @@ func allWaysUpdate(d *Directory, b addr.Block, e Entry) Recall {
 	}
 	var recall Recall
 	if victim < 0 {
-		lru, lruStale := 0, -1
-		for i := 1; i < len(set); i++ {
-			if set[i].lastUse < set[lru].lastUse {
-				lru = i
-			}
+		order := make([]int, len(set))
+		for i := range order {
+			order[i] = i
 		}
-		if d.stale != nil {
-			for i := range set {
-				if d.stale(set[i].block) && (lruStale < 0 || set[i].lastUse < set[lruStale].lastUse) {
-					lruStale = i
+		slices.SortFunc(order, func(x, y int) int { return cmp.Compare(set[x].lastUse, set[y].lastUse) })
+		if r.stale != nil {
+			for _, i := range order {
+				if r.stale(set[i].block) {
+					victim = i
+					break
 				}
 			}
 		}
-		if lruStale >= 0 {
-			victim = lruStale
-		} else {
-			victim = lru
+		if victim < 0 {
+			victim = order[0]
 			recall = Recall{Block: set[victim].block, Entry: set[victim].entry, Valid: true}
 		}
 	}
-	d.tick++
-	set[victim] = dirLine{block: b, entry: e, valid: true, lastUse: d.tick}
+	set[victim] = dirLine{block: b, entry: e, valid: true, lastUse: r.tick}
 	return recall
+}
+
+func (r *refDir) entries() int {
+	n := 0
+	for _, l := range r.lines {
+		if l.valid {
+			n++
+		}
+	}
+	return n
 }
 
 // TestDirectoryPrefersOldestStaleVictim fills one 4-way set with blocks 0-3
@@ -119,25 +181,33 @@ func TestDirectoryPrefersOldestStaleVictim(t *testing.T) {
 	}
 }
 
-// dirDiff drives a Directory and the all-ways reference through the same
-// operations. Both share one stale predicate over a mutable set of cached
-// blocks, which the operations toggle.
+// dirDiff drives a Directory and the flat reference through the same
+// operations. Both share one stale view over a mutable set of cached blocks,
+// which the operations toggle, and each logs the blocks its predicate is
+// asked about.
 type dirDiff struct {
 	tb        testing.TB
-	got, want *Directory
+	got       *Directory
+	want      *refDir
 	ways      int
 	cached    map[addr.Block]bool
-	asked     int
+	gotAsked  []addr.Block
+	wantAsked []addr.Block
 }
 
 // diffSets is the number of sets in a dirDiff directory.
 const diffSets = 8
 
 func newDirDiff(tb testing.TB, ways int) *dirDiff {
-	cfg := DirConfig{Name: "diff", Entries: diffSets * ways, Ways: ways}
-	d := &dirDiff{tb: tb, got: NewDirectory(cfg), want: NewDirectory(cfg), ways: ways, cached: map[addr.Block]bool{}}
-	d.got.SetStalePredicate(func(b addr.Block) bool { d.asked++; return !d.cached[b] })
-	d.want.SetStalePredicate(func(b addr.Block) bool { return !d.cached[b] })
+	d := &dirDiff{
+		tb:     tb,
+		got:    NewDirectory(DirConfig{Name: "diff", Entries: diffSets * ways, Ways: ways}),
+		want:   newRefDir(diffSets, ways),
+		ways:   ways,
+		cached: map[addr.Block]bool{},
+	}
+	d.got.SetStalePredicate(func(b addr.Block) bool { d.gotAsked = append(d.gotAsked, b); return !d.cached[b] })
+	d.want.stale = func(b addr.Block) bool { d.wantAsked = append(d.wantAsked, b); return !d.cached[b] }
 	return d
 }
 
@@ -147,7 +217,7 @@ func (d *dirDiff) blocks() int { return 3 * diffSets * d.ways }
 
 // step applies operation op to block b; arg picks the entry an update stores
 // or whether a toggled block is cached. It fails the test on the first
-// difference in results or the raw line arrays.
+// difference in results, predicate calls, entry counts or set contents.
 func (d *dirDiff) step(n int, op byte, b addr.Block, arg byte) {
 	d.tb.Helper()
 	switch op % 10 {
@@ -156,47 +226,57 @@ func (d *dirDiff) step(n int, op byte, b addr.Block, arg byte) {
 		if arg%8 == 7 {
 			e = Entry{State: DirInvalid}
 		}
-		d.asked = 0
-		if g, w := d.got.Update(b, e), allWaysUpdate(d.want, b, e); g != w {
+		d.gotAsked, d.wantAsked = d.gotAsked[:0], d.wantAsked[:0]
+		if g, w := d.got.Update(b, e), d.want.update(b, e); g != w {
 			d.tb.Fatalf("step %d: Update(%d) recall = %+v, want %+v", n, b, g, w)
 		}
-		if d.asked > d.ways {
-			d.tb.Fatalf("step %d: Update(%d) asked the predicate %d times in a %d-way set", n, b, d.asked, d.ways)
+		if !slices.Equal(d.gotAsked, d.wantAsked) {
+			d.tb.Fatalf("step %d: Update(%d) asked the predicate about %v, want %v", n, b, d.gotAsked, d.wantAsked)
 		}
 	case 5, 6:
 		ge, gok := d.got.Lookup(b)
-		we, wok := d.want.Lookup(b)
+		we, wok := d.want.lookup(b)
 		if ge != we || gok != wok {
 			d.tb.Fatalf("step %d: Lookup(%d) = %+v %v, want %+v %v", n, b, ge, gok, we, wok)
 		}
 	case 7:
 		ge, gok := d.got.Probe(b)
-		we, wok := d.want.Probe(b)
+		we, wok := d.want.probe(b)
 		if ge != we || gok != wok {
 			d.tb.Fatalf("step %d: Probe(%d) = %+v %v, want %+v %v", n, b, ge, gok, we, wok)
 		}
 	case 8:
-		if g, w := d.got.Remove(b), d.want.Remove(b); g != w {
+		if g, w := d.got.Remove(b), d.want.remove(b); g != w {
 			d.tb.Fatalf("step %d: Remove(%d) = %v, want %v", n, b, g, w)
 		}
 	default:
 		d.cached[b] = arg%2 == 1
 	}
-	// Which way an allocation lands in, and each way's tick, are invisible
-	// to lookups, so compare the arrays directly.
-	if !slices.Equal(d.got.lines, d.want.lines) {
-		d.tb.Fatalf("step %d: line arrays diverged", n)
+	if g, w := d.got.Entries(), d.want.entries(); g != w {
+		d.tb.Fatalf("step %d: Entries = %d, want %d", n, g, w)
+	}
+	// A grown set is the head of the reference's set: the ways it has not
+	// grown into yet were never used. Which way an allocation lands in, and
+	// each way's tick, are invisible to lookups, so compare them directly.
+	for s, set := range d.got.sets {
+		ref := d.want.lines[s*d.ways : (s+1)*d.ways]
+		if len(set) > d.ways || !slices.Equal(set, ref[:len(set)]) || slices.ContainsFunc(ref[len(set):], func(l dirLine) bool { return l != dirLine{} }) {
+			d.tb.Fatalf("step %d: set %d = %+v, want %+v", n, s, set, ref)
+		}
 	}
 }
 
 // TestUpdateMatchesAllWaysReference runs seeded Update, Lookup, Probe and
-// Remove sequences against Update and the all-ways reference on 1-, 2-, 4-
-// and 32-way directories, toggling which blocks are cached between
-// operations. Each seed caches a different share of the blocks, from none
-// (every full set has a stale way) to all (every allocation into a full set
-// recalls), so both outcomes and the walk between them are covered. It
-// catches a walk that picks the newest stale way, one that starts past the
-// LRU way, and a free-way scan that keeps the highest-index way.
+// Remove sequences against a sparse Directory, whose sets grow on use, and
+// the flat reference, whose sets are allocated whole, on 1-, 2-, 4- and
+// 32-way directories, toggling which blocks are cached between operations.
+// Remove leaves holes that later allocations must fill before a set grows.
+// Each seed caches a different share of the blocks, from none (every full set
+// has a stale way) to all (every allocation into a full set recalls), so both
+// outcomes and the walk between them are covered. It catches a walk that
+// picks the newest stale way, one that starts past the LRU way, a free-way
+// scan that keeps the highest-index way, and a set that grows while it still
+// has a hole.
 func TestUpdateMatchesAllWaysReference(t *testing.T) {
 	for _, ways := range []int{1, 2, 4, 32} {
 		for seed := int64(1); seed <= 20; seed++ {
@@ -224,7 +304,7 @@ func TestUpdateMatchesAllWaysReference(t *testing.T) {
 }
 
 // FuzzDirectoryUpdate decodes bytes into the same operation sequences and
-// checks them against the all-ways reference. The first byte picks 1, 2, 4
+// checks them against the flat reference. The first byte picks 1, 2, 4
 // or 32 ways; every later triple is an operation, a block and an argument.
 func FuzzDirectoryUpdate(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 2, 0, 9, 3, 0, 17, 1, 5, 9, 3, 1})

@@ -13,6 +13,11 @@
 //     full-directory designs of §III, where the DRAM cache absorbs dirty LLC
 //     evictions and writes them back to memory only on eviction.
 //
+// Every table is built on use: the tag array allocates its chunks of sets on
+// first fill (see internal/cache) and the miss predictor its chunks of
+// entries on first write. A fresh cache holds only the two chunk tables, and
+// what a run adds follows the sets and regions it touches.
+//
 // The package provides tag-array bookkeeping and per-access timing; which
 // messages cross sockets as a consequence of hits, misses and evictions is
 // the protocol engines' business (internal/machine, internal/core).
@@ -55,9 +60,6 @@ type Config struct {
 	Name string
 	// SizeBytes is the data capacity (1 GB per socket in Table II).
 	SizeBytes uint64
-	// Ways is the associativity; the paper uses a direct-mapped organisation
-	// (1 way).
-	Ways int
 	// AccessLatency is the latency of one DRAM cache access (tags are stored
 	// in DRAM alongside data, so hit and miss detection cost the same).
 	// Table II models 40 ns, i.e. 20% faster than the 50 ns main memory.
@@ -119,45 +121,15 @@ type AccessResult struct {
 	Done sim.Time
 }
 
-// presentWords sizes the one-sided presence filter at 2048 words (128 Ki
-// bits, 16 KiB). The filter is deliberately not scaled with the cache: a
-// quick-scale cache stays far below saturation, and a huge cache merely
-// saturates the filter, degrading it to a cheap always-true check.
-const presentWords = 2048
-
-// Cache is one socket's DRAM cache instance.
+// Cache is one socket's DRAM cache instance. Nothing sits in front of the
+// tag array: the Warm* fast-forward paths probe it directly, and a block
+// whose tag chunk was never filled costs them a nil check.
 type Cache struct {
 	cfg       Config
 	tags      *cache.Cache
 	predictor *MissPredictor
 	channels  []*sim.Resource
 	stats     Stats
-	// present is a one-sided presence filter over the tag array: a clear bit
-	// proves the block is absent, a set bit means "maybe resident". Bits are
-	// set on every insertion and never cleared, which keeps the invariant
-	// trivially true under invalidations. It lets the Warm* fast-forward
-	// paths skip probing the large, cache-cold tag array for blocks that
-	// were never filled.
-	present [presentWords]uint64
-}
-
-// presentSlot maps a block to its filter word and bit.
-func presentSlot(b addr.Block) (int, uint64) {
-	h := uint64(b) * 0x9e3779b97f4a7c15
-	h >>= 64 - 17 // log2(presentWords*64) bits
-	return int(h >> 6), 1 << (h & 63)
-}
-
-// note records b as possibly resident. Called on every tag-array insertion.
-func (c *Cache) note(b addr.Block) {
-	w, bit := presentSlot(b)
-	c.present[w] |= bit
-}
-
-// mayContain reports whether b could be resident; false is exact.
-func (c *Cache) mayContain(b addr.Block) bool {
-	w, bit := presentSlot(b)
-	return c.present[w]&bit != 0
 }
 
 // New builds a DRAM cache from cfg. It panics on invalid geometry.
@@ -170,7 +142,7 @@ func New(cfg Config) *Cache {
 		tags: cache.New(cache.Config{
 			Name:      cfg.Name,
 			SizeBytes: cfg.SizeBytes,
-			Ways:      cfg.Ways,
+			Ways:      1,
 		}),
 	}
 	if cfg.PredictorEntries > 0 {
@@ -305,7 +277,6 @@ func (c *Cache) Fill(now sim.Time, b addr.Block, st cache.State, dirty bool) Fil
 		}
 	}
 	c.stats.Fills++
-	c.note(b)
 	victim := c.tags.Fill(b, st, dirty)
 	if victim.Valid {
 		c.stats.Evictions++
@@ -334,7 +305,6 @@ func (c *Cache) Warm(b addr.Block, st cache.State, dirty bool) {
 			st = coherence.LineShared
 		}
 	}
-	c.note(b)
 	var victim cache.Victim
 	var hit bool
 	if dirty {
@@ -356,7 +326,7 @@ func (c *Cache) Warm(b addr.Block, st cache.State, dirty bool) {
 // detailed write hit leaves behind — while under the Clean policy stores
 // never dirty the cache, so the call is a no-op. No statistics advance.
 func (c *Cache) WarmWrite(b addr.Block) {
-	if c.cfg.Policy != Dirty || !c.mayContain(b) {
+	if c.cfg.Policy != Dirty {
 		return
 	}
 	if l, ok := c.tags.Probe(b); ok {
@@ -369,9 +339,6 @@ func (c *Cache) WarmWrite(b addr.Block) {
 // decays exactly as on a detailed invalidation, but the cache-level
 // invalidation counter — which reaches measured results — does not advance.
 func (c *Cache) WarmInvalidate(b addr.Block) {
-	if !c.mayContain(b) {
-		return
-	}
 	if c.tags.Invalidate(b).Valid && c.predictor != nil {
 		c.predictor.BlockEvicted(b)
 	}
@@ -389,18 +356,6 @@ func (c *Cache) Invalidate(b addr.Block) cache.Victim {
 		}
 	}
 	return v
-}
-
-// SetState changes the coherence state of a resident block and reports
-// whether it was present. Setting LineInvalid removes the block (and informs
-// the predictor).
-//
-//c3dlint:allow unused(no caller outside its tests; deletion deferred to ROADMAP item 9)
-func (c *Cache) SetState(b addr.Block, st cache.State) bool {
-	if st == coherence.LineInvalid {
-		return c.Invalidate(b).Valid
-	}
-	return c.tags.SetState(b, st)
 }
 
 // CleanBlock clears the dirty bit of a resident block (used when a dirty
@@ -430,8 +385,3 @@ func (c *Cache) HasDirtyBlocks() bool {
 	})
 	return dirty
 }
-
-// SetAccessLatency overrides the access latency.
-//
-//c3dlint:allow unused(no caller outside its tests; deletion deferred to ROADMAP item 9)
-func (c *Cache) SetAccessLatency(l sim.Cycles) { c.cfg.AccessLatency = l }

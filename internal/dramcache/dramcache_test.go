@@ -23,7 +23,6 @@ func DefaultConfig(name string, sizeBytes uint64, policy Policy) Config {
 	return Config{
 		Name:                name,
 		SizeBytes:           sizeBytes,
-		Ways:                1,
 		AccessLatency:       sim.NsToCycles(40),
 		Channels:            8,
 		ChannelBandwidthGBs: 12.8,
@@ -34,9 +33,6 @@ func DefaultConfig(name string, sizeBytes uint64, policy Policy) Config {
 
 func TestDefaultConfigMatchesTableII(t *testing.T) {
 	cfg := DefaultConfig("dram$0", 1<<30, Clean)
-	if cfg.Ways != 1 {
-		t.Errorf("Ways = %d, want 1 (direct-mapped)", cfg.Ways)
-	}
 	if cfg.AccessLatency != sim.NsToCycles(40) {
 		t.Errorf("AccessLatency = %v, want 40ns", cfg.AccessLatency)
 	}
@@ -178,18 +174,6 @@ func TestInvalidateInformsPredictor(t *testing.T) {
 	}
 }
 
-func TestSetStateInvalidRemoves(t *testing.T) {
-	c := newTestCache(t, Clean)
-	b := addr.Block(3)
-	c.Fill(0, b, coherence.LineShared, false)
-	if !c.SetState(b, coherence.LineInvalid) {
-		t.Fatal("SetState(Invalid) should report presence")
-	}
-	if c.Contains(b) {
-		t.Fatal("block should be gone")
-	}
-}
-
 func TestProbeDoesNotPerturbStats(t *testing.T) {
 	c := newTestCache(t, Clean)
 	b := addr.Block(11)
@@ -234,17 +218,6 @@ func TestResetStatsKeepsContents(t *testing.T) {
 	}
 	if !c.Contains(b) {
 		t.Error("ResetStats evicted cache contents")
-	}
-}
-
-func TestSetAccessLatency(t *testing.T) {
-	c := newTestCache(t, Clean)
-	c.SetAccessLatency(sim.NsToCycles(50))
-	b := addr.Block(2)
-	c.Fill(0, b, coherence.LineShared, false)
-	res := c.Access(0, b, false)
-	if res.Done < sim.Time(sim.NsToCycles(50)) {
-		t.Errorf("Done = %v, want at least 50ns after raising the latency", res.Done)
 	}
 }
 

@@ -1,6 +1,8 @@
 package dramcache
 
 import (
+	"math/bits"
+
 	"c3d/internal/addr"
 )
 
@@ -20,9 +22,13 @@ import (
 // Predictions can still be wrong in both directions; correctness never
 // depends on them — the protocol engines only use them to decide what to
 // overlap.
+//
+// The table is kept in chunks of up to 2^predictorChunkBits entries, each nil
+// until Resolve or BlockFilled first writes an entry in it; Predict and
+// BlockEvicted read an entry in an unwritten chunk as invalid.
 type MissPredictor struct {
 	mask    uint64
-	regions []predictorEntry
+	regions [][]predictorEntry
 	stats   PredictorStats
 	// lastRegion remembers the region of the most recent Predict call so
 	// that Resolve can train the right entry.
@@ -34,6 +40,10 @@ type predictorEntry struct {
 	counter uint8
 	valid   bool
 }
+
+// predictorChunkBits bounds a table chunk at 256 sixteen-byte entries, 4 KiB. A
+// smaller table is one chunk of its own size.
+const predictorChunkBits = 8
 
 const (
 	// predictorMax is the saturating counter ceiling.
@@ -53,32 +63,14 @@ type PredictorStats struct {
 	FalseMisses uint64
 }
 
-// Accuracy returns the fraction of predictions that were correct, or 0 when
-// no prediction has been made.
-//
-//c3dlint:allow unused(no caller outside its tests; deletion deferred to ROADMAP item 9)
-func (s PredictorStats) Accuracy() float64 {
-	if s.Predictions == 0 {
-		return 0
-	}
-	wrong := s.FalseHits + s.FalseMisses
-	return 1 - float64(wrong)/float64(s.Predictions)
-}
-
 // NewMissPredictor builds a predictor with the given number of entries
 // (rounded down to a power of two; Table II uses 4096).
 func NewMissPredictor(entries int) *MissPredictor {
-	if entries < 1 {
-		entries = 1
-	}
 	// Round down to a power of two so the index is a mask.
-	n := 1
-	for n*2 <= entries {
-		n *= 2
-	}
+	n := 1 << (bits.Len(uint(max(entries, 1))) - 1)
 	return &MissPredictor{
 		mask:    uint64(n - 1),
-		regions: make([]predictorEntry, n),
+		regions: make([][]predictorEntry, max(n>>predictorChunkBits, 1)),
 	}
 }
 
@@ -88,8 +80,25 @@ func (p *MissPredictor) Stats() PredictorStats { return p.stats }
 // ResetStats clears the prediction counters without forgetting region counts.
 func (p *MissPredictor) ResetStats() { p.stats = PredictorStats{} }
 
+// lookup returns region's table entry, or nil when its chunk was never
+// written (every entry there is invalid).
+func (p *MissPredictor) lookup(region addr.Page) *predictorEntry {
+	i := uint64(region) & p.mask
+	if chunk := p.regions[i>>predictorChunkBits]; chunk != nil {
+		return &chunk[i&(1<<predictorChunkBits-1)]
+	}
+	return nil
+}
+
+// slot is lookup for the write paths: it first allocates region's chunk if
+// no entry in it was ever written.
 func (p *MissPredictor) slot(region addr.Page) *predictorEntry {
-	return &p.regions[uint64(region)&p.mask]
+	i := uint64(region) & p.mask
+	chunk := &p.regions[i>>predictorChunkBits]
+	if *chunk == nil {
+		*chunk = make([]predictorEntry, min(p.mask+1, 1<<predictorChunkBits))
+	}
+	return &(*chunk)[i&(1<<predictorChunkBits-1)]
 }
 
 // Predict returns true if the predictor expects block b to hit in the DRAM
@@ -98,8 +107,8 @@ func (p *MissPredictor) slot(region addr.Page) *predictorEntry {
 // meaningful.
 func (p *MissPredictor) Predict(b addr.Block) bool {
 	p.stats.Predictions++
-	e := p.slot(addr.PageOfBlock(b))
-	hit := e.valid && e.region == addr.PageOfBlock(b) && e.counter >= predictorThreshold
+	e := p.lookup(addr.PageOfBlock(b))
+	hit := e != nil && e.valid && e.region == addr.PageOfBlock(b) && e.counter >= predictorThreshold
 	if hit {
 		p.stats.PredictedHit++
 	} else {
@@ -158,21 +167,7 @@ func (p *MissPredictor) BlockFilled(b addr.Block) {
 // (eviction or invalidation); the region's confidence decays.
 func (p *MissPredictor) BlockEvicted(b addr.Block) {
 	region := addr.PageOfBlock(b)
-	e := p.slot(region)
-	if e.valid && e.region == region && e.counter > 0 {
+	if e := p.lookup(region); e != nil && e.valid && e.region == region && e.counter > 0 {
 		e.counter--
 	}
-}
-
-// TrackedRegions returns how many table entries currently predict hits.
-//
-//c3dlint:allow unused(no caller outside its tests; deletion deferred to ROADMAP item 9)
-func (p *MissPredictor) TrackedRegions() int {
-	n := 0
-	for i := range p.regions {
-		if p.regions[i].valid && p.regions[i].counter >= predictorThreshold {
-			n++
-		}
-	}
-	return n
 }

@@ -1,6 +1,8 @@
 package dramcache
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -11,7 +13,7 @@ func TestPredictorRoundsToPowerOfTwo(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
 		{4096, 4096}, {5000, 4096}, {1, 1}, {0, 1}, {3, 2},
 	} {
-		if got := len(NewMissPredictor(tc.in).regions); got != tc.want {
+		if got := int(NewMissPredictor(tc.in).mask + 1); got != tc.want {
 			t.Errorf("NewMissPredictor(%d) has %d entries, want %d", tc.in, got, tc.want)
 		}
 	}
@@ -98,27 +100,12 @@ func TestPredictorAccuracyStats(t *testing.T) {
 	if s.FalseHits != 1 || s.FalseMisses != 0 {
 		t.Errorf("FalseHits = %d, FalseMisses = %d; want 1, 0", s.FalseHits, s.FalseMisses)
 	}
-	if acc := s.Accuracy(); acc < 0.66 || acc > 0.67 {
-		t.Errorf("Accuracy = %.3f, want 2/3", acc)
-	}
 	p.ResetStats()
 	if p.Stats().Predictions != 0 {
 		t.Error("ResetStats did not clear prediction counters")
 	}
 	if !p.Predict(addr.Block(1)) {
 		t.Error("ResetStats must not forget region contents")
-	}
-}
-
-func TestPredictorTrackedRegions(t *testing.T) {
-	p := NewMissPredictor(64)
-	if p.TrackedRegions() != 0 {
-		t.Fatal("new predictor should track no regions")
-	}
-	p.BlockFilled(addr.Block(0))
-	p.BlockFilled(addr.Block(addr.BlocksPerPage))
-	if got := p.TrackedRegions(); got != 2 {
-		t.Errorf("TrackedRegions = %d, want 2", got)
 	}
 }
 
@@ -142,9 +129,143 @@ func TestPredictorFillEvictProperty(t *testing.T) {
 	}
 }
 
-func TestPredictorAccuracyZeroWhenUnused(t *testing.T) {
-	var s PredictorStats
-	if s.Accuracy() != 0 {
-		t.Error("Accuracy of an unused predictor should be 0")
+// refPredictor is the flat reference the chunked MissPredictor is checked
+// against: one []predictorEntry of the whole table, allocated up front.
+type refPredictor struct {
+	entries    []predictorEntry
+	stats      PredictorStats
+	lastRegion addr.Page
+}
+
+func (r *refPredictor) slot(region addr.Page) *predictorEntry {
+	return &r.entries[int(uint64(region)%uint64(len(r.entries)))]
+}
+
+func (r *refPredictor) predict(b addr.Block) bool {
+	region := addr.PageOfBlock(b)
+	e := r.slot(region)
+	hit := e.valid && e.region == region && e.counter >= predictorThreshold
+	r.stats.Predictions++
+	if hit {
+		r.stats.PredictedHit++
+	} else {
+		r.stats.PredictedMiss++
+	}
+	r.lastRegion = region
+	return hit
+}
+
+func (r *refPredictor) resolve(predictedHit, actualHit bool) {
+	if predictedHit && !actualHit {
+		r.stats.FalseHits++
+	}
+	if !predictedHit && actualHit {
+		r.stats.FalseMisses++
+	}
+	e := r.slot(r.lastRegion)
+	if !e.valid || e.region != r.lastRegion {
+		*e = predictorEntry{region: r.lastRegion, valid: true}
+	}
+	if actualHit {
+		e.counter = min(e.counter+1, predictorMax)
+	} else if e.counter > 0 {
+		e.counter--
+	}
+}
+
+func (r *refPredictor) filled(b addr.Block) {
+	region := addr.PageOfBlock(b)
+	e := r.slot(region)
+	if !e.valid || e.region != region {
+		*e = predictorEntry{region: region, counter: predictorThreshold, valid: true}
+		return
+	}
+	e.counter = min(max(e.counter+1, predictorThreshold), predictorMax)
+}
+
+func (r *refPredictor) evicted(b addr.Block) {
+	region := addr.PageOfBlock(b)
+	if e := r.slot(region); e.valid && e.region == region && e.counter > 0 {
+		e.counter--
+	}
+}
+
+// entryAt returns table entry i of p, reading an unwritten chunk as invalid.
+func entryAt(p *MissPredictor, i int) predictorEntry {
+	if chunk := p.regions[i>>predictorChunkBits]; chunk != nil {
+		return chunk[i&(1<<predictorChunkBits-1)]
+	}
+	return predictorEntry{}
+}
+
+// TestPredictorMatchesFlatReference runs seeded mixes of Predict, Resolve,
+// BlockFilled and BlockEvicted on 1-, 16-, 256- and 4096-entry tables,
+// over three times as many pages as entries so regions alias, and compares
+// every prediction, the statistics and the written entry with the flat
+// reference after each operation, and the whole table at the end.
+func TestPredictorMatchesFlatReference(t *testing.T) {
+	for _, entries := range []int{1, 16, 256, 4096} {
+		for seed := int64(1); seed <= 5; seed++ {
+			t.Run(fmt.Sprintf("entries=%d/seed=%d", entries, seed), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed))
+				got, want := NewMissPredictor(entries), &refPredictor{entries: make([]predictorEntry, entries)}
+				pages := 3 * entries
+				for n := 0; n < 20000; n++ {
+					b := addr.Block(rng.Intn(pages*addr.BlocksPerPage)) + addr.Block(seed)<<32
+					switch op := rng.Intn(5); op {
+					case 0, 1:
+						gp, wp := got.Predict(b), want.predict(b)
+						if gp != wp {
+							t.Fatalf("op %d: Predict(%d) = %v, want %v", n, b, gp, wp)
+						}
+						if op == 0 {
+							actual := rng.Intn(2) == 0
+							got.Resolve(gp, actual)
+							want.resolve(wp, actual)
+						}
+					case 2:
+						got.BlockFilled(b)
+						want.filled(b)
+					default:
+						got.BlockEvicted(b)
+						want.evicted(b)
+					}
+					if got.Stats() != want.stats {
+						t.Fatalf("op %d: stats = %+v, want %+v", n, got.Stats(), want.stats)
+					}
+					// Every operation writes at most the entry of b's page.
+					if i := int(uint64(addr.PageOfBlock(b)) % uint64(entries)); entryAt(got, i) != want.entries[i] {
+						t.Fatalf("op %d: entry %d = %+v, want %+v", n, i, entryAt(got, i), want.entries[i])
+					}
+				}
+				for i := range want.entries {
+					if g := entryAt(got, i); g != want.entries[i] {
+						t.Fatalf("entry %d = %+v, want %+v", i, g, want.entries[i])
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestPredictorReadsAllocateNothing checks that Predict and BlockEvicted on
+// a fresh predictor leave every chunk unallocated, and that a fill
+// allocates only its own chunk.
+func TestPredictorReadsAllocateNothing(t *testing.T) {
+	p := NewMissPredictor(4096)
+	for b := addr.Block(0); b < 1<<20; b += 7 {
+		p.Predict(b)
+		p.BlockEvicted(b)
+	}
+	for i, chunk := range p.regions {
+		if chunk != nil {
+			t.Fatalf("chunk %d allocated by a read", i)
+		}
+	}
+	p.BlockFilled(0)
+	for i, chunk := range p.regions {
+		if (chunk != nil) != (i == 0) {
+			t.Errorf("chunk %d allocated = %v after filling block 0", i, chunk != nil)
+		}
 	}
 }

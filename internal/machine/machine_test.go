@@ -248,21 +248,33 @@ func TestNewPanicsOnInvalidConfig(t *testing.T) {
 }
 
 // TestNewAllocatesForUse bounds what building a machine costs before it runs.
-// The quad-socket C3D machine at the default scale 64 has a 16 MiB DRAM cache
-// per socket, whose tag array alone is 4 MiB of lines; the caches allocate
-// tag chunks on first fill, so a fresh machine must stay under 4 MiB in all.
+// At the default scale 64 the quad-socket machine has a 16 MiB DRAM cache per
+// socket, whose tag array alone is 4 MiB of lines. The caches, the miss
+// predictors and the sparse directories allocate on first write, so a fresh
+// machine of any design holds little beyond their chunk tables: under
+// 256 KiB at scale 64 and under 96 KiB at the service's scale 512.
 func TestNewAllocatesForUse(t *testing.T) {
-	cfg := DefaultConfig(4, C3D)
-	if cfg.Scale != 64 {
-		t.Fatalf("default scale = %d, want 64", cfg.Scale)
+	if DefaultConfig(4, C3D).Scale != 64 {
+		t.Fatalf("default scale = %d, want 64", DefaultConfig(4, C3D).Scale)
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	m := New(cfg)
-	runtime.ReadMemStats(&after)
-	runtime.KeepAlive(m)
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 4<<20 {
-		t.Errorf("New allocated %d bytes, want under 4 MiB", got)
+	for _, d := range Designs() {
+		for _, tc := range []struct {
+			scale int
+			limit uint64
+		}{{64, 256 << 10}, {512, 96 << 10}} {
+			t.Run(fmt.Sprintf("%s/scale=%d", d, tc.scale), func(t *testing.T) {
+				cfg := DefaultConfig(4, d)
+				cfg.Scale = tc.scale
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				m := New(cfg)
+				runtime.ReadMemStats(&after)
+				runtime.KeepAlive(m)
+				if got := after.TotalAlloc - before.TotalAlloc; got >= tc.limit {
+					t.Errorf("New allocated %d bytes, want under %d", got, tc.limit)
+				}
+			})
+		}
 	}
 }
 

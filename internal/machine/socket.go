@@ -67,7 +67,6 @@ func newSocket(id int, cfg Config, spec DesignSpec) *Socket {
 		dcCfg := dramcache.Config{
 			Name:                fmt.Sprintf("dram$.%d", id),
 			SizeBytes:           cfg.ScaledDRAMCacheSize(),
-			Ways:                1,
 			AccessLatency:       sim.NsToCycles(cfg.DRAMCacheLatencyNs),
 			Channels:            cfg.DRAMCacheChannels,
 			ChannelBandwidthGBs: cfg.DRAMCacheBandwidthGBs,

@@ -266,12 +266,9 @@ func parseTextLine(line string) (section int, rec trace.Record, ok bool, err err
 // gaps).
 func WriteText(w io.Writer, src trace.Source) error {
 	bw := bufio.NewWriter(w)
-	name := strings.Map(func(r rune) rune {
-		if r == '\n' || r == '\r' {
-			return ' '
-		}
-		return r
-	}, src.Name())
+	// Only line breaks are replaced, byte for byte, so any other name,
+	// invalid UTF-8 included, reads back unchanged.
+	name := strings.NewReplacer("\n", " ", "\r", " ").Replace(src.Name())
 	fmt.Fprintf(bw, "# c3d text trace\n# name: %s\n", name)
 	emit := func(label string, rr trace.RecordReader) error {
 		for {

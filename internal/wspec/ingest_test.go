@@ -246,6 +246,8 @@ func FuzzIngest(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(generated.Bytes())
+	// A name holding invalid UTF-8 must round-trip byte for byte.
+	f.Add([]byte("#name:\xbd\n0 s 0"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
