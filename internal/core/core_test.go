@@ -284,27 +284,6 @@ func TestDirtyLLCEvictionPolicy(t *testing.T) {
 	}
 }
 
-func TestDRAMCacheEvictionWriteback(t *testing.T) {
-	if DRAMCacheEvictionNeedsWriteback(true, true) {
-		t.Error("a clean DRAM cache never writes back on eviction")
-	}
-	if !DRAMCacheEvictionNeedsWriteback(false, true) {
-		t.Error("a dirty DRAM cache must write back dirty victims")
-	}
-	if DRAMCacheEvictionNeedsWriteback(false, false) {
-		t.Error("clean victims never need a write-back")
-	}
-}
-
-func TestReadMissBypass(t *testing.T) {
-	if !ReadMissBypassesRemoteDRAMCaches(true) {
-		t.Error("clean DRAM caches enable the remote-bypass guarantee")
-	}
-	if ReadMissBypassesRemoteDRAMCaches(false) {
-		t.Error("dirty DRAM caches cannot bypass remote caches")
-	}
-}
-
 func TestDataSourceString(t *testing.T) {
 	if FromMemory.String() != "memory" || FromOwnerLLC.String() != "owner-llc" {
 		t.Error("unexpected DataSource names")

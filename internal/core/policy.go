@@ -86,24 +86,3 @@ func DirtyLLCEviction(state cache.State, dirty bool) EvictionAction {
 		panic(fmt.Sprintf("core: unknown LLC line state %d", state))
 	}
 }
-
-// DRAMCacheEvictionNeedsWriteback reports whether a block evicted from the
-// DRAM cache with the given dirty bit must be written back to memory. Under
-// the clean policy this is never the case (the defining property of C3D);
-// under the dirty policy it is exactly the dirty victims.
-func DRAMCacheEvictionNeedsWriteback(clean bool, victimDirty bool) bool {
-	if clean {
-		return false
-	}
-	return victimDirty
-}
-
-// ReadMissBypassesRemoteDRAMCaches reports whether a read miss in the local
-// socket may be served without probing any remote DRAM cache. This is the
-// headline guarantee of C3D (§IV-A): with clean DRAM caches the only possible
-// Modified copies are on-chip, so the directory either forwards from an
-// on-chip owner or the memory value is valid. Dirty designs cannot make this
-// guarantee.
-//
-//c3dlint:allow unused(no caller outside its tests; deletion deferred to ROADMAP item 9)
-func ReadMissBypassesRemoteDRAMCaches(clean bool) bool { return clean }

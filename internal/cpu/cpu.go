@@ -56,16 +56,6 @@ type Stats struct {
 	Cycles uint64
 }
 
-// IPC returns instructions per cycle.
-//
-//c3dlint:allow unused(no caller outside its tests; deletion deferred to ROADMAP item 9)
-func (s Stats) IPC() float64 {
-	if s.Cycles == 0 {
-		return 0
-	}
-	return float64(s.Instructions) / float64(s.Cycles)
-}
-
 // Core is one in-order, 1-IPC core with a store queue.
 type Core struct {
 	cfg   Config

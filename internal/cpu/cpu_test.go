@@ -137,21 +137,6 @@ func TestResetTiming(t *testing.T) {
 	}
 }
 
-func TestStatsIPC(t *testing.T) {
-	c := New(Config{ID: 7})
-	mem := &fakeMem{readLat: 1}
-	c.Execute(trace.Record{Kind: trace.Read, Addr: 0x40, Gap: 3}, mem)
-	s := c.Stats()
-	// 4 instructions in 4 cycles (3 gap + 1-cycle load).
-	if got := s.IPC(); got != 1.0 {
-		t.Errorf("IPC = %.2f, want 1.0", got)
-	}
-	var zero Stats
-	if zero.IPC() != 0 {
-		t.Error("IPC of an idle core should be 0")
-	}
-}
-
 func TestDefaultStoreQueueDepth(t *testing.T) {
 	c := New(Config{ID: 8})
 	if c.cfg.StoreQueueEntries != DefaultStoreQueueEntries {

@@ -7,9 +7,10 @@ import (
 	"c3d/internal/sim"
 )
 
-// baselineEngine is the reference machine of §V-A: no DRAM caches; the
-// per-socket LLCs are kept coherent by a sparse global directory at each
-// block's home socket.
+// baselineEngine is the reference machine of §V-A: the per-socket LLCs are
+// kept coherent by a sparse global directory at each block's home socket.
+// It has no DRAM caches of its own; the shared design (§II-C) runs on it
+// with a memory-side DRAM cache behind the home port.
 type baselineEngine struct {
 	m *Machine
 }
@@ -38,6 +39,8 @@ func handleRecall(m *Machine, now sim.Time, home *Socket, recall coherence.Recal
 		arr := m.sendControl(now, home, target)
 		victim := target.invalidateOnChip(recall.Block)
 		if victim.Valid && victim.Dirty {
+			// Straight to memory: a recalled write-back bypasses the home
+			// port, and so any memory-side DRAM cache.
 			wb := m.sendData(arr, target, home)
 			m.memWrite(wb, home, target, recall.Block)
 		} else {
@@ -47,7 +50,7 @@ func handleRecall(m *Machine, now sim.Time, home *Socket, recall coherence.Recal
 		// retained in the target's DRAM cache: clean DRAM-cache blocks are
 		// untracked by design, and a later write will reach them via the
 		// broadcast path. The recall only needs the on-chip copy gone.
-		if victim.Valid && target.dramCache != nil && m.cfg.Design.CleanDRAMCache() {
+		if victim.Valid && m.spec.CleanDRAMCache {
 			target.dramCache.Fill(arr, recall.Block, coherence.LineShared, false)
 		}
 	})
@@ -61,16 +64,8 @@ func (e *baselineEngine) ReadMiss(now sim.Time, sock *Socket, coreID int, b addr
 	entry, ok := home.dir.Lookup(b)
 	if ok && entry.State == coherence.DirModified && entry.Owner != sock.id {
 		// The block is dirty in another socket's on-chip hierarchy: forward
-		// the request; the owner downgrades to Shared and writes the data
-		// back to memory (off the critical path), then forwards it to the
-		// requester.
-		owner := m.sockets[entry.Owner]
-		t = m.sendControl(t, home, owner)
-		t = t.Add(m.cfg.LLCTagLatency).Add(m.cfg.LLCDataLatency)
-		owner.downgradeOnChip(b)
-		wb := m.sendData(t, owner, home)
-		m.memWrite(wb, home, owner, b)
-		t = m.sendData(t, owner, sock)
+		// the request to the owner.
+		t = m.forwardRead(t, home, m.sockets[entry.Owner], sock, b)
 		recall := home.dir.Update(b, coherence.Entry{
 			State:   coherence.DirShared,
 			Sharers: entry.Sharers.Add(entry.Owner).Add(sock.id),
@@ -78,8 +73,8 @@ func (e *baselineEngine) ReadMiss(now sim.Time, sock *Socket, coreID int, b addr
 		handleRecall(m, t, home, recall)
 		return t
 	}
-	// Shared or untracked: memory at the home socket supplies the data.
-	t = m.memRead(t, home, sock, b)
+	// Shared or untracked: the home socket supplies the data.
+	t = m.homeRead(t, home, sock, b)
 	t = m.sendData(t, home, sock)
 	sharers := entry.Sharers.Add(sock.id)
 	recall := home.dir.Update(b, coherence.Entry{State: coherence.DirShared, Sharers: sharers})
@@ -106,28 +101,24 @@ func (e *baselineEngine) WriteMiss(now sim.Time, sock *Socket, coreID int, b add
 		dataDone = m.sendData(fwd, owner, sock)
 		acksDone = dataDone
 	case entry.State == coherence.DirShared:
-		// Invalidate the tracked sharers; data comes from memory (which is
+		// Invalidate the tracked sharers; data comes from the home (which is
 		// up to date for Shared blocks) in parallel.
 		acksDone = t
 		entry.Sharers.Others(sock.id).ForEach(func(sidx int) {
-			sharer := m.sockets[sidx]
-			inv := m.sendControl(t, home, sharer)
-			sharer.invalidateOnChip(b)
-			ack := m.sendControl(inv, sharer, sock)
-			acksDone = sim.Max(acksDone, ack)
+			acksDone = sim.Max(acksDone, m.invalidateSharer(t, home, m.sockets[sidx], sock, b))
 		})
 		if upgrade {
 			// The requester already holds the data; only the grant returns.
 			dataDone = m.sendControl(t, home, sock)
 		} else {
-			dataDone = m.sendData(m.memRead(t, home, sock, b), home, sock)
+			dataDone = m.sendData(m.homeRead(t, home, sock, b), home, sock)
 		}
 	default:
-		// Untracked: memory supplies the data, nobody to invalidate.
+		// Untracked: the home supplies the data, nobody to invalidate.
 		if upgrade {
 			dataDone = m.sendControl(t, home, sock)
 		} else {
-			dataDone = m.sendData(m.memRead(t, home, sock, b), home, sock)
+			dataDone = m.sendData(m.homeRead(t, home, sock, b), home, sock)
 		}
 		acksDone = dataDone
 	}
@@ -145,10 +136,10 @@ func (e *baselineEngine) LLCEvict(now sim.Time, sock *Socket, victim cache.Victi
 	m := e.m
 	home := m.home(victim.Block)
 	if victim.Dirty {
-		// Write the dirty block back to its home memory and notify the
-		// directory (PutX). Off the requesting core's critical path.
+		// Write the dirty block back to its home and notify the directory
+		// (PutX). Off the requesting core's critical path.
 		wb := m.sendData(now, sock, home)
-		m.memWrite(wb, home, sock, victim.Block)
+		m.homeWrite(wb, home, sock, victim.Block)
 		home.dir.Remove(victim.Block)
 		m.sendControl(wb, home, sock) // write-back acknowledgement
 		return

@@ -64,19 +64,12 @@ func (e *c3dEngine) ReadMiss(now sim.Time, sock *Socket, coreID int, b addr.Bloc
 	if dec.Source == core.FromOwnerLLC {
 		// The only possible Modified copies are on-chip (clean DRAM caches),
 		// so the forward always terminates at the owner's LLC — never at a
-		// remote DRAM cache.
-		owner := m.sockets[dec.Owner]
-		t = m.sendControl(t, home, owner)
-		t = t.Add(m.cfg.LLCTagLatency).Add(m.cfg.LLCDataLatency)
-		owner.downgradeOnChip(b)
-		// Keep memory up to date so the directory's Shared invariant holds
-		// (the write-back is off the requester's critical path).
-		wb := m.sendData(t, owner, home)
-		m.memWrite(wb, home, owner, b)
-		return m.sendData(t, owner, sock)
+		// remote DRAM cache. Its write-back keeps memory up to date so the
+		// directory's Shared invariant holds.
+		return m.forwardRead(t, home, m.sockets[dec.Owner], sock, b)
 	}
 	// Memory supplies the data; remote DRAM caches are bypassed entirely.
-	t = m.memRead(t, home, sock, b)
+	t = m.homeRead(t, home, sock, b)
 	return m.sendData(t, home, sock)
 }
 
@@ -113,28 +106,16 @@ func (e *c3dEngine) WriteMiss(now sim.Time, sock *Socket, coreID int, b addr.Blo
 		// the requester; stores are off the critical path, so the extra
 		// latency is usually hidden by the store queue (§IV-B).
 		for _, target := range m.sockets {
-			if target == sock {
-				continue
+			if target != sock {
+				acksDone = sim.Max(acksDone, m.invalidateSharer(t, home, target, sock, b))
 			}
-			inv := m.sendControl(t, home, target)
-			target.invalidateOnChip(b)
-			target.dramCache.Invalidate(b)
-			inv = inv.Add(sim.NsToCycles(m.cfg.DRAMCacheLatencyNs))
-			ack := m.sendControl(inv, target, sock)
-			acksDone = sim.Max(acksDone, ack)
 		}
 		dataDone = e.writeData(t, sock, home, b, upgrade || res.Hit)
 	default:
 		// Tracked block (or an untracked block of a private page): precise
 		// invalidations to the recorded sharers, which may be none.
 		dec.Invalidate.ForEach(func(sidx int) {
-			target := m.sockets[sidx]
-			inv := m.sendControl(t, home, target)
-			target.invalidateOnChip(b)
-			target.dramCache.Invalidate(b)
-			inv = inv.Add(sim.NsToCycles(m.cfg.DRAMCacheLatencyNs))
-			ack := m.sendControl(inv, target, sock)
-			acksDone = sim.Max(acksDone, ack)
+			acksDone = sim.Max(acksDone, m.invalidateSharer(t, home, m.sockets[sidx], sock, b))
 		})
 		dataDone = e.writeData(t, sock, home, b, upgrade || res.Hit)
 	}
@@ -147,7 +128,7 @@ func (e *c3dEngine) writeData(now sim.Time, sock, home *Socket, b addr.Block, ha
 	if haveData {
 		return m.sendControl(now, home, sock)
 	}
-	return m.sendData(m.memRead(now, home, sock, b), home, sock)
+	return m.sendData(m.homeRead(now, home, sock, b), home, sock)
 }
 
 func (e *c3dEngine) LLCEvict(now sim.Time, sock *Socket, victim cache.Victim) {
@@ -158,7 +139,7 @@ func (e *c3dEngine) LLCEvict(now sim.Time, sock *Socket, victim cache.Victim) {
 		// the requesting core's critical path.
 		home := m.home(victim.Block)
 		wb := m.sendData(now, sock, home)
-		m.memWrite(wb, home, sock, victim.Block)
+		m.homeWrite(wb, home, sock, victim.Block)
 		if action.NotifyDirectory {
 			home.c3dDir.HandlePutX(victim.Block, sock.id)
 			m.sendControl(wb, home, sock) // write-back acknowledgement

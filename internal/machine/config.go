@@ -9,8 +9,13 @@
 // structural traits with the factories for its coherence engine and
 // per-socket directory slices, and machine construction dispatches purely
 // through it — there is no design switch to extend — so a new design is one
-// entry in that table. Fabric topologies are interconnect's table in the same
-// shape, selected by Config.Topology.
+// entry in that table. A difference between designs is stated once: the
+// shared design is the baseline engine whose home memory port (homeRead,
+// homeWrite) goes through a memory-side DRAM cache, c3d and c3d-full-dir
+// share one engine over different directory slices, and the message legs
+// the engines have in common are Machine helpers (forwardRead,
+// invalidateSharer, fillVictimCache). Fabric topologies are interconnect's
+// table in the same shape, selected by Config.Topology.
 //
 // The timing model follows the paper's own simulator: simple 1-IPC in-order
 // cores with blocking loads and a store queue, and a memory system whose

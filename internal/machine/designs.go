@@ -15,8 +15,9 @@ import (
 // the time the data (for reads) or the ownership grant (for writes) reaches
 // the requesting core. LLCEvict handles an LLC victim.
 //
-// Engines are built by the design's DesignSpec.NewEngine; they typically hold
-// the *Machine and use its shared helpers (sendControl, memRead, ...).
+// Engines are built by the design's DesignSpec.NewEngine; they hold the
+// *Machine and state each message leg through its shared helpers
+// (sendControl, homeRead, forwardRead, invalidateSharer, ...).
 type Engine interface {
 	ReadMiss(now sim.Time, sock *Socket, coreID int, b addr.Block) sim.Time
 	WriteMiss(now sim.Time, sock *Socket, coreID int, b addr.Block, upgrade bool) sim.Time
@@ -39,8 +40,13 @@ type DesignSpec struct {
 	Name Design
 	// Evaluated marks the designs compared in Figs. 6-9.
 	Evaluated bool
-	// HasDRAMCache gives each socket a DRAM cache.
+	// HasDRAMCache gives each socket a DRAM cache. Unless MemorySide is
+	// set, it is private: a victim cache beside the socket's LLC.
 	HasDRAMCache bool
+	// MemorySide places each DRAM cache in front of its socket's memory
+	// instead: it caches only blocks homed there, and the home port
+	// (homeRead, homeWrite) is the only path into it.
+	MemorySide bool
 	// CleanDRAMCache keeps the DRAM caches clean (write-through) — C3D's
 	// defining property; it selects the dramcache write policy.
 	CleanDRAMCache bool
@@ -64,13 +70,14 @@ var designs = []DesignSpec{
 		NewDirectories: sparseDirectories,
 	},
 	// Private dirty DRAM caches kept coherent by snooping every remote
-	// socket (§III-A).
+	// socket (§III-A). Snoops replace the directory: the home charges only
+	// the directory latency, and no slice is built.
 	{
 		Name:           Snoopy,
 		Evaluated:      true,
 		HasDRAMCache:   true,
 		NewEngine:      func(m *Machine) Engine { return &snoopyEngine{m: m} },
-		NewDirectories: sparseDirectories,
+		NewDirectories: func(int, Config) SocketDirectories { return SocketDirectories{} },
 	},
 	// Private dirty DRAM caches tracked by an idealised inclusive full
 	// directory (§III-B). The paper models it without recalls (unbounded)
@@ -103,12 +110,17 @@ var designs = []DesignSpec{
 		NewEngine:      func(m *Machine) Engine { return &c3dEngine{m: m} },
 		NewDirectories: c3dFullDirectories,
 	},
-	// Memory-side DRAM caches fronting each socket's memory: no coherence,
-	// no traffic reduction (§II-C).
+	// Memory-side DRAM caches fronting each socket's memory (§II-C). An
+	// address lives in exactly one of them, so they need no coherence, and
+	// on-chip coherence is the baseline's: the design is the baseline
+	// engine with its home port through the DRAM cache. Every LLC miss to a
+	// remote home still crosses the interconnect — it filters memory
+	// accesses, not off-socket traffic.
 	{
 		Name:           SharedDRAM,
 		HasDRAMCache:   true,
-		NewEngine:      func(m *Machine) Engine { return &sharedEngine{m: m} },
+		MemorySide:     true,
+		NewEngine:      func(m *Machine) Engine { return &baselineEngine{m: m} },
 		NewDirectories: sparseDirectories,
 	},
 }

@@ -4,7 +4,6 @@ import (
 	"c3d/internal/addr"
 	"c3d/internal/cache"
 	"c3d/internal/coherence"
-	"c3d/internal/core"
 	"c3d/internal/sim"
 )
 
@@ -49,8 +48,7 @@ func (e *fullDirEngine) ReadMiss(now sim.Time, sock *Socket, coreID int, b addr.
 			owner.downgradeOnChip(b)
 			// The downgraded data is written back so memory is usable for
 			// later readers.
-			wb := m.sendData(t, owner, home)
-			m.memWrite(wb, home, owner, b)
+			m.homeWrite(m.sendData(t, owner, home), home, owner, b)
 			if line, okDC, _ := owner.dramCache.Probe(t, b); okDC && line.Dirty {
 				owner.dramCache.CleanBlock(b)
 			}
@@ -60,8 +58,7 @@ func (e *fullDirEngine) ReadMiss(now sim.Time, sock *Socket, coreID int, b addr.
 			_, _, probeDone := owner.dramCache.Probe(t, b)
 			t = probeDone
 			owner.dramCache.CleanBlock(b)
-			wb := m.sendData(t, owner, home)
-			m.memWrite(wb, home, owner, b)
+			m.homeWrite(m.sendData(t, owner, home), home, owner, b)
 		}
 		t = m.sendData(t, owner, sock)
 		home.dir.Update(b, coherence.Entry{
@@ -72,7 +69,7 @@ func (e *fullDirEngine) ReadMiss(now sim.Time, sock *Socket, coreID int, b addr.
 	}
 	// Clean (Shared) or untracked: memory supplies the data without touching
 	// any remote DRAM cache.
-	t = m.memRead(t, home, sock, b)
+	t = m.homeRead(t, home, sock, b)
 	t = m.sendData(t, home, sock)
 	home.dir.Update(b, coherence.Entry{State: coherence.DirShared, Sharers: entry.Sharers.Add(sock.id)})
 	return t
@@ -110,18 +107,12 @@ func (e *fullDirEngine) WriteMiss(now sim.Time, sock *Socket, coreID int, b addr
 		// already holds it.
 		acksDone = t
 		entry.Sharers.Others(sock.id).ForEach(func(sidx int) {
-			sharer := m.sockets[sidx]
-			inv := m.sendControl(t, home, sharer)
-			sharer.invalidateOnChip(b)
-			sharer.dramCache.Invalidate(b)
-			inv = inv.Add(sim.NsToCycles(m.cfg.DRAMCacheLatencyNs))
-			ack := m.sendControl(inv, sharer, sock)
-			acksDone = sim.Max(acksDone, ack)
+			acksDone = sim.Max(acksDone, m.invalidateSharer(t, home, m.sockets[sidx], sock, b))
 		})
 		if upgrade || res.Hit {
 			dataDone = m.sendControl(t, home, sock)
 		} else {
-			dataDone = m.sendData(m.memRead(t, home, sock, b), home, sock)
+			dataDone = m.sendData(m.homeRead(t, home, sock, b), home, sock)
 		}
 	}
 	done := sim.Max(dataDone, acksDone)
@@ -138,32 +129,23 @@ func (e *fullDirEngine) LLCEvict(now sim.Time, sock *Socket, victim cache.Victim
 	// Same dirty-victim-cache behaviour as the snoopy design; the directory
 	// keeps tracking the socket (it already does, since the directory is
 	// inclusive of the DRAM cache).
-	action := core.DirtyLLCEviction(victim.State, victim.Dirty)
-	if !action.FillLocalDRAMCache {
+	v := m.fillVictimCache(now, sock, victim)
+	if !v.Valid {
 		return
 	}
-	fill := sock.dramCache.Fill(now, victim.Block, victim.State, action.FillDirty)
-	if fill.Victim.Valid {
-		home := m.home(fill.Victim.Block)
-		if core.DRAMCacheEvictionNeedsWriteback(false, fill.Victim.Dirty) {
-			wb := m.sendData(now, sock, home)
-			m.memWrite(wb, home, sock, fill.Victim.Block)
+	// Tell the (unbounded) directory this socket no longer caches the
+	// victim, so later writes do not invalidate it needlessly.
+	home := m.home(v.Block)
+	if entry, ok := home.dir.Probe(v.Block); ok && !sock.llc.Contains(v.Block) {
+		entry.Sharers = entry.Sharers.Remove(sock.id)
+		if entry.State == coherence.DirModified && entry.Owner == sock.id {
+			entry.State = coherence.DirShared
 		}
-		// Tell the (unbounded) directory this socket no longer caches the
-		// victim, so later writes do not invalidate it needlessly.
-		if entry, ok := home.dir.Probe(fill.Victim.Block); ok {
-			if !sock.llc.Contains(fill.Victim.Block) {
-				entry.Sharers = entry.Sharers.Remove(sock.id)
-				if entry.State == coherence.DirModified && entry.Owner == sock.id {
-					entry.State = coherence.DirShared
-				}
-				if entry.Sharers.Empty() {
-					home.dir.Remove(fill.Victim.Block)
-				} else {
-					home.dir.Update(fill.Victim.Block, entry)
-				}
-				m.sendControl(now, sock, home)
-			}
+		if entry.Sharers.Empty() {
+			home.dir.Remove(v.Block)
+		} else {
+			home.dir.Update(v.Block, entry)
 		}
+		m.sendControl(now, sock, home)
 	}
 }

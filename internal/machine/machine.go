@@ -7,6 +7,7 @@ import (
 	"c3d/internal/cache"
 	"c3d/internal/coherence"
 	"c3d/internal/core"
+	"c3d/internal/dramcache"
 	"c3d/internal/interconnect"
 	"c3d/internal/numa"
 	"c3d/internal/sim"
@@ -18,6 +19,7 @@ import (
 // Machine is the complete simulated NUMA system.
 type Machine struct {
 	cfg     Config
+	spec    DesignSpec // cfg.Design's table entry, resolved once by New
 	sockets []*Socket
 	fabric  *interconnect.Fabric
 
@@ -47,7 +49,7 @@ func New(cfg Config) *Machine {
 		panic(err)
 	}
 	spec := mustDesignSpec(cfg.Design)
-	m := &Machine{cfg: cfg}
+	m := &Machine{cfg: cfg, spec: spec}
 	for s := 0; s < cfg.Sockets; s++ {
 		m.sockets = append(m.sockets, newSocket(s, cfg, spec))
 	}
@@ -70,8 +72,8 @@ func New(cfg Config) *Machine {
 	// Sparse directory slices prefer to victimise entries whose block has
 	// already left every on-chip cache. The LLCs are inclusive of the L1s,
 	// so probing the LLCs is sufficient, and no design with a sparse slice
-	// needs the DRAM caches probed: the baseline has none, snoopy's and
-	// shared's are not tracked by the directory, and c3d's are clean. The
+	// needs the DRAM caches probed: the baseline has none, shared's are not
+	// tracked by the directory, and c3d's are clean. The
 	// probe touches no LRU state or statistics, so the slice may ask about
 	// as few ways as it likes.
 	uncached := func(b addr.Block) bool {
@@ -264,12 +266,98 @@ func (m *Machine) memRead(now sim.Time, homeSock *Socket, requester *Socket, b a
 
 // memWrite writes the block to its home memory and accounts whether the
 // writer was remote.
-func (m *Machine) memWrite(now sim.Time, homeSock *Socket, requester *Socket, b addr.Block) sim.Time {
+func (m *Machine) memWrite(now sim.Time, homeSock *Socket, requester *Socket, b addr.Block) {
 	m.counters.MemWrites++
 	if homeSock != requester {
 		m.counters.RemoteMemWrites++
 	}
-	return homeSock.mem.Write(now, b)
+	homeSock.mem.Write(now, b)
+}
+
+// homeRead is the home port's read: it returns when the home socket can
+// send b to requester. Under MemorySide the home's DRAM cache answers first,
+// and a miss reads memory and fills the cache clean.
+func (m *Machine) homeRead(now sim.Time, home, requester *Socket, b addr.Block) sim.Time {
+	if !m.spec.MemorySide {
+		return m.memRead(now, home, requester, b)
+	}
+	res := home.dramCache.Access(now, b, false)
+	if res.Hit {
+		return res.Done
+	}
+	t := m.memRead(res.Done, home, requester, b)
+	m.homeFill(t, home, b, false)
+	return t
+}
+
+// homeWrite is the home port's write of b's data, arrived from writer at
+// now. Under MemorySide the data lands dirty in the home's DRAM cache, and
+// memory is updated when that cache evicts it.
+func (m *Machine) homeWrite(now sim.Time, home, writer *Socket, b addr.Block) {
+	if !m.spec.MemorySide {
+		m.memWrite(now, home, writer, b)
+		return
+	}
+	m.homeFill(now, home, b, true)
+}
+
+// homeFill installs b in the home's memory-side DRAM cache. A dirty victim
+// is written to the memory the cache fronts, with no interconnect traffic.
+func (m *Machine) homeFill(now sim.Time, home *Socket, b addr.Block, dirty bool) {
+	if v := home.dramCache.Fill(now, b, coherence.LineShared, dirty).Victim; v.Valid && v.Dirty {
+		m.memWrite(now, home, home, v.Block)
+	}
+}
+
+// privateDRAMCache returns s's DRAM cache if the design places it beside
+// the socket's LLC, and nil for the baseline and the memory-side design.
+func (m *Machine) privateDRAMCache(s *Socket) *dramcache.Cache {
+	if m.spec.MemorySide {
+		return nil
+	}
+	return s.dramCache
+}
+
+// forwardRead is a read forwarded by the home directory to the socket that
+// holds b Modified on chip: the owner downgrades to Shared, writes the data
+// home off the critical path, and sends it to the requester. It returns the
+// data's arrival at the requester.
+func (m *Machine) forwardRead(now sim.Time, home, owner, requester *Socket, b addr.Block) sim.Time {
+	t := m.sendControl(now, home, owner).Add(m.cfg.LLCTagLatency).Add(m.cfg.LLCDataLatency)
+	owner.downgradeOnChip(b)
+	m.homeWrite(m.sendData(t, owner, home), home, owner, b)
+	return m.sendData(t, owner, requester)
+}
+
+// invalidateSharer sends an invalidation of b from the home to target,
+// which drops its on-chip copies and its private DRAM cache's copy (paying
+// that cache's access), and returns when target's acknowledgement reaches
+// the requester.
+func (m *Machine) invalidateSharer(now sim.Time, home, target, requester *Socket, b addr.Block) sim.Time {
+	inv := m.sendControl(now, home, target)
+	target.invalidateOnChip(b)
+	if dc := m.privateDRAMCache(target); dc != nil {
+		dc.Invalidate(b)
+		inv = inv.Add(sim.NsToCycles(m.cfg.DRAMCacheLatencyNs))
+	}
+	return m.sendControl(inv, target, requester)
+}
+
+// fillVictimCache is the dirty-victim-cache organisation of §III: the
+// socket's private DRAM cache absorbs an LLC victim, dirty or clean, and
+// memory is written only when the DRAM cache itself evicts a dirty block.
+// It returns the DRAM cache's victim.
+func (m *Machine) fillVictimCache(now sim.Time, sock *Socket, victim cache.Victim) cache.Victim {
+	action := core.DirtyLLCEviction(victim.State, victim.Dirty)
+	if !action.FillLocalDRAMCache {
+		return cache.Victim{}
+	}
+	v := sock.dramCache.Fill(now, victim.Block, victim.State, action.FillDirty).Victim
+	if v.Valid && v.Dirty {
+		home := m.home(v.Block)
+		m.homeWrite(m.sendData(now, sock, home), home, sock, v.Block)
+	}
+	return v
 }
 
 // dirLatency returns the global directory access latency.
@@ -349,7 +437,7 @@ func (m *Machine) CheckInvariants() error {
 		if s.dramCache == nil {
 			continue
 		}
-		if m.cfg.Design.CleanDRAMCache() && s.dramCache.HasDirtyBlocks() {
+		if m.spec.CleanDRAMCache && s.dramCache.HasDirtyBlocks() {
 			return fmt.Errorf("machine: socket %d DRAM cache holds dirty blocks under the clean policy", s.id)
 		}
 	}

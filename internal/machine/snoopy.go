@@ -4,7 +4,6 @@ import (
 	"c3d/internal/addr"
 	"c3d/internal/cache"
 	"c3d/internal/coherence"
-	"c3d/internal/core"
 	"c3d/internal/sim"
 )
 
@@ -79,7 +78,7 @@ func (e *snoopyEngine) ReadMiss(now sim.Time, sock *Socket, coreID int, b addr.B
 		slowest = sim.Max(slowest, resp)
 		dirtyFound = dirtyFound || dirty
 	}
-	memDone := m.sendData(m.memRead(dirRequestArrival(m, t, sock, home), home, sock, b), home, sock)
+	memDone := m.sendData(m.homeRead(dirRequestArrival(m, t, sock, home), home, sock, b), home, sock)
 	if dirtyFound {
 		// The dirty owner supplied the data; memory's (stale) response is
 		// discarded but its latency was overlapped with the snoops.
@@ -94,9 +93,6 @@ func (e *snoopyEngine) WriteMiss(now sim.Time, sock *Socket, coreID int, b addr.
 	// reach every other socket.
 	res := sock.dramCache.Access(now, b, true)
 	t := res.Done
-	if !res.Hit {
-		t = res.Done
-	}
 	home := m.home(b)
 
 	var slowest sim.Time
@@ -113,23 +109,10 @@ func (e *snoopyEngine) WriteMiss(now sim.Time, sock *Socket, coreID int, b addr.
 	if dirtyFound || haveLocalData {
 		return sim.Max(slowest, t)
 	}
-	memDone := m.sendData(m.memRead(dirRequestArrival(m, t, sock, home), home, sock, b), home, sock)
+	memDone := m.sendData(m.homeRead(dirRequestArrival(m, t, sock, home), home, sock, b), home, sock)
 	return sim.Max(slowest, memDone)
 }
 
 func (e *snoopyEngine) LLCEvict(now sim.Time, sock *Socket, victim cache.Victim) {
-	m := e.m
-	// Dirty-victim-cache organisation (§III): the DRAM cache absorbs the
-	// victim, dirty or clean; memory is written only when the DRAM cache
-	// itself evicts a dirty block.
-	action := core.DirtyLLCEviction(victim.State, victim.Dirty)
-	if !action.FillLocalDRAMCache {
-		return
-	}
-	fill := sock.dramCache.Fill(now, victim.Block, victim.State, action.FillDirty)
-	if fill.Victim.Valid && core.DRAMCacheEvictionNeedsWriteback(false, fill.Victim.Dirty) {
-		home := m.home(fill.Victim.Block)
-		wb := m.sendData(now, sock, home)
-		m.memWrite(wb, home, sock, fill.Victim.Block)
-	}
+	e.m.fillVictimCache(now, sock, victim)
 }

@@ -24,13 +24,14 @@ type Socket struct {
 	l1s   []*cache.Cache
 	llc   *cache.Cache
 
-	dramCache *dramcache.Cache // nil for the Baseline design
+	dramCache *dramcache.Cache // nil for the Baseline design; memory-side under SharedDRAM
 	mem       *dram.Controller
 
 	// Directory slices. The C3D designs use the protocol-aware directory
 	// from internal/core; the other designs use the generic structure.
+	// Snoopy has neither: its snoops replace the directory.
 	c3dDir *core.Directory      // C3D, C3DFullDir
-	dir    *coherence.Directory // Baseline, Snoopy (as snoop filter), FullDir, SharedDRAM
+	dir    *coherence.Directory // Baseline, FullDir, SharedDRAM
 }
 
 // newSocket builds socket id from the machine configuration; the design spec
