@@ -430,8 +430,10 @@ func (m *Machine) resetStats() {
 }
 
 // CheckInvariants verifies cross-cutting invariants after a run; it returns
-// an error describing the first violation. The headline check is the clean
-// property: a C3D machine must never hold a dirty block in any DRAM cache.
+// an error describing the first violation. It checks the per-design DRAM
+// cache rules: a C3D machine must never hold a dirty block in any DRAM cache
+// (the clean property), and a memory-side DRAM cache holds only blocks
+// homed at its socket.
 func (m *Machine) CheckInvariants() error {
 	for _, s := range m.sockets {
 		if s.dramCache == nil {
@@ -439,6 +441,18 @@ func (m *Machine) CheckInvariants() error {
 		}
 		if m.spec.CleanDRAMCache && s.dramCache.HasDirtyBlocks() {
 			return fmt.Errorf("machine: socket %d DRAM cache holds dirty blocks under the clean policy", s.id)
+		}
+		if !m.spec.MemorySide {
+			continue
+		}
+		stray := 0
+		s.dramCache.ForEach(func(l cache.Line) {
+			if m.home(l.Block) != s {
+				stray++
+			}
+		})
+		if stray > 0 {
+			return fmt.Errorf("machine: socket %d memory-side DRAM cache holds %d blocks homed elsewhere", s.id, stray)
 		}
 	}
 	return nil

@@ -38,15 +38,15 @@ type SamplingResult struct {
 }
 
 // ffCore is the per-core state of functional warming: the socket, L1 and
-// DRAM cache resolved once per run instead of per record. The TLB is not
-// warmed: its contents are miss-statistics-only (they never feed timing, and
-// no sampled estimate reports them). Every design with a DRAM cache runs it
-// as an LLC victim cache, so warming feeds it through Warm, WarmWrite and
-// WarmInvalidate.
+// private DRAM cache resolved once per run instead of per record. A private
+// DRAM cache is an LLC victim cache, so warming feeds it through Warm,
+// WarmWrite and WarmInvalidate. A memory-side one fills on its home port
+// instead: an LLC miss warms the block clean into its home's cache, and a
+// dirty LLC victim warms dirty into its home's.
 type ffCore struct {
 	sock *Socket
 	l1   *cache.Cache
-	dc   *dramcache.Cache // nil for designs without a DRAM cache
+	dc   *dramcache.Cache // nil unless the design's DRAM caches are private
 }
 
 // touch is the functional-warming path used during fast-forward stretches: it
@@ -72,23 +72,35 @@ func (m *Machine) touch(ff *ffCore, coreID int, rec trace.Record) {
 	if _, hit := ff.l1.Touch(b, coherence.LineShared); hit {
 		return
 	}
-	if victim, hit := ff.sock.llc.Touch(b, coherence.LineShared); !hit && victim.Valid {
-		ff.evictLLC(victim)
+	if victim, hit := ff.sock.llc.Touch(b, coherence.LineShared); !hit {
+		m.warmLLCMiss(ff, b, victim)
 	}
 }
 
-// evictLLC keeps the hierarchy inclusive after an LLC victim and hands the
-// victim to the DRAM cache; the write-back (if the victim was dirty) is only
-// a statistic, and fast-forward produces none. Fast-forwarded evictions must
-// land in the DRAM cache because a cold one is the single largest warming
-// bias (every measured-window miss would pay the memory path a full run's
-// warm giga-cache absorbs).
-func (ff *ffCore) evictLLC(victim cache.Victim) {
+// warmLLCMiss warms what an LLC miss on b leaves behind, in the detailed
+// engines' order: under MemorySide the home read's clean fill of b, then the
+// LLC victim's eviction. The eviction keeps the hierarchy inclusive and
+// hands the victim to the DRAM cache: the private one, or under MemorySide
+// the home's if the victim is dirty (a clean one is dropped, as the
+// baseline engine drops it). Any memory write-back is only a statistic, and
+// fast-forward produces none. Fast-forwarded evictions must land in the
+// DRAM cache because a cold one is the single largest warming bias (every
+// measured-window miss would pay the memory path a full run's warm
+// giga-cache absorbs).
+func (m *Machine) warmLLCMiss(ff *ffCore, b addr.Block, victim cache.Victim) {
+	if m.spec.MemorySide {
+		m.home(b).dramCache.Warm(b, coherence.LineShared, false)
+	}
+	if !victim.Valid {
+		return
+	}
 	for _, l1 := range ff.sock.l1s {
 		l1.Invalidate(victim.Block)
 	}
 	if ff.dc != nil {
 		ff.dc.Warm(victim.Block, victim.State, victim.Dirty)
+	} else if victim.Dirty && m.spec.MemorySide {
+		m.home(victim.Block).dramCache.Warm(victim.Block, coherence.LineShared, true)
 	}
 }
 
@@ -123,14 +135,15 @@ func (m *Machine) touchWrite(ff *ffCore, coreID int, b addr.Block) {
 			if _, onChip := other.llc.Probe(b); onChip {
 				other.invalidateOnChip(b)
 			}
-			// Detailed write misses invalidate remote DRAM caches in every
-			// DRAM-cache design (snoop invalidation, directory recall or
+			// Detailed write misses invalidate remote private DRAM caches
+			// in every such design (snoop invalidation, directory recall or
 			// broadcast); leaving stale remote copies would hand the snoopy
 			// design free remote hits a real run never sees. The DRAM cache
 			// is a victim cache — it can hold lines the LLC no longer does —
 			// so it is checked unconditionally (direct-mapped: a one-line
-			// scan).
-			if other.dramCache != nil {
+			// scan). Every socket has the writer's design, so the writer's
+			// own private cache says whether the others have one.
+			if ff.dc != nil {
 				other.dramCache.WarmInvalidate(b)
 			}
 		}
@@ -139,8 +152,8 @@ func (m *Machine) touchWrite(ff *ffCore, coreID int, b addr.Block) {
 	if ff.dc != nil {
 		ff.dc.WarmWrite(b)
 	}
-	if victim, hit := ff.sock.llc.TouchDirty(b, coherence.LineModified); !hit && victim.Valid {
-		ff.evictLLC(victim)
+	if victim, hit := ff.sock.llc.TouchDirty(b, coherence.LineModified); !hit {
+		m.warmLLCMiss(ff, b, victim)
 	}
 }
 
@@ -167,7 +180,7 @@ func (m *Machine) runSampled(ctx context.Context, src trace.Source, cores []*cor
 	ffCores := make([]ffCore, len(cores))
 	for i, cr := range cores {
 		sock := m.socketOf(cr.idx)
-		ffCores[i] = ffCore{sock: sock, l1: sock.l1Of(cr.idx), dc: sock.dramCache}
+		ffCores[i] = ffCore{sock: sock, l1: sock.l1Of(cr.idx), dc: m.privateDRAMCache(sock)}
 	}
 
 	ffOne := func(cr *coreRunner, ffc *ffCore, target int) error {
