@@ -73,9 +73,9 @@ func New(cfg Config) *Machine {
 	// already left every on-chip cache. The LLCs are inclusive of the L1s,
 	// so probing the LLCs is sufficient, and no design with a sparse slice
 	// needs the DRAM caches probed: the baseline has none, shared's are not
-	// tracked by the directory, and c3d's are clean. The
-	// probe touches no LRU state or statistics, so the slice may ask about
-	// as few ways as it likes.
+	// tracked by the directory, and c3d's are clean. The probe touches no
+	// LRU state or statistics, so the slice may ask about as few ways as it
+	// likes.
 	uncached := func(b addr.Block) bool {
 		for _, s := range m.sockets {
 			if s.llc.Contains(b) {
