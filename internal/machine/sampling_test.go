@@ -179,51 +179,43 @@ func TestWarmupSizedPerThreadOnSkewedTrace(t *testing.T) {
 }
 
 // A memory-side DRAM cache caches its own socket's memory, so it holds only
-// blocks homed there. Every design's full and sampled runs must pass
-// CheckInvariants, functional warming included, and the memory-side design
-// must end both with no line off its home; a line planted on the wrong
-// socket must be caught.
+// blocks homed there, after functional warming too. Full and sampled runs
+// of the shared design must end with no line off its home socket (every
+// design's runs in TestRunResultJSONMatchesGolden pass CheckInvariants), and
+// CheckInvariants must catch a line planted on the wrong socket.
 func TestMemorySideCacheHoldsOnlyHomeBlocks(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full and sampled runs of every design skipped in -short mode")
-	}
 	for _, wl := range []string{"streamcluster", "facesim"} {
 		tr := workload.MustGenerate(workload.MustGet(wl),
 			workload.Options{Threads: 8, Scale: 512, AccessesPerThread: 4000})
-		for _, design := range Designs() {
-			for _, opts := range []RunOptions{
-				DefaultRunOptions(),
-				sampledOpts(sample.Spec{Stretch: 700, Warm: 60, Window: 60, Seed: 1}),
-			} {
-				name := fmt.Sprintf("%s/%s/sampled=%v", wl, design, opts.Sampling.Enabled())
-				cfg := DefaultConfig(4, design)
-				cfg.Scale = 512
-				cfg.CoresPerSocket = 2
-				m := New(cfg)
-				if _, err := m.RunSource(context.Background(), tr.Source(), opts); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if !m.spec.MemorySide {
-					continue
-				}
-				var lines, stray int
-				for _, s := range m.sockets {
-					s.dramCache.ForEach(func(l cache.Line) {
-						lines++
-						if m.home(l.Block) != s {
-							stray++
-						}
-					})
-				}
-				if lines == 0 || stray != 0 {
-					t.Errorf("%s: %d of %d memory-side lines sit off their home socket", name, stray, lines)
-				}
-				var b addr.Block
-				m.sockets[0].dramCache.ForEach(func(l cache.Line) { b = l.Block })
-				m.sockets[1].dramCache.Fill(0, b, coherence.LineShared, false)
-				if err := m.CheckInvariants(); err == nil {
-					t.Errorf("%s: a socket-0 block in socket 1's memory-side cache passed CheckInvariants", name)
-				}
+		for _, opts := range []RunOptions{
+			DefaultRunOptions(),
+			sampledOpts(sample.Spec{Stretch: 700, Warm: 60, Window: 60, Seed: 1}),
+		} {
+			name := fmt.Sprintf("%s/sampled=%v", wl, opts.Sampling.Enabled())
+			cfg := DefaultConfig(4, SharedDRAM)
+			cfg.Scale = 512
+			cfg.CoresPerSocket = 2
+			m := New(cfg)
+			if _, err := m.RunSource(context.Background(), tr.Source(), opts); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			var lines, stray int
+			for _, s := range m.sockets {
+				s.dramCache.ForEach(func(l cache.Line) {
+					lines++
+					if m.home(l.Block) != s {
+						stray++
+					}
+				})
+			}
+			if lines == 0 || stray != 0 {
+				t.Errorf("%s: %d of %d memory-side lines sit off their home socket", name, stray, lines)
+			}
+			var b addr.Block
+			m.sockets[0].dramCache.ForEach(func(l cache.Line) { b = l.Block })
+			m.sockets[1].dramCache.Fill(0, b, coherence.LineShared, false)
+			if err := m.CheckInvariants(); err == nil {
+				t.Errorf("%s: a socket-0 block in socket 1's memory-side cache passed CheckInvariants", name)
 			}
 		}
 	}
