@@ -86,3 +86,34 @@ func TestVerifyZeroConfigKeepsRunSettings(t *testing.T) {
 		t.Errorf("cancelled verification returned %d reports, err %v", len(res.Reports), err)
 	}
 }
+
+// TestVerifyDefaultCounts pins the size of the state space the default
+// verification explores: c3dcheck's four configurations, each searched
+// exhaustively. A refactor of the protocol model must leave every count as
+// it is; a deliberate protocol change updates the pin and says why.
+func TestVerifyDefaultCounts(t *testing.T) {
+	type counts struct{ states, transitions, quiescent int }
+	want := map[string]counts{
+		"c3d/2-socket/1L1S":          {4012, 10280, 8},
+		"c3d-full-dir/2-socket/1L1S": {3664, 9416, 6},
+		"c3d/3-socket/1L1S":          {445289, 1505904, 198},
+		"c3d-full-dir/3-socket/1L1S": {337259, 1108302, 144},
+	}
+	res, err := Verify(context.Background(), VerifyConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Passed() {
+		t.Fatalf("default verification failed:\n%s", res.Table())
+	}
+	if len(res.Reports) != len(want) {
+		t.Fatalf("default verification ran %d configurations, want %d:\n%s", len(res.Reports), len(want), res.Table())
+	}
+	for _, rep := range res.Reports {
+		got := counts{rep.StatesExplored, rep.TransitionsSeen, rep.QuiescentStates}
+		if w, ok := want[rep.Model]; !ok || got != w {
+			t.Errorf("%s: states/transitions/quiescent = %d/%d/%d, want %d/%d/%d",
+				rep.Model, got.states, got.transitions, got.quiescent, w.states, w.transitions, w.quiescent)
+		}
+	}
+}
