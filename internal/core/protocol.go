@@ -549,9 +549,11 @@ func (m *ProtocolModel) dirGetX(s *protoState, msg message) *protoState {
 	case pdirI:
 		// Untracked block: broadcast invalidations to every other socket's
 		// DRAM cache (and on-chip hierarchy). The requester collects one
-		// InvAck per socket.
+		// InvAck per socket. Under TrackDRAMCache the directory is
+		// inclusive of the DRAM caches, so an untracked block is uncached
+		// and nobody needs an invalidation.
 		acks := int8(0)
-		for j := 0; j < m.cfg.Sockets; j++ {
+		for j := 0; j < m.cfg.Sockets && !m.cfg.TrackDRAMCache; j++ {
 			if int8(j) == req {
 				continue
 			}

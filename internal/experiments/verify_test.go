@@ -95,9 +95,9 @@ func TestVerifyDefaultCounts(t *testing.T) {
 	type counts struct{ states, transitions, quiescent int }
 	want := map[string]counts{
 		"c3d/2-socket/1L1S":          {4012, 10280, 8},
-		"c3d-full-dir/2-socket/1L1S": {3664, 9416, 6},
+		"c3d-full-dir/2-socket/1L1S": {3640, 9364, 6},
 		"c3d/3-socket/1L1S":          {445289, 1505904, 198},
-		"c3d-full-dir/3-socket/1L1S": {337259, 1108302, 144},
+		"c3d-full-dir/3-socket/1L1S": {336827, 1106862, 144},
 	}
 	res, err := Verify(context.Background(), VerifyConfig{})
 	if err != nil {
