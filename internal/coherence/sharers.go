@@ -23,6 +23,9 @@ func NewSharerSet(sockets ...int) SharerSet {
 	return s
 }
 
+// AllSockets returns the set of sockets 0 to n-1.
+func AllSockets(n int) SharerSet { return SharerSet(1<<uint(n) - 1) }
+
 func checkSocket(socket int) {
 	if socket < 0 || socket >= MaxSockets {
 		panic(fmt.Sprintf("coherence: socket %d out of range [0,%d)", socket, MaxSockets))

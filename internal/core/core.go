@@ -1,11 +1,13 @@
 // Package core implements the paper's primary contribution: the Clean
 // Coherent DRAM Cache (C3D) protocol. It contains
 //
-//   - the non-inclusive global directory semantics of §IV-B/§IV-C (Fig. 5):
-//     three stable states (Invalid, Shared, Modified) over on-chip caches
-//     only, with GetS requests in Invalid served by memory without allocating
-//     an entry and GetX requests to untracked blocks answered with a
-//     broadcast invalidation of all DRAM caches;
+//   - the home directory's transition function of Fig. 5 (Transition): three
+//     stable states (Invalid, Shared, Modified) and, per design, a few
+//     traits. C3D's directory is non-inclusive (§IV-B/§IV-C): it tracks
+//     on-chip copies only, serves a GetS in Invalid from memory without
+//     allocating an entry, and answers a GetX to an untracked block with a
+//     broadcast invalidation of every DRAM cache. The same function, with
+//     other traits, drives the baseline and full-directory designs;
 //   - the clean DRAM cache policy of §IV-A: LLC dirty evictions are written
 //     through to memory while a clean copy is retained in the local DRAM
 //     cache, so no remote DRAM cache ever needs to be probed on a read;
@@ -13,11 +15,14 @@
 //     writes to thread-private pages;
 //   - a message-level model of the full protocol (protocol.go) suitable for
 //     exhaustive state-space exploration by internal/mc, mirroring the Murϕ
-//     verification of §IV-C.
+//     verification of §IV-C. Its directory moves by Transition too, so the
+//     checked model and the timed engines share one specification.
 //
 // The package is deliberately free of timing: it decides *what* must happen
 // (who supplies data, who must be invalidated, whether a broadcast is
-// required); the machine model (internal/machine) decides what that costs.
+// required); the machine model (internal/machine) decides what that costs,
+// and owns the directory storage (coherence.Directory) the transitions act
+// on.
 package core
 
 import (
@@ -28,7 +33,7 @@ import (
 	"c3d/internal/tlb"
 )
 
-// DataSource says where a read miss obtains its data from.
+// DataSource says where a request obtains its data from.
 type DataSource int
 
 const (
@@ -52,230 +57,172 @@ func (d DataSource) String() string {
 	}
 }
 
-// DirConfig configures a C3D global directory slice.
-type DirConfig struct {
-	// Name identifies the slice in diagnostics.
-	Name string
-	// Sockets is the number of sockets in the machine.
-	Sockets int
-	// Entries and Ways size the sparse structure; Entries == 0 gives an
-	// unbounded directory (used by the idealised c3d-full-dir design).
-	Entries int
-	Ways    int
-	// TrackDRAMCache switches on the idealised c3d-full-dir behaviour of
-	// §V-A: the directory also tracks blocks that live only in DRAM caches,
-	// which removes the need for broadcasts entirely. The base C3D design
-	// leaves this false.
-	TrackDRAMCache bool
-}
+// Request is a request kind the home directory serves.
+type Request uint8
 
-// DirStats counts the broadcast decisions a run reports.
-type DirStats struct {
-	Broadcasts    uint64
-	BroadcastsAvd uint64 // avoided thanks to the private-page filter
-}
+const (
+	// GetS asks for a read-only copy: a load miss.
+	GetS Request = iota
+	// GetX asks for write permission: a store miss, or an upgrade, which
+	// Fig. 5 treats alike.
+	GetX
+	// PutX gives a copy up: an owner's write-back of a Modified block, or
+	// an inclusive directory's eviction notice.
+	PutX
+)
 
-// Directory is one socket's slice of the C3D global directory. It stores
-// stable state for blocks homed at this socket and implements the transition
-// rules of Fig. 5. All methods are pure protocol decisions — no latencies.
-type Directory struct {
-	cfg   DirConfig
-	dir   *coherence.Directory
-	stats DirStats
-}
-
-// NewDirectory builds a directory slice.
-func NewDirectory(cfg DirConfig) *Directory {
-	if cfg.Sockets <= 0 {
-		panic(fmt.Sprintf("core: directory %s: invalid socket count %d", cfg.Name, cfg.Sockets))
-	}
-	return &Directory{
-		cfg: cfg,
-		dir: coherence.NewDirectory(coherence.DirConfig{
-			Name:    cfg.Name,
-			Entries: cfg.Entries,
-			Ways:    cfg.Ways,
-		}),
-	}
-}
-
-// SetStalePredicate forwards a staleness hint to the underlying sparse
-// structure (see coherence.Directory.SetStalePredicate); it lets the
-// replacement policy victimise entries whose blocks have already left every
-// on-chip cache instead of recalling live ones. As there, the predicate must
-// be pure and may be asked about only some ways of a full set, oldest first.
-func (d *Directory) SetStalePredicate(fn func(addr.Block) bool) { d.dir.SetStalePredicate(fn) }
-
-// Stats returns the broadcast counters.
-func (d *Directory) Stats() DirStats { return d.stats }
-
-// ResetStats clears the broadcast counters.
-func (d *Directory) ResetStats() { d.stats = DirStats{} }
-
-// Entries returns the number of blocks currently tracked.
-//
-//c3dlint:allow unused(occupancy the directory tests check non-inclusive allocation with)
-func (d *Directory) Entries() int { return d.dir.Entries() }
-
-// Probe returns the tracked entry for a block without touching LRU order.
-//
-//c3dlint:allow unused(entry the directory tests read Fig. 5 transitions from)
-func (d *Directory) Probe(b addr.Block) (coherence.Entry, bool) { return d.dir.Probe(b) }
-
-// ReadDecision is the outcome of a GetS at the home directory.
-type ReadDecision struct {
-	// Source says who supplies the data.
-	Source DataSource
-	// Owner is the socket that must forward the block when Source is
-	// FromOwnerLLC.
-	Owner int
-	// Recall describes a sparse-directory eviction triggered by this request
-	// (only possible when the directory had to allocate, i.e. in the
-	// TrackDRAMCache variant); the caller must invalidate the recalled
-	// block's copies.
-	Recall coherence.Recall
-}
-
-// WriteDecision is the outcome of a GetX or Upgrade at the home directory.
-type WriteDecision struct {
-	// Broadcast reports that invalidations must be broadcast to every other
-	// socket's DRAM cache because the directory has no entry for the block
-	// (§IV-C, Invalid state) and the page is not known to be private.
-	Broadcast bool
-	// Invalidate is the precise set of sockets (excluding the requester)
-	// whose copies must be invalidated.
-	Invalidate coherence.SharerSet
-	// Source says who supplies the data (memory unless a remote socket holds
-	// the block Modified on-chip). Upgrades ignore it.
-	Source DataSource
-	// Owner is the previous owner when Source is FromOwnerLLC.
-	Owner int
-	// Recall as in ReadDecision.
-	Recall coherence.Recall
-}
-
-// HandleGetS processes a read request from the requesting socket for a block
-// homed at this directory slice. It applies Fig. 5's GetS transitions:
-//
-//	Invalid:  serve from memory; do NOT allocate an entry (non-inclusive).
-//	Shared:   serve from memory; add the requester to the sharing vector.
-//	Modified: forward to the owner; owner and requester end up in Shared.
-//
-// In the TrackDRAMCache variant (c3d-full-dir), Invalid additionally
-// allocates a Shared entry so that later writes can invalidate precisely.
-func (d *Directory) HandleGetS(b addr.Block, requester int) ReadDecision {
-	d.checkSocket(requester)
-	entry, ok := d.dir.Lookup(b)
-	if !ok || entry.State == coherence.DirInvalid {
-		var recall coherence.Recall
-		if d.cfg.TrackDRAMCache {
-			recall = d.dir.Update(b, coherence.Entry{
-				State:   coherence.DirShared,
-				Sharers: coherence.NewSharerSet(requester),
-			})
-		}
-		return ReadDecision{Source: FromMemory, Recall: recall}
-	}
-	switch entry.State {
-	case coherence.DirShared:
-		entry.Sharers = entry.Sharers.Add(requester)
-		recall := d.dir.Update(b, entry)
-		return ReadDecision{Source: FromMemory, Recall: recall}
-	case coherence.DirModified:
-		owner := entry.Owner
-		recall := d.dir.Update(b, coherence.Entry{
-			State:   coherence.DirShared,
-			Sharers: entry.Sharers.Add(requester).Add(owner),
-		})
-		return ReadDecision{Source: FromOwnerLLC, Owner: owner, Recall: recall}
+func (r Request) String() string {
+	switch r {
+	case GetS:
+		return "GetS"
+	case GetX:
+		return "GetX"
+	case PutX:
+		return "PutX"
 	default:
-		panic(fmt.Sprintf("core: directory %s: unexpected state %v", d.cfg.Name, entry.State))
+		return fmt.Sprintf("Request(%d)", uint8(r))
 	}
 }
 
-// HandleGetX processes a write request or an upgrade (the directory treats
-// both alike) from the requesting socket. pagePrivate carries the §IV-D TLB
-// classification: a GetX for a block of a page private to the requesting
-// thread never needs a broadcast. It applies Fig. 5's GetX/Upgrade
-// transitions:
-//
-//	Invalid:  broadcast invalidations to all other DRAM caches (unless the
-//	          page is private); serve from memory; become Modified(requester).
-//	Shared:   invalidate exactly the tracked sharers; serve from memory;
-//	          become Modified(requester).
-//	Modified: invalidate/forward from the previous owner; become
-//	          Modified(requester).
-func (d *Directory) HandleGetX(b addr.Block, requester int, pagePrivate bool) WriteDecision {
-	d.checkSocket(requester)
-	entry, ok := d.dir.Lookup(b)
-	dec := WriteDecision{Source: FromMemory}
-	if !ok || entry.State == coherence.DirInvalid {
+// PutXLeaves says what a PutX the directory accepts leaves behind.
+type PutXLeaves uint8
+
+const (
+	// PutXRemoves drops the entry: Fig. 5's Modified to Invalid.
+	PutXRemoves PutXLeaves = iota
+	// PutXLeavesShared keeps the block tracked as Shared by the sender, the
+	// small modification of §V-A that spares c3d-full-dir its broadcasts.
+	PutXLeavesShared
+	// PutXDropsSender takes only the sender out of the sharers, and the
+	// entry goes with the last of them: the eviction notice of an inclusive
+	// directory.
+	PutXDropsSender
+)
+
+// Stale says how a directory treats a request its entry contradicts: a
+// PutX from a socket the entry does not record as owner, or a GetS or GetX
+// from the recorded owner itself. In the protocol model only a PutX meets
+// such an entry, when it races a forwarded request. The timed machine
+// serves each request atomically, but functional warming moves blocks
+// without telling the directory, so sampled runs meet all of them.
+type Stale uint8
+
+const (
+	// StaleFig5 is Fig. 5 as the model checks it: a PutX from anyone but
+	// the recorded owner is ignored, and a request from the recorded owner
+	// cannot happen (it panics).
+	StaleFig5 Stale = iota
+	// StaleKeepsOwner ignores a PutX only when another socket is the
+	// recorded owner, and forwards a GetS from the recorded owner to itself.
+	StaleKeepsOwner
+	// StaleTrustsRequester accepts every PutX, and serves a GetS from the
+	// recorded owner from memory.
+	StaleTrustsRequester
+)
+
+// DirTraits are the per-design constants of a directory's Fig. 5
+// transitions.
+type DirTraits struct {
+	// AllocOnGetS makes a GetS to an untracked block allocate a Shared
+	// entry. C3D's non-inclusive directory leaves the block untracked, as
+	// memory supplies it and clean DRAM caches need no record (§IV-B).
+	AllocOnGetS bool
+	// BroadcastUntracked makes a GetX to an untracked block invalidate
+	// every other socket, whose clean DRAM caches may hold it unrecorded
+	// (§IV-C), unless its page is private to the writer (§IV-D).
+	BroadcastUntracked bool
+	// PutX is what an accepted PutX leaves.
+	PutX PutXLeaves
+	// Stale is how the directory treats requests its entry contradicts.
+	Stale Stale
+}
+
+// Action is what the home directory does to serve a request, besides
+// moving to its next entry.
+type Action struct {
+	// Source supplies a GetS's or GetX's data.
+	Source DataSource
+	// Owner is the socket the request is forwarded to when Source is
+	// FromOwnerLLC. The forward takes its copy: downgraded for a GetS,
+	// invalidated for a GetX.
+	Owner int
+	// Invalidate holds the other sharers whose copies a GetX invalidates.
+	Invalidate coherence.SharerSet
+	// Broadcast makes a GetX invalidate every other socket instead.
+	Broadcast bool
+	// BroadcastAvoided marks a broadcast the private-page filter elided.
+	BroadcastAvoided bool
+	// Stale marks a request the directory ignores: the entry stays as it
+	// was, replacement order included.
+	Stale bool
+}
+
+// Transition is the home directory's transition function (Fig. 5): given a
+// design's traits, the block's current entry (State DirInvalid when it has
+// none), the requesting socket, the request and whether the block's page is
+// private to the requesting thread, it returns the next entry (DirInvalid to
+// drop it) and what the directory does. It is pure: the protocol model and
+// every timed directory engine choose their messages and next state with it.
+func Transition(tr DirTraits, cur coherence.Entry, from int, req Request, pagePrivate bool) (coherence.Entry, Action) {
+	own := cur.State == coherence.DirModified && cur.Owner == from
+	if own && req != PutX && tr.Stale == StaleFig5 {
+		panic(fmt.Sprintf("core: %v from socket %d, which the directory records as the owner", req, from))
+	}
+	switch req {
+	case GetS:
 		switch {
-		case d.cfg.TrackDRAMCache:
-			// In the c3d-full-dir variant the directory is inclusive of the
-			// DRAM caches, so an untracked block is genuinely uncached and
-			// nobody needs an invalidation.
-		case pagePrivate:
-			d.stats.BroadcastsAvd++
+		case cur.State == coherence.DirInvalid && !tr.AllocOnGetS:
+			return coherence.Entry{}, Action{}
+		case cur.State != coherence.DirModified:
+			return sharedBy(cur.Sharers.Add(from)), Action{}
+		case own && tr.Stale == StaleTrustsRequester:
+			return sharedBy(cur.Sharers.Add(from)), Action{}
 		default:
-			d.stats.Broadcasts++
-			dec.Broadcast = true
+			next := sharedBy(cur.Sharers.Add(cur.Owner).Add(from))
+			return next, Action{Source: FromOwnerLLC, Owner: cur.Owner}
 		}
-	} else {
-		switch entry.State {
-		case coherence.DirShared:
-			dec.Invalidate = entry.Sharers.Others(requester)
-		case coherence.DirModified:
-			if entry.Owner != requester {
-				dec.Source = FromOwnerLLC
-				dec.Owner = entry.Owner
-				dec.Invalidate = coherence.NewSharerSet(entry.Owner)
+	case GetX:
+		next := coherence.Entry{State: coherence.DirModified, Owner: from, Sharers: coherence.NewSharerSet(from)}
+		switch {
+		case cur.State == coherence.DirShared:
+			return next, Action{Invalidate: cur.Sharers.Others(from)}
+		case cur.State == coherence.DirModified && !own:
+			return next, Action{Source: FromOwnerLLC, Owner: cur.Owner}
+		case cur.State == coherence.DirInvalid && tr.BroadcastUntracked:
+			return next, Action{Broadcast: !pagePrivate, BroadcastAvoided: pagePrivate}
+		default:
+			return next, Action{}
+		}
+	case PutX:
+		switch {
+		case cur.State == coherence.DirInvalid,
+			!own && tr.Stale == StaleFig5,
+			cur.State == coherence.DirModified && !own && tr.Stale == StaleKeepsOwner:
+			return cur, Action{Stale: true}
+		case tr.PutX == PutXLeavesShared:
+			return sharedBy(coherence.NewSharerSet(from)), Action{}
+		case tr.PutX == PutXDropsSender:
+			rest := cur.Sharers.Remove(from)
+			switch {
+			case rest.Empty():
+				return coherence.Entry{}, Action{}
+			case own:
+				return sharedBy(rest), Action{}
+			default:
+				cur.Sharers = rest
+				return cur, Action{}
 			}
 		default:
-			panic(fmt.Sprintf("core: directory %s: unexpected state %v", d.cfg.Name, entry.State))
+			return coherence.Entry{}, Action{}
 		}
+	default:
+		panic(fmt.Sprintf("core: unknown request %v", req))
 	}
-	dec.Recall = d.dir.Update(b, coherence.Entry{
-		State:   coherence.DirModified,
-		Owner:   requester,
-		Sharers: coherence.NewSharerSet(requester),
-	})
-	return dec
 }
 
-// HandlePutX processes a write-back of a Modified block from the owning
-// socket (an LLC eviction, a downgrade response, or an invalidation
-// response). Per Fig. 5 the directory transitions to Invalid in the base C3D
-// design; the c3d-full-dir variant instead transitions to Shared (the "small
-// modification" described in §V-A) so the block stays tracked and later
-// writes avoid broadcasts.
-func (d *Directory) HandlePutX(b addr.Block, from int) {
-	d.checkSocket(from)
-	entry, ok := d.dir.Lookup(b)
-	if !ok {
-		// A PutX can race with a recall that already removed the entry;
-		// nothing to do.
-		return
-	}
-	if entry.State == coherence.DirModified && entry.Owner != from {
-		// Stale write-back from a socket that has already lost ownership
-		// (e.g. it was invalidated while its PutX was in flight): ignore.
-		return
-	}
-	if d.cfg.TrackDRAMCache {
-		d.dir.Update(b, coherence.Entry{
-			State:   coherence.DirShared,
-			Sharers: coherence.NewSharerSet(from),
-		})
-		return
-	}
-	d.dir.Remove(b)
-}
-
-func (d *Directory) checkSocket(s int) {
-	if s < 0 || s >= d.cfg.Sockets {
-		panic(fmt.Sprintf("core: directory %s: socket %d out of range [0,%d)", d.cfg.Name, s, d.cfg.Sockets))
-	}
+// sharedBy is a Shared entry with the given sharers.
+func sharedBy(s coherence.SharerSet) coherence.Entry {
+	return coherence.Entry{State: coherence.DirShared, Sharers: s}
 }
 
 // BroadcastFilter implements the §IV-D optimisation: writes to pages

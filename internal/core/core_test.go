@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"c3d/internal/addr"
@@ -8,206 +10,174 @@ import (
 	"c3d/internal/tlb"
 )
 
-func newC3DDir(t *testing.T, sockets int) *Directory {
-	t.Helper()
-	return NewDirectory(DirConfig{Name: "gdir-test", Sockets: sockets})
+// transitionRow is one line of Fig. 5 for a set of designs: from the entry
+// state, the request from socket 0 moves the directory to next and performs
+// act. States and entries are written I, S{sharers}, or M<owner> (whose
+// sharers are the owner alone); "PutX3" is a PutX from socket 3, which
+// holds nothing. An action lists the data source (mem, or fwd<owner>), the
+// invalidated sharers, bcast or avoided, or reads "stale" for an ignored
+// request and "panic" for one the protocol model cannot see.
+type transitionRow struct {
+	designs string // space-separated trait-set names
+	state   string
+	req     string
+	private string // "yes", "no" or "" for either
+	next    string
+	act     string
 }
 
-func newFullDir(t *testing.T, sockets int) *Directory {
-	t.Helper()
-	return NewDirectory(DirConfig{Name: "gdir-full", Sockets: sockets, TrackDRAMCache: true})
+// transitionTraits are the trait sets the rows cover: the timed designs'
+// (shared's directory is baseline's) and the protocol model's two.
+var transitionTraits = map[string]DirTraits{
+	"baseline":           {AllocOnGetS: true, Stale: StaleTrustsRequester},
+	"full-dir":           {AllocOnGetS: true, PutX: PutXDropsSender, Stale: StaleTrustsRequester},
+	"c3d":                {BroadcastUntracked: true, Stale: StaleKeepsOwner},
+	"c3d-full-dir":       {AllocOnGetS: true, PutX: PutXLeavesShared, Stale: StaleKeepsOwner},
+	"model-c3d":          NewProtocolModel(ProtocolConfig{Sockets: 4}).dir,
+	"model-c3d-full-dir": NewProtocolModel(ProtocolConfig{Sockets: 4, TrackDRAMCache: true}).dir,
 }
 
-func TestGetSInvalidServedByMemoryWithoutAllocation(t *testing.T) {
-	d := newC3DDir(t, 4)
-	b := addr.Block(10)
-	dec := d.HandleGetS(b, 2)
-	if dec.Source != FromMemory {
-		t.Fatalf("Source = %v, want memory", dec.Source)
-	}
-	// Non-inclusive directory: GetS in Invalid must NOT allocate an entry
-	// (§IV-B — this is where the storage savings come from).
-	if d.Entries() != 0 {
-		t.Fatalf("directory allocated %d entries on a GetS in Invalid, want 0", d.Entries())
-	}
+var transitionRows = []transitionRow{
+	// Invalid: memory supplies the data. Only C3D's non-inclusive directory
+	// leaves a read untracked, and only it broadcasts a write, unless the
+	// page is private to the writer. A PutX finds nothing to give up.
+	{"baseline full-dir c3d-full-dir model-c3d-full-dir", "I", "GetS", "", "S{0}", "mem"},
+	{"c3d model-c3d", "I", "GetS", "", "I", "mem"},
+	{"baseline full-dir c3d-full-dir model-c3d-full-dir", "I", "GetX", "", "M0", "mem"},
+	{"c3d model-c3d", "I", "GetX", "no", "M0", "mem bcast"},
+	{"c3d model-c3d", "I", "GetX", "yes", "M0", "mem avoided"},
+	{"baseline full-dir c3d c3d-full-dir model-c3d model-c3d-full-dir", "I", "PutX", "", "I", "stale"},
+	{"baseline full-dir c3d c3d-full-dir model-c3d model-c3d-full-dir", "I", "PutX3", "", "I", "stale"},
+
+	// Shared: memory is up to date. A read joins the sharers; a write
+	// invalidates exactly the others. Fig. 5 ignores a PutX here (it raced
+	// a forward); the timed directories take it as a write-back.
+	{"baseline full-dir c3d c3d-full-dir model-c3d model-c3d-full-dir", "S{0,2}", "GetS", "", "S{0,2}", "mem"},
+	{"baseline full-dir c3d c3d-full-dir model-c3d model-c3d-full-dir", "S{0,2}", "GetX", "", "M0", "mem inv{2}"},
+	{"model-c3d model-c3d-full-dir", "S{0,2}", "PutX", "", "S{0,2}", "stale"},
+	{"model-c3d model-c3d-full-dir", "S{0,2}", "PutX3", "", "S{0,2}", "stale"},
+	{"baseline c3d", "S{0,2}", "PutX", "", "I", ""},
+	{"baseline c3d", "S{0,2}", "PutX3", "", "I", ""},
+	{"c3d-full-dir", "S{0,2}", "PutX", "", "S{0}", ""},
+	{"c3d-full-dir", "S{0,2}", "PutX3", "", "S{3}", ""},
+	{"full-dir", "S{0,2}", "PutX", "", "S{2}", ""},
+	{"full-dir", "S{0,2}", "PutX3", "", "S{0,2}", ""},
+
+	// Modified by the requester: the model never sees it; after
+	// functional warming the timed directories do. C3D forwards a read to
+	// the recorded owner regardless; the others trust the requester.
+	{"model-c3d model-c3d-full-dir", "M0", "GetS", "", "", "panic"},
+	{"model-c3d model-c3d-full-dir", "M0", "GetX", "", "", "panic"},
+	{"c3d c3d-full-dir", "M0", "GetS", "", "S{0}", "fwd0"},
+	{"baseline full-dir", "M0", "GetS", "", "S{0}", "mem"},
+	{"baseline full-dir c3d c3d-full-dir", "M0", "GetX", "", "M0", "mem"},
+	// The owner's PutX: Fig. 5's Modified to Invalid, or Shared{0} where
+	// c3d-full-dir keeps tracking.
+	{"baseline full-dir c3d model-c3d", "M0", "PutX", "", "I", ""},
+	{"c3d-full-dir model-c3d-full-dir", "M0", "PutX", "", "S{0}", ""},
+	{"c3d c3d-full-dir model-c3d model-c3d-full-dir", "M0", "PutX3", "", "M0", "stale"},
+	{"baseline", "M0", "PutX3", "", "I", ""},
+	{"full-dir", "M0", "PutX3", "", "M0", ""},
+
+	// Modified by another socket: the owner supplies the data, and keeps a
+	// Shared copy on a read or loses its copy on a write. A PutX from
+	// anyone else is stale, except to baseline, which drops the entry, and
+	// full-dir, which drops the sender from sharers it is not in.
+	{"baseline full-dir c3d c3d-full-dir model-c3d model-c3d-full-dir", "M2", "GetS", "", "S{0,2}", "fwd2"},
+	{"baseline full-dir c3d c3d-full-dir model-c3d model-c3d-full-dir", "M2", "GetX", "", "M0", "fwd2"},
+	{"c3d c3d-full-dir model-c3d model-c3d-full-dir", "M2", "PutX", "", "M2", "stale"},
+	{"c3d c3d-full-dir model-c3d model-c3d-full-dir", "M2", "PutX3", "", "M2", "stale"},
+	{"baseline", "M2", "PutX", "", "I", ""},
+	{"baseline", "M2", "PutX3", "", "I", ""},
+	{"full-dir", "M2", "PutX", "", "M2", ""},
+	{"full-dir", "M2", "PutX3", "", "M2", ""},
 }
 
-func TestGetXInvalidBroadcasts(t *testing.T) {
-	d := newC3DDir(t, 4)
-	b := addr.Block(11)
-	dec := d.HandleGetX(b, 1, false)
-	if !dec.Broadcast {
-		t.Fatal("GetX to an untracked block must broadcast invalidations")
-	}
-	if !dec.Invalidate.Empty() {
-		t.Errorf("precise invalidations = %v, want none (broadcast covers them)", dec.Invalidate)
-	}
-	if dec.Source != FromMemory {
-		t.Errorf("Source = %v, want memory", dec.Source)
-	}
-	e, ok := d.Probe(b)
-	if !ok || e.State != coherence.DirModified || e.Owner != 1 {
-		t.Fatalf("directory entry after GetX = %+v, %v; want Modified owner 1", e, ok)
-	}
-	if d.Stats().Broadcasts != 1 {
-		t.Errorf("Broadcasts = %d, want 1", d.Stats().Broadcasts)
-	}
-}
-
-func TestGetXPrivatePageSkipsBroadcast(t *testing.T) {
-	d := newC3DDir(t, 4)
-	dec := d.HandleGetX(addr.Block(12), 0, true)
-	if dec.Broadcast {
-		t.Fatal("GetX to a private page must not broadcast (§IV-D)")
-	}
-	if s := d.Stats(); s.BroadcastsAvd != 1 || s.Broadcasts != 0 {
-		t.Errorf("stats = %+v; want 1 avoided broadcast", s)
-	}
-}
-
-func TestModifiedThenGetSForwardsFromOwner(t *testing.T) {
-	d := newC3DDir(t, 4)
-	b := addr.Block(13)
-	d.HandleGetX(b, 3, false)
-	dec := d.HandleGetS(b, 0)
-	if dec.Source != FromOwnerLLC || dec.Owner != 3 {
-		t.Fatalf("decision = %+v; want forward from owner 3", dec)
-	}
-	e, _ := d.Probe(b)
-	if e.State != coherence.DirShared {
-		t.Errorf("state after GetS = %v, want Shared", e.State)
-	}
-	if !e.Sharers.Contains(0) || !e.Sharers.Contains(3) {
-		t.Errorf("sharers = %v, want {0,3}", e.Sharers)
-	}
-}
-
-func TestSharedThenGetXInvalidatesPrecisely(t *testing.T) {
-	d := newC3DDir(t, 4)
-	b := addr.Block(14)
-	// Socket 3 writes, sockets 0 and 1 read: directory ends in Shared{0,1,3}.
-	d.HandleGetX(b, 3, false)
-	d.HandleGetS(b, 0)
-	d.HandleGetS(b, 1)
-	dec := d.HandleGetX(b, 0, false)
-	if dec.Broadcast {
-		t.Fatal("a tracked Shared block must use precise invalidations, not a broadcast")
-	}
-	if !dec.Invalidate.Contains(1) || !dec.Invalidate.Contains(3) || dec.Invalidate.Contains(0) {
-		t.Errorf("Invalidate = %v, want {1,3}", dec.Invalidate)
-	}
-	if dec.Source != FromMemory {
-		t.Errorf("Source = %v, want memory (Shared means memory is up to date)", dec.Source)
-	}
-	e, _ := d.Probe(b)
-	if e.State != coherence.DirModified || e.Owner != 0 {
-		t.Errorf("entry = %+v, want Modified owner 0", e)
-	}
-}
-
-func TestModifiedThenGetXChangesOwner(t *testing.T) {
-	d := newC3DDir(t, 4)
-	b := addr.Block(15)
-	d.HandleGetX(b, 2, false)
-	dec := d.HandleGetX(b, 1, false)
-	if dec.Source != FromOwnerLLC || dec.Owner != 2 {
-		t.Fatalf("decision = %+v; want data from previous owner 2", dec)
-	}
-	if dec.Invalidate != coherence.NewSharerSet(2) {
-		t.Errorf("Invalidate = %v, want {2}", dec.Invalidate)
-	}
-	e, _ := d.Probe(b)
-	if e.Owner != 1 {
-		t.Errorf("owner = %d, want 1", e.Owner)
-	}
-}
-
-func TestPutXInvalidatesEntryInBaseC3D(t *testing.T) {
-	d := newC3DDir(t, 4)
-	b := addr.Block(17)
-	d.HandleGetX(b, 2, false)
-	d.HandlePutX(b, 2)
-	if _, ok := d.Probe(b); ok {
-		t.Fatal("base C3D drops the entry on a write-back (Fig. 5 Modified→Invalid)")
-	}
-	// A subsequent write is untracked again and must broadcast.
-	if dec := d.HandleGetX(b, 0, false); !dec.Broadcast {
-		t.Error("write after a write-back should broadcast (entry was dropped)")
+// TestTransitionTable checks Transition against the rows above for every
+// trait set, entry state, request and page class, and that the rows cover
+// each combination exactly once.
+func TestTransitionTable(t *testing.T) {
+	states := []string{"I", "S{0,2}", "M0", "M2"}
+	reqs := []string{"GetS", "GetX", "PutX", "PutX3"}
+	for name, tr := range transitionTraits {
+		for _, state := range states {
+			for _, req := range reqs {
+				for _, private := range []string{"no", "yes"} {
+					var row *transitionRow
+					for i := range transitionRows {
+						r := &transitionRows[i]
+						if strings.Contains(" "+r.designs+" ", " "+name+" ") && r.state == state &&
+							r.req == req && (r.private == "" || r.private == private) {
+							if row != nil {
+								t.Fatalf("%s %s %s private=%s: two rows", name, state, req, private)
+							}
+							row = r
+						}
+					}
+					if row == nil {
+						t.Fatalf("%s %s %s private=%s: no row", name, state, req, private)
+					}
+					next, act := transitionOf(tr, state, req, private == "yes")
+					if next != row.next || act != row.act {
+						t.Errorf("%s %s %s private=%s: next %q, action %q; want %q, %q",
+							name, state, req, private, next, act, row.next, row.act)
+					}
+				}
+			}
+		}
 	}
 }
 
-func TestPutXKeepsEntrySharedInFullDirVariant(t *testing.T) {
-	d := newFullDir(t, 4)
-	b := addr.Block(18)
-	d.HandleGetX(b, 2, false)
-	d.HandlePutX(b, 2)
-	e, ok := d.Probe(b)
-	if !ok || e.State != coherence.DirShared || e.Sharers != coherence.NewSharerSet(2) {
-		t.Fatalf("entry = %+v, %v; want Shared{2} (c3d-full-dir keeps tracking)", e, ok)
+// transitionOf runs Transition for a row's inputs and writes its result in
+// the rows' notation.
+func transitionOf(tr DirTraits, state, req string, private bool) (next, act string) {
+	cur := map[string]coherence.Entry{
+		"I":      {},
+		"S{0,2}": {State: coherence.DirShared, Sharers: coherence.NewSharerSet(0, 2)},
+		"M0":     {State: coherence.DirModified, Owner: 0, Sharers: coherence.NewSharerSet(0)},
+		"M2":     {State: coherence.DirModified, Owner: 2, Sharers: coherence.NewSharerSet(2)},
+	}[state]
+	from, r := 0, map[string]Request{"GetS": GetS, "GetX": GetX, "PutX": PutX, "PutX3": PutX}[req]
+	if req == "PutX3" {
+		from = 3
 	}
-	// With the block still tracked, a later write needs no broadcast.
-	if dec := d.HandleGetX(b, 0, false); dec.Broadcast {
-		t.Error("c3d-full-dir should never broadcast")
-	}
-}
-
-func TestStalePutXIgnored(t *testing.T) {
-	d := newC3DDir(t, 4)
-	b := addr.Block(19)
-	d.HandleGetX(b, 2, false)
-	d.HandleGetX(b, 1, false) // ownership moves to socket 1
-	d.HandlePutX(b, 2)        // stale write-back from the old owner
-	e, ok := d.Probe(b)
-	if !ok || e.State != coherence.DirModified || e.Owner != 1 {
-		t.Fatalf("entry = %+v, %v; a stale PutX must not disturb the current owner", e, ok)
-	}
-}
-
-func TestFullDirGetSAllocates(t *testing.T) {
-	d := newFullDir(t, 4)
-	b := addr.Block(20)
-	d.HandleGetS(b, 1)
-	e, ok := d.Probe(b)
-	if !ok || e.State != coherence.DirShared || e.Sharers != coherence.NewSharerSet(1) {
-		t.Fatalf("entry = %+v, %v; the full-dir variant must track GetS fills", e, ok)
-	}
-}
-
-func TestSparseDirectoryRecalls(t *testing.T) {
-	d := NewDirectory(DirConfig{Name: "sparse", Sockets: 4, Entries: 2, Ways: 2})
-	d.HandleGetX(addr.Block(0), 0, false)
-	d.HandleGetX(addr.Block(1), 1, false)
-	dec := d.HandleGetX(addr.Block(2), 2, false)
-	if !dec.Recall.Valid || dec.Recall.Block != addr.Block(0) {
-		t.Fatalf("recall = %+v; a full sparse directory must recall the LRU block 0", dec.Recall)
-	}
-	if _, ok := d.Probe(addr.Block(0)); ok {
-		t.Error("recalled block 0 is still tracked")
-	}
-}
-
-func TestDirectoryPanicsOnBadSocket(t *testing.T) {
-	d := newC3DDir(t, 2)
 	defer func() {
-		if recover() == nil {
-			t.Error("out-of-range socket should panic")
+		if recover() != nil {
+			next, act = "", "panic"
 		}
 	}()
-	d.HandleGetS(addr.Block(0), 5)
-}
-
-func TestResetStats(t *testing.T) {
-	d := newC3DDir(t, 2)
-	if dec := d.HandleGetX(addr.Block(1), 0, false); !dec.Broadcast || d.Stats().Broadcasts != 1 {
-		t.Fatalf("GetX to an untracked block: broadcast %v, %d counted; want one", dec.Broadcast, d.Stats().Broadcasts)
+	e, a := Transition(tr, cur, from, r, private)
+	switch e.State {
+	case coherence.DirInvalid:
+		next = "I"
+	case coherence.DirShared:
+		next = "S" + e.Sharers.String()
+	default:
+		next = fmt.Sprintf("M%d", e.Owner)
+		if e.Sharers != coherence.NewSharerSet(e.Owner) {
+			next += e.Sharers.String()
+		}
 	}
-	d.ResetStats()
-	if d.Stats() != (DirStats{}) {
-		t.Error("ResetStats did not clear the broadcast counters")
+	var parts []string
+	switch {
+	case a.Stale:
+		parts = append(parts, "stale")
+	case r == PutX:
+	case a.Source == FromOwnerLLC:
+		parts = append(parts, fmt.Sprintf("fwd%d", a.Owner))
+	default:
+		parts = append(parts, "mem")
 	}
-	if _, ok := d.Probe(addr.Block(1)); !ok {
-		t.Error("ResetStats must keep the directory's entries")
+	if !a.Invalidate.Empty() {
+		parts = append(parts, "inv"+a.Invalidate.String())
 	}
+	if a.Broadcast {
+		parts = append(parts, "bcast")
+	}
+	if a.BroadcastAvoided {
+		parts = append(parts, "avoided")
+	}
+	return next, strings.Join(parts, " ")
 }
 
 func TestBroadcastFilter(t *testing.T) {

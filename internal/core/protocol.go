@@ -27,6 +27,8 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+
+	"c3d/internal/coherence"
 )
 
 // llcState is the on-chip (LLC and above) controller state for the block.
@@ -134,8 +136,9 @@ type dirBusy struct {
 // protoState is the complete system state for one block.
 type protoState struct {
 	Sockets []socketState
-	// Directory stable state, using the same vocabulary as the timing model.
-	DirState uint8 // 0=I, 1=S, 2=M
+	// Directory stable state, a coherence.DirState. DirOwner is -1 unless
+	// the state is Modified.
+	DirState uint8
 	DirOwner int8
 	Sharers  uint8 // bitmask
 	Busy     dirBusy
@@ -146,11 +149,22 @@ type protoState struct {
 	Msgs []message
 }
 
-const (
-	pdirI uint8 = iota
-	pdirS
-	pdirM
-)
+// dirEntry returns the directory's state as the entry Transition takes.
+func (s *protoState) dirEntry() coherence.Entry {
+	return coherence.Entry{
+		State:   coherence.DirState(s.DirState),
+		Owner:   int(s.DirOwner),
+		Sharers: coherence.SharerSet(s.Sharers),
+	}
+}
+
+// setDirEntry stores the entry Transition chose as the directory's state.
+func (s *protoState) setDirEntry(e coherence.Entry) {
+	s.DirState, s.DirOwner, s.Sharers = uint8(e.State), -1, uint8(e.Sharers)
+	if e.State == coherence.DirModified {
+		s.DirOwner = int8(e.Owner)
+	}
+}
 
 // ProtocolConfig parameterises the model.
 type ProtocolConfig struct {
@@ -169,6 +183,7 @@ type ProtocolConfig struct {
 // by internal/mc (via duck typing — mc defines the interface).
 type ProtocolModel struct {
 	cfg  ProtocolConfig
+	dir  DirTraits
 	home int8
 }
 
@@ -177,7 +192,13 @@ func NewProtocolModel(cfg ProtocolConfig) *ProtocolModel {
 	if cfg.Sockets < 1 || cfg.Sockets > 8 {
 		panic(fmt.Sprintf("core: protocol model supports 1..8 sockets, got %d", cfg.Sockets))
 	}
-	return &ProtocolModel{cfg: cfg, home: 0}
+	// The directory is Fig. 5 as checked: the c3d and c3d-full-dir traits,
+	// with a PutX that races a forwarded request ignored as stale.
+	dir := DirTraits{BroadcastUntracked: true, Stale: StaleFig5}
+	if cfg.TrackDRAMCache {
+		dir = DirTraits{AllocOnGetS: true, PutX: PutXLeavesShared, Stale: StaleFig5}
+	}
+	return &ProtocolModel{cfg: cfg, dir: dir, home: 0}
 }
 
 // Name identifies the model in reports.
@@ -194,7 +215,7 @@ func (m *ProtocolModel) Name() string {
 func (m *ProtocolModel) Initial() []string {
 	s := protoState{
 		Sockets:  make([]socketState, m.cfg.Sockets),
-		DirState: pdirI,
+		DirState: uint8(coherence.DirInvalid),
 		DirOwner: -1,
 		Busy:     dirBusy{ForwardedTo: -1},
 	}
@@ -519,88 +540,52 @@ func (m *ProtocolModel) deliver(s *protoState, msg message) (*protoState, error)
 func (m *ProtocolModel) dirGetS(s *protoState, msg message) *protoState {
 	req := msg.Requester
 	s.Busy = dirBusy{Busy: true, Requester: req, IsWrite: false, ForwardedTo: -1}
-	switch s.DirState {
-	case pdirI:
-		send(s, message{Kind: mDataMem, Src: int8(m.home), Dst: req, Data: s.Memory})
-		if m.cfg.TrackDRAMCache {
-			s.DirState = pdirS
-			s.Sharers = 1 << uint(req)
-		}
-		// Base C3D: the directory does NOT allocate an entry for a GetS in
-		// Invalid (non-inclusive directory, §IV-B).
-	case pdirS:
-		send(s, message{Kind: mDataMem, Src: int8(m.home), Dst: req, Data: s.Memory})
-		s.Sharers |= 1 << uint(req)
-	case pdirM:
-		owner := s.DirOwner
-		send(s, message{Kind: mFwdGetS, Src: int8(m.home), Dst: owner, Requester: req})
-		s.DirState = pdirS
-		s.Sharers = (1 << uint(owner)) | (1 << uint(req))
-		s.DirOwner = -1
+	next, act := Transition(m.dir, s.dirEntry(), int(req), GetS, false)
+	if act.Source == FromOwnerLLC {
+		owner := int8(act.Owner)
+		send(s, message{Kind: mFwdGetS, Src: m.home, Dst: owner, Requester: req})
 		s.Busy.ForwardedTo = owner
+	} else {
+		send(s, message{Kind: mDataMem, Src: m.home, Dst: req, Data: s.Memory})
 	}
+	s.setDirEntry(next)
 	return s
 }
 
 func (m *ProtocolModel) dirGetX(s *protoState, msg message) *protoState {
 	req := msg.Requester
 	s.Busy = dirBusy{Busy: true, Requester: req, IsWrite: true, ForwardedTo: -1}
-	switch s.DirState {
-	case pdirI:
-		// Untracked block: broadcast invalidations to every other socket's
-		// DRAM cache (and on-chip hierarchy). The requester collects one
-		// InvAck per socket. Under TrackDRAMCache the directory is
-		// inclusive of the DRAM caches, so an untracked block is uncached
-		// and nobody needs an invalidation.
-		acks := int8(0)
-		for j := 0; j < m.cfg.Sockets && !m.cfg.TrackDRAMCache; j++ {
-			if int8(j) == req {
-				continue
-			}
-			send(s, message{Kind: mInv, Src: int8(m.home), Dst: int8(j), Requester: req})
-			acks++
-		}
-		send(s, message{Kind: mDataMem, Src: int8(m.home), Dst: req, Data: s.Memory, Acks: acks})
-	case pdirS:
-		acks := int8(0)
-		for j := 0; j < m.cfg.Sockets; j++ {
-			if int8(j) == req || s.Sharers&(1<<uint(j)) == 0 {
-				continue
-			}
-			send(s, message{Kind: mInv, Src: int8(m.home), Dst: int8(j), Requester: req})
-			acks++
-		}
-		send(s, message{Kind: mDataMem, Src: int8(m.home), Dst: req, Data: s.Memory, Acks: acks})
-	case pdirM:
-		owner := s.DirOwner
-		send(s, message{Kind: mFwdGetX, Src: int8(m.home), Dst: owner, Requester: req})
+	next, act := Transition(m.dir, s.dirEntry(), int(req), GetX, false)
+	if act.Source == FromOwnerLLC {
+		owner := int8(act.Owner)
+		send(s, message{Kind: mFwdGetX, Src: m.home, Dst: owner, Requester: req})
 		s.Busy.ForwardedTo = owner
+	} else {
+		// Memory supplies the data; the requester collects one InvAck per
+		// invalidated socket, every other socket under a broadcast.
+		targets := act.Invalidate
+		if act.Broadcast {
+			targets = coherence.AllSockets(m.cfg.Sockets).Others(int(req))
+		}
+		targets.ForEach(func(j int) {
+			send(s, message{Kind: mInv, Src: m.home, Dst: int8(j), Requester: req})
+		})
+		send(s, message{Kind: mDataMem, Src: m.home, Dst: req, Data: s.Memory, Acks: int8(targets.Count())})
 	}
-	s.DirState = pdirM
-	s.DirOwner = req
-	s.Sharers = 1 << uint(req)
+	s.setDirEntry(next)
 	return s
 }
 
 func (m *ProtocolModel) dirPutX(s *protoState, msg message) *protoState {
-	from := msg.Src
-	if s.DirState == pdirM && s.DirOwner == from {
-		// Normal write-back: the clean property is maintained by writing the
-		// data through to memory. Base C3D drops the entry (Invalid);
-		// c3d-full-dir keeps it Shared.
+	next, act := Transition(m.dir, s.dirEntry(), int(msg.Src), PutX, false)
+	if !act.Stale {
+		// The owner's write-back: the clean property is maintained by
+		// writing the data through to memory. A stale PutX (the socket
+		// already lost ownership) updates nothing.
 		s.Memory = msg.Data
-		if m.cfg.TrackDRAMCache {
-			s.DirState = pdirS
-			s.DirOwner = -1
-			s.Sharers = 1 << uint(from)
-		} else {
-			s.DirState = pdirI
-			s.DirOwner = -1
-			s.Sharers = 0
-		}
+		s.setDirEntry(next)
 	}
-	// A stale PutX (the socket already lost ownership) updates nothing.
-	send(s, message{Kind: mAck, Src: int8(m.home), Dst: from})
+	send(s, message{Kind: mAck, Src: m.home, Dst: msg.Src})
 	return s
 }
 

@@ -4,6 +4,7 @@ import (
 	"c3d/internal/addr"
 	"c3d/internal/cache"
 	"c3d/internal/coherence"
+	"c3d/internal/core"
 	"c3d/internal/sim"
 )
 
@@ -60,25 +61,11 @@ func (e *baselineEngine) ReadMiss(now sim.Time, sock *Socket, coreID int, b addr
 	m := e.m
 	home := m.home(b)
 	t := dirRequestArrival(m, now, sock, home)
-
-	entry, ok := home.dir.Lookup(b)
-	if ok && entry.State == coherence.DirModified && entry.Owner != sock.id {
-		// The block is dirty in another socket's on-chip hierarchy: forward
-		// the request to the owner.
-		t = m.forwardRead(t, home, m.sockets[entry.Owner], sock, b)
-		recall := home.dir.Update(b, coherence.Entry{
-			State:   coherence.DirShared,
-			Sharers: entry.Sharers.Add(entry.Owner).Add(sock.id),
-		})
-		handleRecall(m, t, home, recall)
-		return t
-	}
-	// Shared or untracked: the home socket supplies the data.
-	t = m.homeRead(t, home, sock, b)
-	t = m.sendData(t, home, sock)
-	sharers := entry.Sharers.Add(sock.id)
-	recall := home.dir.Update(b, coherence.Entry{State: coherence.DirShared, Sharers: sharers})
-	handleRecall(m, t, home, recall)
+	// The owner forwards a block dirty in another socket's on-chip
+	// hierarchy; otherwise the home supplies it.
+	next, act := m.dirTransition(home, b, sock.id, core.GetS, false)
+	t = m.serveRead(t, home, sock, b, act)
+	handleRecall(m, t, home, home.dir.Update(b, next))
 	return t
 }
 
@@ -87,48 +74,27 @@ func (e *baselineEngine) WriteMiss(now sim.Time, sock *Socket, coreID int, b add
 	home := m.home(b)
 	t := dirRequestArrival(m, now, sock, home)
 
-	entry, _ := home.dir.Lookup(b)
-	var dataDone, acksDone sim.Time
-
-	switch {
-	case entry.State == coherence.DirModified && entry.Owner != sock.id:
+	next, act := m.dirTransition(home, b, sock.id, core.GetX, false)
+	var done sim.Time
+	if act.Source == core.FromOwnerLLC {
 		// Ownership transfer: the previous owner forwards the (possibly
 		// dirty) block and invalidates its copies.
-		owner := m.sockets[entry.Owner]
-		fwd := m.sendControl(t, home, owner)
-		fwd = fwd.Add(m.cfg.LLCTagLatency).Add(m.cfg.LLCDataLatency)
-		owner.invalidateOnChip(b)
-		dataDone = m.sendData(fwd, owner, sock)
-		acksDone = dataDone
-	case entry.State == coherence.DirShared:
+		done = m.forwardWrite(t, home, m.sockets[act.Owner], sock, b)
+	} else {
 		// Invalidate the tracked sharers; data comes from the home (which is
-		// up to date for Shared blocks) in parallel.
-		acksDone = t
-		entry.Sharers.Others(sock.id).ForEach(func(sidx int) {
-			acksDone = sim.Max(acksDone, m.invalidateSharer(t, home, m.sockets[sidx], sock, b))
+		// up to date unless a socket owns the block) in parallel.
+		done = t
+		act.Invalidate.ForEach(func(sidx int) {
+			done = sim.Max(done, m.invalidateSharer(t, home, m.sockets[sidx], sock, b))
 		})
 		if upgrade {
 			// The requester already holds the data; only the grant returns.
-			dataDone = m.sendControl(t, home, sock)
+			done = sim.Max(done, m.sendControl(t, home, sock))
 		} else {
-			dataDone = m.sendData(m.homeRead(t, home, sock, b), home, sock)
+			done = sim.Max(done, m.sendData(m.homeRead(t, home, sock, b), home, sock))
 		}
-	default:
-		// Untracked: the home supplies the data, nobody to invalidate.
-		if upgrade {
-			dataDone = m.sendControl(t, home, sock)
-		} else {
-			dataDone = m.sendData(m.homeRead(t, home, sock, b), home, sock)
-		}
-		acksDone = dataDone
 	}
-	done := sim.Max(dataDone, acksDone)
-	recall := home.dir.Update(b, coherence.Entry{
-		State:   coherence.DirModified,
-		Owner:   sock.id,
-		Sharers: coherence.NewSharerSet(sock.id),
-	})
-	handleRecall(m, done, home, recall)
+	handleRecall(m, done, home, home.dir.Update(b, next))
 	return done
 }
 
@@ -140,7 +106,9 @@ func (e *baselineEngine) LLCEvict(now sim.Time, sock *Socket, victim cache.Victi
 		// (PutX). Off the requesting core's critical path.
 		wb := m.sendData(now, sock, home)
 		m.homeWrite(wb, home, sock, victim.Block)
-		home.dir.Remove(victim.Block)
+		if next, act := m.dirTransition(home, victim.Block, sock.id, core.PutX, false); !act.Stale {
+			home.dir.Update(victim.Block, next)
+		}
 		m.sendControl(wb, home, sock) // write-back acknowledgement
 		return
 	}

@@ -1,17 +1,15 @@
 package machine
 
 import (
-	"fmt"
-
 	"c3d/internal/addr"
 	"c3d/internal/cache"
+	"c3d/internal/coherence"
 	"c3d/internal/core"
 	"c3d/internal/sim"
 )
 
-// c3dEngine implements the proposed design (§IV) and, when the socket
-// directories are built with TrackDRAMCache, the idealised c3d-full-dir
-// variant of §V-A. Its defining behaviours:
+// c3dEngine implements the proposed design (§IV) and, with its directory's
+// traits, the idealised c3d-full-dir variant of §V-A. Its defining behaviours:
 //
 //   - DRAM caches are clean: LLC dirty evictions are written through to
 //     memory while a clean copy is retained locally, so no remote DRAM cache
@@ -27,27 +25,6 @@ type c3dEngine struct {
 	m *Machine
 }
 
-// c3dDirectories builds C3D's non-inclusive directory slice: sized like the
-// baseline's sparse directory, tracking on-chip copies only.
-func c3dDirectories(id int, cfg Config) SocketDirectories {
-	return SocketDirectories{C3D: core.NewDirectory(core.DirConfig{
-		Name:    fmt.Sprintf("gdir.%d", id),
-		Sockets: cfg.Sockets,
-		Entries: cfg.DirEntries(),
-		Ways:    cfg.DirWays,
-	})}
-}
-
-// c3dFullDirectories builds c3d-full-dir's idealised directory slice:
-// unbounded, and tracking DRAM cache blocks too.
-func c3dFullDirectories(id int, cfg Config) SocketDirectories {
-	return SocketDirectories{C3D: core.NewDirectory(core.DirConfig{
-		Name:           fmt.Sprintf("gdir.%d", id),
-		Sockets:        cfg.Sockets,
-		TrackDRAMCache: true,
-	})}
-}
-
 func (e *c3dEngine) ReadMiss(now sim.Time, sock *Socket, coreID int, b addr.Block) sim.Time {
 	m := e.m
 	// Fast path: the local (clean) DRAM cache.
@@ -59,18 +36,13 @@ func (e *c3dEngine) ReadMiss(now sim.Time, sock *Socket, coreID int, b addr.Bloc
 	home := m.home(b)
 	t = dirRequestArrival(m, t, sock, home)
 
-	dec := home.c3dDir.HandleGetS(b, sock.id)
-	handleRecall(m, t, home, dec.Recall)
-	if dec.Source == core.FromOwnerLLC {
-		// The only possible Modified copies are on-chip (clean DRAM caches),
-		// so the forward always terminates at the owner's LLC — never at a
-		// remote DRAM cache. Its write-back keeps memory up to date so the
-		// directory's Shared invariant holds.
-		return m.forwardRead(t, home, m.sockets[dec.Owner], sock, b)
-	}
-	// Memory supplies the data; remote DRAM caches are bypassed entirely.
-	t = m.homeRead(t, home, sock, b)
-	return m.sendData(t, home, sock)
+	next, act := m.dirTransition(home, b, sock.id, core.GetS, false)
+	handleRecall(m, t, home, home.dir.Update(b, next))
+	// The only possible Modified copies are on-chip (clean DRAM caches), so
+	// a forward always terminates at the owner's LLC — never at a remote
+	// DRAM cache. Otherwise memory supplies the data, and remote DRAM
+	// caches are bypassed entirely.
+	return m.serveRead(t, home, sock, b, act)
 }
 
 func (e *c3dEngine) WriteMiss(now sim.Time, sock *Socket, coreID int, b addr.Block, upgrade bool) sim.Time {
@@ -83,43 +55,28 @@ func (e *c3dEngine) WriteMiss(now sim.Time, sock *Socket, coreID int, b addr.Blo
 	t = dirRequestArrival(m, t, sock, home)
 
 	pagePrivate := m.filter.PagePrivate(b, coreID)
-	dec := home.c3dDir.HandleGetX(b, sock.id, pagePrivate)
-	handleRecall(m, t, home, dec.Recall)
+	next, act := m.dirTransition(home, b, sock.id, core.GetX, pagePrivate)
+	handleRecall(m, t, home, home.dir.Update(b, next))
 
-	var dataDone, acksDone sim.Time
-	acksDone = t
-
-	switch {
-	case dec.Source == core.FromOwnerLLC:
+	if act.Source == core.FromOwnerLLC {
 		// Ownership transfer from the previous owner's on-chip hierarchy;
 		// its whole hierarchy (DRAM cache included) is invalidated.
-		owner := m.sockets[dec.Owner]
-		fwd := m.sendControl(t, home, owner)
-		fwd = fwd.Add(m.cfg.LLCTagLatency).Add(m.cfg.LLCDataLatency)
-		owner.invalidateOnChip(b)
-		owner.dramCache.Invalidate(b)
-		dataDone = m.sendData(fwd, owner, sock)
-		acksDone = dataDone
-	case dec.Broadcast:
-		// Untracked block: invalidate every other socket's DRAM cache (and
-		// any on-chip Shared copies). The invalidations are acknowledged to
-		// the requester; stores are off the critical path, so the extra
-		// latency is usually hidden by the store queue (§IV-B).
-		for _, target := range m.sockets {
-			if target != sock {
-				acksDone = sim.Max(acksDone, m.invalidateSharer(t, home, target, sock, b))
-			}
-		}
-		dataDone = e.writeData(t, sock, home, b, upgrade || res.Hit)
-	default:
-		// Tracked block (or an untracked block of a private page): precise
-		// invalidations to the recorded sharers, which may be none.
-		dec.Invalidate.ForEach(func(sidx int) {
-			acksDone = sim.Max(acksDone, m.invalidateSharer(t, home, m.sockets[sidx], sock, b))
-		})
-		dataDone = e.writeData(t, sock, home, b, upgrade || res.Hit)
+		return m.forwardWrite(t, home, m.sockets[act.Owner], sock, b)
 	}
-	return sim.Max(dataDone, acksDone)
+	// Precise invalidations to the tracked sharers, which may be none; or,
+	// for an untracked block, a broadcast to every other socket's DRAM
+	// cache (and any on-chip Shared copies). The invalidations are
+	// acknowledged to the requester; stores are off the critical path, so
+	// the extra latency is usually hidden by the store queue (§IV-B).
+	targets := act.Invalidate
+	if act.Broadcast {
+		targets = coherence.AllSockets(len(m.sockets)).Others(sock.id)
+	}
+	acksDone := t
+	targets.ForEach(func(sidx int) {
+		acksDone = sim.Max(acksDone, m.invalidateSharer(t, home, m.sockets[sidx], sock, b))
+	})
+	return sim.Max(e.writeData(t, sock, home, b, upgrade || res.Hit), acksDone)
 }
 
 // writeData models the data (or dataless grant) leg of a write request.
@@ -141,7 +98,9 @@ func (e *c3dEngine) LLCEvict(now sim.Time, sock *Socket, victim cache.Victim) {
 		wb := m.sendData(now, sock, home)
 		m.homeWrite(wb, home, sock, victim.Block)
 		if action.NotifyDirectory {
-			home.c3dDir.HandlePutX(victim.Block, sock.id)
+			if next, act := m.dirTransition(home, victim.Block, sock.id, core.PutX, false); !act.Stale {
+				home.dir.Update(victim.Block, next)
+			}
 			m.sendControl(wb, home, sock) // write-back acknowledgement
 		}
 	}

@@ -5,7 +5,6 @@ import (
 
 	"c3d/internal/addr"
 	"c3d/internal/cache"
-	"c3d/internal/coherence"
 	"c3d/internal/core"
 	"c3d/internal/sim"
 )
@@ -24,17 +23,24 @@ type Engine interface {
 	LLCEvict(now sim.Time, sock *Socket, victim cache.Victim)
 }
 
-// SocketDirectories is what a design contributes to each socket: its slice of
-// the global directory. The C3D designs use the protocol-aware directory from
-// internal/core; the others use the generic structure (either may be nil).
-type SocketDirectories struct {
-	C3D     *core.Directory
-	Generic *coherence.Directory
-}
+// dirKind is how a design organises its slices of the global
+// directory, one at each home socket.
+type dirKind uint8
+
+const (
+	// noDirectory builds no slice: snoops replace the directory.
+	noDirectory dirKind = iota
+	// sparseDirectory is Table II's 2x-provisioned, 32-way slice, whose
+	// evictions recall the copies they track.
+	sparseDirectory
+	// unboundedDirectory is an idealised slice with unbounded capacity, so
+	// no recalls: the paper's deliberately optimistic full directories.
+	unboundedDirectory
+)
 
 // DesignSpec describes one coherence design: its name, the structural traits
-// the rest of the machine keys off, and the factories for its engine and its
-// per-socket directory slices.
+// the rest of the machine keys off, its directory, and the factory for its
+// engine.
 type DesignSpec struct {
 	// Name is the table key ("baseline", "c3d", ...).
 	Name Design
@@ -50,12 +56,18 @@ type DesignSpec struct {
 	// CleanDRAMCache keeps the DRAM caches clean (write-through) — C3D's
 	// defining property; it selects the dramcache write policy.
 	CleanDRAMCache bool
+	// Directory is the organisation of each socket's directory slice.
+	Directory dirKind
+	// Dir holds the traits of the slices' Fig. 5 transitions
+	// (core.Transition).
+	Dir core.DirTraits
 	// NewEngine builds the design's coherence engine for a machine.
 	NewEngine func(m *Machine) Engine
-	// NewDirectories builds socket id's directory slices from the machine
-	// configuration.
-	NewDirectories func(socketID int, cfg Config) SocketDirectories
 }
+
+// baselineDir is the baseline's directory: inclusive of the on-chip caches,
+// which it alone covers, so a write-back drops the entry.
+var baselineDir = core.DirTraits{AllocOnGetS: true, PutX: core.PutXRemoves, Stale: core.StaleTrustsRequester}
 
 // designs is the design table. Its order is the listing order of Designs():
 // the evaluation order of the paper's figures. Adding a design is one entry
@@ -64,51 +76,57 @@ type DesignSpec struct {
 var designs = []DesignSpec{
 	// The reference machine without DRAM caches (§V-A).
 	{
-		Name:           Baseline,
-		Evaluated:      true,
-		NewEngine:      func(m *Machine) Engine { return &baselineEngine{m: m} },
-		NewDirectories: sparseDirectories,
+		Name:      Baseline,
+		Evaluated: true,
+		Directory: sparseDirectory,
+		Dir:       baselineDir,
+		NewEngine: func(m *Machine) Engine { return &baselineEngine{m: m} },
 	},
 	// Private dirty DRAM caches kept coherent by snooping every remote
 	// socket (§III-A). Snoops replace the directory: the home charges only
 	// the directory latency, and no slice is built.
 	{
-		Name:           Snoopy,
-		Evaluated:      true,
-		HasDRAMCache:   true,
-		NewEngine:      func(m *Machine) Engine { return &snoopyEngine{m: m} },
-		NewDirectories: func(int, Config) SocketDirectories { return SocketDirectories{} },
+		Name:         Snoopy,
+		Evaluated:    true,
+		HasDRAMCache: true,
+		NewEngine:    func(m *Machine) Engine { return &snoopyEngine{m: m} },
 	},
 	// Private dirty DRAM caches tracked by an idealised inclusive full
 	// directory (§III-B). The paper models it without recalls (unbounded)
 	// and with the baseline's 10-cycle latency, an optimistic assumption it
-	// calls out explicitly.
+	// calls out explicitly. Being inclusive, it hears of every DRAM-cache
+	// eviction, and drops just the evicting socket from the sharers.
 	{
-		Name:           FullDir,
-		Evaluated:      true,
-		HasDRAMCache:   true,
-		NewEngine:      func(m *Machine) Engine { return &fullDirEngine{m: m} },
-		NewDirectories: unboundedDirectories,
+		Name:         FullDir,
+		Evaluated:    true,
+		HasDRAMCache: true,
+		Directory:    unboundedDirectory,
+		Dir:          core.DirTraits{AllocOnGetS: true, PutX: core.PutXDropsSender, Stale: core.StaleTrustsRequester},
+		NewEngine:    func(m *Machine) Engine { return &fullDirEngine{m: m} },
 	},
 	// Clean private DRAM caches plus a non-inclusive directory with
-	// broadcast invalidations (§IV).
+	// broadcast invalidations (§IV), sized like the baseline's and
+	// tracking on-chip copies only.
 	{
 		Name:           C3D,
 		Evaluated:      true,
 		HasDRAMCache:   true,
 		CleanDRAMCache: true,
+		Directory:      sparseDirectory,
+		Dir:            core.DirTraits{BroadcastUntracked: true, PutX: core.PutXRemoves, Stale: core.StaleKeepsOwner},
 		NewEngine:      func(m *Machine) Engine { return &c3dEngine{m: m} },
-		NewDirectories: c3dDirectories,
 	},
 	// C3D with an idealised full directory that also tracks DRAM cache
-	// blocks (§V-A).
+	// blocks (§V-A): unbounded, allocating on reads, and keeping a written
+	// back block Shared, so it never broadcasts.
 	{
 		Name:           C3DFullDir,
 		Evaluated:      true,
 		HasDRAMCache:   true,
 		CleanDRAMCache: true,
+		Directory:      unboundedDirectory,
+		Dir:            core.DirTraits{AllocOnGetS: true, PutX: core.PutXLeavesShared, Stale: core.StaleKeepsOwner},
 		NewEngine:      func(m *Machine) Engine { return &c3dEngine{m: m} },
-		NewDirectories: c3dFullDirectories,
 	},
 	// Memory-side DRAM caches fronting each socket's memory (§II-C). An
 	// address lives in exactly one of them, so they need no coherence, and
@@ -117,11 +135,12 @@ var designs = []DesignSpec{
 	// remote home still crosses the interconnect — it filters memory
 	// accesses, not off-socket traffic.
 	{
-		Name:           SharedDRAM,
-		HasDRAMCache:   true,
-		MemorySide:     true,
-		NewEngine:      func(m *Machine) Engine { return &baselineEngine{m: m} },
-		NewDirectories: sparseDirectories,
+		Name:         SharedDRAM,
+		HasDRAMCache: true,
+		MemorySide:   true,
+		Directory:    sparseDirectory,
+		Dir:          baselineDir,
+		NewEngine:    func(m *Machine) Engine { return &baselineEngine{m: m} },
 	},
 }
 
@@ -142,24 +161,4 @@ func mustDesignSpec(d Design) DesignSpec {
 		panic(err.Error())
 	}
 	return spec
-}
-
-// sparseDirectories builds the baseline's sparse, bounded generic
-// directory slice — the default directory organisation for designs without
-// protocol-aware tracking needs.
-func sparseDirectories(socketID int, cfg Config) SocketDirectories {
-	return SocketDirectories{Generic: coherence.NewDirectory(coherence.DirConfig{
-		Name:    fmt.Sprintf("gdir.%d", socketID),
-		Entries: cfg.DirEntries(),
-		Ways:    cfg.DirWays,
-	})}
-}
-
-// unboundedDirectories builds an idealised inclusive directory slice
-// with unbounded capacity (no recalls) — the paper's deliberately optimistic
-// model of the naive full-directory design.
-func unboundedDirectories(socketID int, cfg Config) SocketDirectories {
-	return SocketDirectories{Generic: coherence.NewDirectory(coherence.DirConfig{
-		Name: fmt.Sprintf("gdir.%d", socketID),
-	})}
 }

@@ -4,6 +4,7 @@ import (
 	"c3d/internal/addr"
 	"c3d/internal/cache"
 	"c3d/internal/coherence"
+	"c3d/internal/core"
 	"c3d/internal/sim"
 )
 
@@ -33,13 +34,13 @@ func (e *fullDirEngine) ReadMiss(now sim.Time, sock *Socket, coreID int, b addr.
 	home := m.home(b)
 	t = dirRequestArrival(m, t, sock, home)
 
-	entry, ok := home.dir.Lookup(b)
-	if ok && entry.State == coherence.DirModified && entry.Owner != sock.id {
+	next, act := m.dirTransition(home, b, sock.id, core.GetS, false)
+	if act.Source == core.FromOwnerLLC {
 		// Dirty in a remote socket. Probe its on-chip hierarchy first; if the
 		// dirty data has been evicted into the remote DRAM cache, the access
 		// pays the full remote-DRAM-cache latency — the slow-remote-hit
 		// pathology (§III-B, Fig. 4).
-		owner := m.sockets[entry.Owner]
+		owner := m.sockets[act.Owner]
 		t = m.sendControl(t, home, owner)
 		t = t.Add(m.cfg.LLCTagLatency)
 		state, chipDirty, onChip := owner.probeOnChip(b)
@@ -61,17 +62,12 @@ func (e *fullDirEngine) ReadMiss(now sim.Time, sock *Socket, coreID int, b addr.
 			m.homeWrite(m.sendData(t, owner, home), home, owner, b)
 		}
 		t = m.sendData(t, owner, sock)
-		home.dir.Update(b, coherence.Entry{
-			State:   coherence.DirShared,
-			Sharers: entry.Sharers.Add(entry.Owner).Add(sock.id),
-		})
-		return t
+	} else {
+		// Clean (Shared) or untracked: memory supplies the data without
+		// touching any remote DRAM cache.
+		t = m.sendData(m.homeRead(t, home, sock, b), home, sock)
 	}
-	// Clean (Shared) or untracked: memory supplies the data without touching
-	// any remote DRAM cache.
-	t = m.homeRead(t, home, sock, b)
-	t = m.sendData(t, home, sock)
-	home.dir.Update(b, coherence.Entry{State: coherence.DirShared, Sharers: entry.Sharers.Add(sock.id)})
+	home.dir.Update(b, next)
 	return t
 }
 
@@ -82,11 +78,11 @@ func (e *fullDirEngine) WriteMiss(now sim.Time, sock *Socket, coreID int, b addr
 	home := m.home(b)
 	t = dirRequestArrival(m, t, sock, home)
 
-	entry, _ := home.dir.Lookup(b)
+	next, act := m.dirTransition(home, b, sock.id, core.GetX, false)
 	var dataDone, acksDone sim.Time
 
-	if entry.State == coherence.DirModified && entry.Owner != sock.id {
-		owner := m.sockets[entry.Owner]
+	if act.Source == core.FromOwnerLLC {
+		owner := m.sockets[act.Owner]
 		fwd := m.sendControl(t, home, owner)
 		fwd = fwd.Add(m.cfg.LLCTagLatency)
 		state, chipDirty, onChip := owner.probeOnChip(b)
@@ -106,7 +102,7 @@ func (e *fullDirEngine) WriteMiss(now sim.Time, sock *Socket, coreID int, b addr
 		// included); data comes from memory in parallel unless the requester
 		// already holds it.
 		acksDone = t
-		entry.Sharers.Others(sock.id).ForEach(func(sidx int) {
+		act.Invalidate.ForEach(func(sidx int) {
 			acksDone = sim.Max(acksDone, m.invalidateSharer(t, home, m.sockets[sidx], sock, b))
 		})
 		if upgrade || res.Hit {
@@ -115,13 +111,8 @@ func (e *fullDirEngine) WriteMiss(now sim.Time, sock *Socket, coreID int, b addr
 			dataDone = m.sendData(m.homeRead(t, home, sock, b), home, sock)
 		}
 	}
-	done := sim.Max(dataDone, acksDone)
-	home.dir.Update(b, coherence.Entry{
-		State:   coherence.DirModified,
-		Owner:   sock.id,
-		Sharers: coherence.NewSharerSet(sock.id),
-	})
-	return done
+	home.dir.Update(b, next)
+	return sim.Max(dataDone, acksDone)
 }
 
 func (e *fullDirEngine) LLCEvict(now sim.Time, sock *Socket, victim cache.Victim) {
@@ -134,18 +125,14 @@ func (e *fullDirEngine) LLCEvict(now sim.Time, sock *Socket, victim cache.Victim
 		return
 	}
 	// Tell the (unbounded) directory this socket no longer caches the
-	// victim, so later writes do not invalidate it needlessly.
+	// victim (a PutX, which drops the socket from the sharers), so later
+	// writes do not invalidate it needlessly.
 	home := m.home(v.Block)
-	if entry, ok := home.dir.Probe(v.Block); ok && !sock.llc.Contains(v.Block) {
-		entry.Sharers = entry.Sharers.Remove(sock.id)
-		if entry.State == coherence.DirModified && entry.Owner == sock.id {
-			entry.State = coherence.DirShared
-		}
-		if entry.Sharers.Empty() {
-			home.dir.Remove(v.Block)
-		} else {
-			home.dir.Update(v.Block, entry)
-		}
+	if sock.llc.Contains(v.Block) {
+		return
+	}
+	if next, act := m.dirTransition(home, v.Block, sock.id, core.PutX, false); !act.Stale {
+		home.dir.Update(v.Block, next)
 		m.sendControl(now, sock, home)
 	}
 }

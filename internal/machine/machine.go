@@ -29,8 +29,7 @@ type Machine struct {
 
 	engine Engine
 
-	// counters holds the machine-level counts not owned by a component;
-	// its broadcast fields stay zero (the C3D directories count those).
+	// counters holds the machine-level counts not owned by a component.
 	counters    Counters
 	loadLatency stats.LatencyAccumulator
 
@@ -87,9 +86,6 @@ func New(cfg Config) *Machine {
 	for _, s := range m.sockets {
 		if s.dir != nil {
 			s.dir.SetStalePredicate(uncached)
-		}
-		if s.c3dDir != nil {
-			s.c3dDir.SetStalePredicate(uncached)
 		}
 	}
 
@@ -329,6 +325,28 @@ func (m *Machine) forwardRead(now sim.Time, home, owner, requester *Socket, b ad
 	return m.sendData(t, owner, requester)
 }
 
+// forwardWrite is a write forwarded by the home directory to the socket that
+// holds b Modified on chip: the owner drops every copy, its private DRAM
+// cache's included, and sends the data to the requester. It returns the
+// data's arrival, which also acknowledges the owner's invalidation.
+func (m *Machine) forwardWrite(now sim.Time, home, owner, requester *Socket, b addr.Block) sim.Time {
+	t := m.sendControl(now, home, owner).Add(m.cfg.LLCTagLatency).Add(m.cfg.LLCDataLatency)
+	owner.invalidateOnChip(b)
+	if dc := m.privateDRAMCache(owner); dc != nil {
+		dc.Invalidate(b)
+	}
+	return m.sendData(t, owner, requester)
+}
+
+// serveRead is a read's data leg as the home directory decided it: a
+// forward to the on-chip owner, or the home's own copy.
+func (m *Machine) serveRead(now sim.Time, home, requester *Socket, b addr.Block, act core.Action) sim.Time {
+	if act.Source == core.FromOwnerLLC {
+		return m.forwardRead(now, home, m.sockets[act.Owner], requester, b)
+	}
+	return m.sendData(m.homeRead(now, home, requester, b), home, requester)
+}
+
 // invalidateSharer sends an invalidation of b from the home to target,
 // which drops its on-chip copies and its private DRAM cache's copy (paying
 // that cache's access), and returns when target's acknowledgement reaches
@@ -360,12 +378,28 @@ func (m *Machine) fillVictimCache(now sim.Time, sock *Socket, victim cache.Victi
 	return v
 }
 
+// dirTransition looks b up in home's directory slice and runs the design's
+// Fig. 5 transition for req from the requester socket, counting a broadcast
+// the directory decides on or the private-page filter avoids. The caller
+// stores the next entry, unless the action is stale.
+func (m *Machine) dirTransition(home *Socket, b addr.Block, requester int, req core.Request, pagePrivate bool) (coherence.Entry, core.Action) {
+	cur, _ := home.dir.Lookup(b)
+	next, act := core.Transition(m.spec.Dir, cur, requester, req, pagePrivate)
+	if act.Broadcast {
+		m.counters.Broadcasts++
+	}
+	if act.BroadcastAvoided {
+		m.counters.BroadcastsAvoided++
+	}
+	return next, act
+}
+
 // dirLatency returns the global directory access latency.
 func (m *Machine) dirLatency() sim.Cycles { return m.cfg.GlobalDirLatency }
 
 // Counters returns the machine-level counters accumulated since the machine
-// was built or last warmed up. Broadcast counts are aggregated from
-// the C3D directory slices; they are zero for the other designs.
+// was built or last warmed up. Broadcast counts are zero for the designs
+// whose directory never broadcasts.
 //
 //c3dlint:allow unused(the counters the machine tests check protocol behaviour with)
 func (m *Machine) Counters() Counters {

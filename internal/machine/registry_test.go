@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"c3d/internal/core"
 )
 
 func TestDesignsOrderAndRegistration(t *testing.T) {
@@ -23,7 +25,8 @@ func TestDesignsOrderAndRegistration(t *testing.T) {
 }
 
 // TestDesignTableInvariants checks every entry of the design table is
-// well-formed: a non-empty unique name and both factories.
+// well-formed: a non-empty unique name, an engine factory, and directory
+// traits only with a directory.
 func TestDesignTableInvariants(t *testing.T) {
 	seen := map[Design]bool{}
 	for _, spec := range designs {
@@ -34,8 +37,11 @@ func TestDesignTableInvariants(t *testing.T) {
 			t.Errorf("design %q listed twice", spec.Name)
 		}
 		seen[spec.Name] = true
-		if spec.NewEngine == nil || spec.NewDirectories == nil {
-			t.Errorf("design %q is missing a factory", spec.Name)
+		if spec.NewEngine == nil {
+			t.Errorf("design %q is missing its engine factory", spec.Name)
+		}
+		if spec.Directory == noDirectory && spec.Dir != (core.DirTraits{}) {
+			t.Errorf("design %q has directory traits but no directory", spec.Name)
 		}
 	}
 }

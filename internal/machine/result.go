@@ -113,11 +113,6 @@ func (m *Machine) tally() tally {
 		Elided:   m.filter.Elided(),
 	}
 	for _, s := range m.sockets {
-		if s.c3dDir != nil {
-			ds := s.c3dDir.Stats()
-			t.Broadcasts += ds.Broadcasts
-			t.BroadcastsAvoided += ds.BroadcastsAvd
-		}
 		if s.dramCache != nil {
 			eachU64(&t.DRAM, s.dramCache.Stats(), add)
 		}

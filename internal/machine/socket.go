@@ -6,7 +6,6 @@ import (
 	"c3d/internal/addr"
 	"c3d/internal/cache"
 	"c3d/internal/coherence"
-	"c3d/internal/core"
 	"c3d/internal/cpu"
 	"c3d/internal/dram"
 	"c3d/internal/dramcache"
@@ -27,15 +26,14 @@ type Socket struct {
 	dramCache *dramcache.Cache // nil for the Baseline design; memory-side under SharedDRAM
 	mem       *dram.Controller
 
-	// Directory slices. The C3D designs use the protocol-aware directory
-	// from internal/core; the other designs use the generic structure.
-	// Snoopy has neither: its snoops replace the directory.
-	c3dDir *core.Directory      // C3D, C3DFullDir
-	dir    *coherence.Directory // Baseline, FullDir, SharedDRAM
+	// dir is this socket's slice of the global directory, organised as the
+	// design's table entry says and moved by core.Transition with its
+	// traits. Nil for snoopy, whose snoops replace the directory.
+	dir *coherence.Directory
 }
 
 // newSocket builds socket id from the machine configuration; the design spec
-// contributes the directory slices.
+// says which directory slice it gets.
 func newSocket(id int, cfg Config, spec DesignSpec) *Socket {
 	s := &Socket{id: id, cfg: cfg}
 	for c := 0; c < cfg.CoresPerSocket; c++ {
@@ -79,8 +77,13 @@ func newSocket(id int, cfg Config, spec DesignSpec) *Socket {
 		}
 		s.dramCache = dramcache.New(dcCfg)
 	}
-	dirs := spec.NewDirectories(id, cfg)
-	s.c3dDir, s.dir = dirs.C3D, dirs.Generic
+	if spec.Directory != noDirectory {
+		dc := coherence.DirConfig{Name: fmt.Sprintf("gdir.%d", id)}
+		if spec.Directory == sparseDirectory {
+			dc.Entries, dc.Ways = cfg.DirEntries(), cfg.DirWays
+		}
+		s.dir = coherence.NewDirectory(dc)
+	}
 	return s
 }
 
@@ -161,15 +164,11 @@ func (s *Socket) downgradeOnChip(b addr.Block) bool {
 	return present
 }
 
-// resetStats clears the socket's counters (DRAM cache, C3D directory) and
-// its channel occupancy without evicting contents. Used at the warm-up
-// boundary.
+// resetStats clears the socket's counters (DRAM cache) and its channel
+// occupancy without evicting contents. Used at the warm-up boundary.
 func (s *Socket) resetStats() {
 	s.mem.ResetStats()
 	if s.dramCache != nil {
 		s.dramCache.ResetStats()
-	}
-	if s.c3dDir != nil {
-		s.c3dDir.ResetStats()
 	}
 }
