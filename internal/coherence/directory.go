@@ -15,17 +15,6 @@ type Entry struct {
 	Owner   int
 }
 
-// OwnerSet returns the owner socket as a sharer set (convenience for
-// invalidation fan-out).
-//
-//c3dlint:allow unused(no caller outside its tests; deletion deferred to ROADMAP item 9)
-func (e Entry) OwnerSet() SharerSet {
-	if e.State != DirModified {
-		return 0
-	}
-	return NewSharerSet(e.Owner)
-}
-
 // DirConfig describes one socket's slice of the global directory.
 type DirConfig struct {
 	// Name identifies the slice in diagnostics, e.g. "gdir0".

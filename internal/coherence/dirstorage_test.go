@@ -69,14 +69,3 @@ func TestNonInclusiveDirectorySavings(t *testing.T) {
 		t.Errorf("non-inclusive cost %d should be far below inclusive cost %d", noninc, incl)
 	}
 }
-
-func TestOwnerSet(t *testing.T) {
-	e := Entry{State: DirModified, Owner: 3}
-	if !e.OwnerSet().Only(3) {
-		t.Errorf("OwnerSet() = %v, want {3}", e.OwnerSet())
-	}
-	e = Entry{State: DirShared, Sharers: NewSharerSet(1, 2)}
-	if !e.OwnerSet().Empty() {
-		t.Errorf("OwnerSet() of a Shared entry = %v, want empty", e.OwnerSet())
-	}
-}

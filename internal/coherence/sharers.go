@@ -58,14 +58,6 @@ func (s SharerSet) Count() int { return bits.OnesCount64(uint64(s)) }
 // Empty reports whether the set has no members.
 func (s SharerSet) Empty() bool { return s == 0 }
 
-// Only reports whether the set contains exactly the given socket.
-//
-//c3dlint:allow unused(no caller outside its tests; deletion deferred to ROADMAP item 9)
-func (s SharerSet) Only(socket int) bool {
-	checkSocket(socket)
-	return s == 1<<uint(socket)
-}
-
 // Others returns the set with socket removed — the sockets that must receive
 // invalidations when socket itself is the writer.
 func (s SharerSet) Others(socket int) SharerSet { return s.Remove(socket) }
@@ -79,20 +71,6 @@ func (s SharerSet) ForEach(fn func(socket int)) {
 		v &^= 1 << uint(i)
 	}
 }
-
-// Sockets returns the members in ascending order.
-//
-//c3dlint:allow unused(no caller outside its tests; deletion deferred to ROADMAP item 9)
-func (s SharerSet) Sockets() []int {
-	out := make([]int, 0, s.Count())
-	s.ForEach(func(i int) { out = append(out, i) })
-	return out
-}
-
-// Union returns the union of two sets.
-//
-//c3dlint:allow unused(no caller outside its tests; deletion deferred to ROADMAP item 9)
-func (s SharerSet) Union(o SharerSet) SharerSet { return s | o }
 
 // String renders the set like "{0,2,3}".
 func (s SharerSet) String() string {

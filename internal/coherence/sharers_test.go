@@ -41,22 +41,6 @@ func TestSharerSetAddIdempotent(t *testing.T) {
 	}
 }
 
-func TestSharerSetOnly(t *testing.T) {
-	s := NewSharerSet(2)
-	if !s.Only(2) {
-		t.Error("Only(2) should be true for {2}")
-	}
-	if s.Only(1) {
-		t.Error("Only(1) should be false for {2}")
-	}
-	if s.Add(3).Only(2) {
-		t.Error("Only(2) should be false for {2,3}")
-	}
-	if (SharerSet(0)).Only(0) {
-		t.Error("Only(0) should be false for the empty set")
-	}
-}
-
 func TestSharerSetOthers(t *testing.T) {
 	s := NewSharerSet(0, 1, 2, 3)
 	o := s.Others(1)
@@ -72,35 +56,12 @@ func TestSharerSetOthers(t *testing.T) {
 	}
 }
 
-func TestSharerSetSocketsOrdered(t *testing.T) {
-	s := NewSharerSet(3, 0, 2)
-	got := s.Sockets()
-	want := []int{0, 2, 3}
-	if len(got) != len(want) {
-		t.Fatalf("Sockets() = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Sockets() = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestSharerSetString(t *testing.T) {
 	if got := NewSharerSet(0, 3).String(); got != "{0,3}" {
 		t.Errorf("String() = %q, want %q", got, "{0,3}")
 	}
 	if got := SharerSet(0).String(); got != "{}" {
 		t.Errorf("empty String() = %q, want %q", got, "{}")
-	}
-}
-
-func TestSharerSetUnion(t *testing.T) {
-	a := NewSharerSet(0, 1)
-	b := NewSharerSet(1, 3)
-	u := a.Union(b)
-	if u != NewSharerSet(0, 1, 3) {
-		t.Errorf("Union = %v, want {0,1,3}", u)
 	}
 }
 
