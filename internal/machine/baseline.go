@@ -40,10 +40,9 @@ func handleRecall(m *Machine, now sim.Time, home *Socket, recall coherence.Recal
 		arr := m.sendControl(now, home, target)
 		victim := target.invalidateOnChip(recall.Block)
 		if victim.Valid && victim.Dirty {
-			// Straight to memory: a recalled write-back bypasses the home
-			// port, and so any memory-side DRAM cache.
-			wb := m.sendData(arr, target, home)
-			m.memWrite(wb, home, target, recall.Block)
+			// The dirty copy is written back through the home port, like
+			// every other write-back.
+			m.homeWrite(m.sendData(arr, target, home), home, target, recall.Block)
 		} else {
 			m.sendControl(arr, target, home)
 		}

@@ -165,6 +165,33 @@ func TestC3DLocalDRAMCacheHitAfterLLCEviction(t *testing.T) {
 	}
 }
 
+// TestSharedRecallWritesBackThroughHomePort recalls a dirty block from a
+// one-entry directory under shared: its write-back must go through the home
+// port, so the home's memory-side DRAM cache ends with the block dirty, not
+// with the stale clean copy the first write's fill left there.
+func TestSharedRecallWritesBackThroughHomePort(t *testing.T) {
+	cfg := testConfig(SharedDRAM)
+	cfg.DirWays, cfg.DirProvisioning = 1, 1e-9
+	m := New(cfg)
+	if n := cfg.DirEntries(); n != 1 {
+		t.Fatalf("directory has %d entries per slice, want 1", n)
+	}
+	a, b := addrHomedAt(1, 0), addrHomedAt(1, addr.BlockBytes)
+	// Socket 0 writes a, then b: b's entry takes the slice's only way, and
+	// recalls a while socket 0 holds it dirty.
+	m.Write(m.Write(0, 0, a), 0, b)
+	if m.Counters().DirRecalls != 1 {
+		t.Fatalf("DirRecalls = %d, want 1", m.Counters().DirRecalls)
+	}
+	if m.Sockets()[0].LLC().Contains(addr.BlockOf(a)) {
+		t.Fatal("the recall left socket 0's copy in place")
+	}
+	line, ok, _ := m.Sockets()[1].DRAMCache().Probe(0, addr.BlockOf(a))
+	if !ok || !line.Dirty {
+		t.Errorf("home DRAM cache holds a: %v, dirty %v; want the recalled data, dirty", ok, line.Dirty)
+	}
+}
+
 func TestC3DWriteBroadcastsForUntrackedBlocks(t *testing.T) {
 	m := New(testConfig(C3D))
 	a := addrHomedAt(1, 0)
