@@ -152,9 +152,10 @@ type Action struct {
 	Broadcast bool
 	// BroadcastAvoided marks a broadcast the private-page filter elided.
 	BroadcastAvoided bool
-	// Stale marks a request the directory ignores: the entry stays as it
-	// was, replacement order included.
-	Stale bool
+	// Keep leaves the entry as it was, replacement order included: the
+	// request was a stale PutX, whose data is discarded, or a read that a
+	// non-inclusive directory does not track.
+	Keep bool
 }
 
 // Transition is the home directory's transition function (Fig. 5): given a
@@ -172,10 +173,8 @@ func Transition(tr DirTraits, cur coherence.Entry, from int, req Request, pagePr
 	case GetS:
 		switch {
 		case cur.State == coherence.DirInvalid && !tr.AllocOnGetS:
-			return coherence.Entry{}, Action{}
-		case cur.State != coherence.DirModified:
-			return sharedBy(cur.Sharers.Add(from)), Action{}
-		case own && tr.Stale == StaleTrustsRequester:
+			return cur, Action{Keep: true}
+		case cur.State != coherence.DirModified, own && tr.Stale == StaleTrustsRequester:
 			return sharedBy(cur.Sharers.Add(from)), Action{}
 		default:
 			next := sharedBy(cur.Sharers.Add(cur.Owner).Add(from))
@@ -198,7 +197,7 @@ func Transition(tr DirTraits, cur coherence.Entry, from int, req Request, pagePr
 		case cur.State == coherence.DirInvalid,
 			!own && tr.Stale == StaleFig5,
 			cur.State == coherence.DirModified && !own && tr.Stale == StaleKeepsOwner:
-			return cur, Action{Stale: true}
+			return cur, Action{Keep: true}
 		case tr.PutX == PutXLeavesShared:
 			return sharedBy(coherence.NewSharerSet(from)), Action{}
 		case tr.PutX == PutXDropsSender:

@@ -15,8 +15,9 @@ import (
 // act. States and entries are written I, S{sharers}, or M<owner> (whose
 // sharers are the owner alone); "PutX3" is a PutX from socket 3, which
 // holds nothing. An action lists the data source (mem, or fwd<owner>), the
-// invalidated sharers, bcast or avoided, or reads "stale" for an ignored
-// request and "panic" for one the protocol model cannot see.
+// invalidated sharers, bcast or avoided, and keep when the entry is left as
+// it was (a PutX lists nothing else); "panic" marks a request the protocol
+// model cannot see.
 type transitionRow struct {
 	designs string // space-separated trait-set names
 	state   string
@@ -42,20 +43,20 @@ var transitionRows = []transitionRow{
 	// leaves a read untracked, and only it broadcasts a write, unless the
 	// page is private to the writer. A PutX finds nothing to give up.
 	{"baseline full-dir c3d-full-dir model-c3d-full-dir", "I", "GetS", "", "S{0}", "mem"},
-	{"c3d model-c3d", "I", "GetS", "", "I", "mem"},
+	{"c3d model-c3d", "I", "GetS", "", "I", "mem keep"},
 	{"baseline full-dir c3d-full-dir model-c3d-full-dir", "I", "GetX", "", "M0", "mem"},
 	{"c3d model-c3d", "I", "GetX", "no", "M0", "mem bcast"},
 	{"c3d model-c3d", "I", "GetX", "yes", "M0", "mem avoided"},
-	{"baseline full-dir c3d c3d-full-dir model-c3d model-c3d-full-dir", "I", "PutX", "", "I", "stale"},
-	{"baseline full-dir c3d c3d-full-dir model-c3d model-c3d-full-dir", "I", "PutX3", "", "I", "stale"},
+	{"baseline full-dir c3d c3d-full-dir model-c3d model-c3d-full-dir", "I", "PutX", "", "I", "keep"},
+	{"baseline full-dir c3d c3d-full-dir model-c3d model-c3d-full-dir", "I", "PutX3", "", "I", "keep"},
 
 	// Shared: memory is up to date. A read joins the sharers; a write
 	// invalidates exactly the others. Fig. 5 ignores a PutX here (it raced
 	// a forward); the timed directories take it as a write-back.
 	{"baseline full-dir c3d c3d-full-dir model-c3d model-c3d-full-dir", "S{0,2}", "GetS", "", "S{0,2}", "mem"},
 	{"baseline full-dir c3d c3d-full-dir model-c3d model-c3d-full-dir", "S{0,2}", "GetX", "", "M0", "mem inv{2}"},
-	{"model-c3d model-c3d-full-dir", "S{0,2}", "PutX", "", "S{0,2}", "stale"},
-	{"model-c3d model-c3d-full-dir", "S{0,2}", "PutX3", "", "S{0,2}", "stale"},
+	{"model-c3d model-c3d-full-dir", "S{0,2}", "PutX", "", "S{0,2}", "keep"},
+	{"model-c3d model-c3d-full-dir", "S{0,2}", "PutX3", "", "S{0,2}", "keep"},
 	{"baseline c3d", "S{0,2}", "PutX", "", "I", ""},
 	{"baseline c3d", "S{0,2}", "PutX3", "", "I", ""},
 	{"c3d-full-dir", "S{0,2}", "PutX", "", "S{0}", ""},
@@ -75,7 +76,7 @@ var transitionRows = []transitionRow{
 	// c3d-full-dir keeps tracking.
 	{"baseline full-dir c3d model-c3d", "M0", "PutX", "", "I", ""},
 	{"c3d-full-dir model-c3d-full-dir", "M0", "PutX", "", "S{0}", ""},
-	{"c3d c3d-full-dir model-c3d model-c3d-full-dir", "M0", "PutX3", "", "M0", "stale"},
+	{"c3d c3d-full-dir model-c3d model-c3d-full-dir", "M0", "PutX3", "", "M0", "keep"},
 	{"baseline", "M0", "PutX3", "", "I", ""},
 	{"full-dir", "M0", "PutX3", "", "M0", ""},
 
@@ -85,8 +86,8 @@ var transitionRows = []transitionRow{
 	// full-dir, which drops the sender from sharers it is not in.
 	{"baseline full-dir c3d c3d-full-dir model-c3d model-c3d-full-dir", "M2", "GetS", "", "S{0,2}", "fwd2"},
 	{"baseline full-dir c3d c3d-full-dir model-c3d model-c3d-full-dir", "M2", "GetX", "", "M0", "fwd2"},
-	{"c3d c3d-full-dir model-c3d model-c3d-full-dir", "M2", "PutX", "", "M2", "stale"},
-	{"c3d c3d-full-dir model-c3d model-c3d-full-dir", "M2", "PutX3", "", "M2", "stale"},
+	{"c3d c3d-full-dir model-c3d model-c3d-full-dir", "M2", "PutX", "", "M2", "keep"},
+	{"c3d c3d-full-dir model-c3d model-c3d-full-dir", "M2", "PutX3", "", "M2", "keep"},
 	{"baseline", "M2", "PutX", "", "I", ""},
 	{"baseline", "M2", "PutX3", "", "I", ""},
 	{"full-dir", "M2", "PutX", "", "M2", ""},
@@ -160,8 +161,6 @@ func transitionOf(tr DirTraits, state, req string, private bool) (next, act stri
 	}
 	var parts []string
 	switch {
-	case a.Stale:
-		parts = append(parts, "stale")
 	case r == PutX:
 	case a.Source == FromOwnerLLC:
 		parts = append(parts, fmt.Sprintf("fwd%d", a.Owner))
@@ -176,6 +175,9 @@ func transitionOf(tr DirTraits, state, req string, private bool) (next, act stri
 	}
 	if a.BroadcastAvoided {
 		parts = append(parts, "avoided")
+	}
+	if a.Keep {
+		parts = append(parts, "keep")
 	}
 	return next, strings.Join(parts, " ")
 }

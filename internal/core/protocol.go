@@ -578,7 +578,7 @@ func (m *ProtocolModel) dirGetX(s *protoState, msg message) *protoState {
 
 func (m *ProtocolModel) dirPutX(s *protoState, msg message) *protoState {
 	next, act := Transition(m.dir, s.dirEntry(), int(msg.Src), PutX, false)
-	if !act.Stale {
+	if !act.Keep {
 		// The owner's write-back: the clean property is maintained by
 		// writing the data through to memory. A stale PutX (the socket
 		// already lost ownership) updates nothing.

@@ -64,7 +64,7 @@ func (e *baselineEngine) ReadMiss(now sim.Time, sock *Socket, coreID int, b addr
 	// hierarchy; otherwise the home supplies it.
 	next, act := m.dirTransition(home, b, sock.id, core.GetS, false)
 	t = m.serveRead(t, home, sock, b, act)
-	handleRecall(m, t, home, home.dir.Update(b, next))
+	handleRecall(m, t, home, home.dirUpdate(b, next, act))
 	return t
 }
 
@@ -80,20 +80,11 @@ func (e *baselineEngine) WriteMiss(now sim.Time, sock *Socket, coreID int, b add
 		// dirty) block and invalidates its copies.
 		done = m.forwardWrite(t, home, m.sockets[act.Owner], sock, b)
 	} else {
-		// Invalidate the tracked sharers; data comes from the home (which is
-		// up to date unless a socket owns the block) in parallel.
-		done = t
-		act.Invalidate.ForEach(func(sidx int) {
-			done = sim.Max(done, m.invalidateSharer(t, home, m.sockets[sidx], sock, b))
-		})
-		if upgrade {
-			// The requester already holds the data; only the grant returns.
-			done = sim.Max(done, m.sendControl(t, home, sock))
-		} else {
-			done = sim.Max(done, m.sendData(m.homeRead(t, home, sock, b), home, sock))
-		}
+		// Invalidate the tracked sharers; the home, up to date unless a
+		// socket owns the block, supplies the data in parallel.
+		done = m.serveWrite(t, home, sock, b, act.Invalidate, upgrade)
 	}
-	handleRecall(m, done, home, home.dir.Update(b, next))
+	handleRecall(m, done, home, home.dirUpdate(b, next, act))
 	return done
 }
 
@@ -105,9 +96,8 @@ func (e *baselineEngine) LLCEvict(now sim.Time, sock *Socket, victim cache.Victi
 		// (PutX). Off the requesting core's critical path.
 		wb := m.sendData(now, sock, home)
 		m.homeWrite(wb, home, sock, victim.Block)
-		if next, act := m.dirTransition(home, victim.Block, sock.id, core.PutX, false); !act.Stale {
-			home.dir.Update(victim.Block, next)
-		}
+		next, act := m.dirTransition(home, victim.Block, sock.id, core.PutX, false)
+		home.dirUpdate(victim.Block, next, act)
 		m.sendControl(wb, home, sock) // write-back acknowledgement
 		return
 	}

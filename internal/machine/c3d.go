@@ -37,7 +37,7 @@ func (e *c3dEngine) ReadMiss(now sim.Time, sock *Socket, coreID int, b addr.Bloc
 	t = dirRequestArrival(m, t, sock, home)
 
 	next, act := m.dirTransition(home, b, sock.id, core.GetS, false)
-	handleRecall(m, t, home, home.dir.Update(b, next))
+	handleRecall(m, t, home, home.dirUpdate(b, next, act))
 	// The only possible Modified copies are on-chip (clean DRAM caches), so
 	// a forward always terminates at the owner's LLC — never at a remote
 	// DRAM cache. Otherwise memory supplies the data, and remote DRAM
@@ -56,7 +56,7 @@ func (e *c3dEngine) WriteMiss(now sim.Time, sock *Socket, coreID int, b addr.Blo
 
 	pagePrivate := m.filter.PagePrivate(b, coreID)
 	next, act := m.dirTransition(home, b, sock.id, core.GetX, pagePrivate)
-	handleRecall(m, t, home, home.dir.Update(b, next))
+	handleRecall(m, t, home, home.dirUpdate(b, next, act))
 
 	if act.Source == core.FromOwnerLLC {
 		// Ownership transfer from the previous owner's on-chip hierarchy;
@@ -72,20 +72,7 @@ func (e *c3dEngine) WriteMiss(now sim.Time, sock *Socket, coreID int, b addr.Blo
 	if act.Broadcast {
 		targets = coherence.AllSockets(len(m.sockets)).Others(sock.id)
 	}
-	acksDone := t
-	targets.ForEach(func(sidx int) {
-		acksDone = sim.Max(acksDone, m.invalidateSharer(t, home, m.sockets[sidx], sock, b))
-	})
-	return sim.Max(e.writeData(t, sock, home, b, upgrade || res.Hit), acksDone)
-}
-
-// writeData models the data (or dataless grant) leg of a write request.
-func (e *c3dEngine) writeData(now sim.Time, sock, home *Socket, b addr.Block, haveData bool) sim.Time {
-	m := e.m
-	if haveData {
-		return m.sendControl(now, home, sock)
-	}
-	return m.sendData(m.homeRead(now, home, sock, b), home, sock)
+	return m.serveWrite(t, home, sock, b, targets, upgrade || res.Hit)
 }
 
 func (e *c3dEngine) LLCEvict(now sim.Time, sock *Socket, victim cache.Victim) {
@@ -98,9 +85,8 @@ func (e *c3dEngine) LLCEvict(now sim.Time, sock *Socket, victim cache.Victim) {
 		wb := m.sendData(now, sock, home)
 		m.homeWrite(wb, home, sock, victim.Block)
 		if action.NotifyDirectory {
-			if next, act := m.dirTransition(home, victim.Block, sock.id, core.PutX, false); !act.Stale {
-				home.dir.Update(victim.Block, next)
-			}
+			next, act := m.dirTransition(home, victim.Block, sock.id, core.PutX, false)
+			home.dirUpdate(victim.Block, next, act)
 			m.sendControl(wb, home, sock) // write-back acknowledgement
 		}
 	}

@@ -67,7 +67,7 @@ func (e *fullDirEngine) ReadMiss(now sim.Time, sock *Socket, coreID int, b addr.
 		// touching any remote DRAM cache.
 		t = m.sendData(m.homeRead(t, home, sock, b), home, sock)
 	}
-	home.dir.Update(b, next)
+	home.dirUpdate(b, next, act)
 	return t
 }
 
@@ -79,8 +79,7 @@ func (e *fullDirEngine) WriteMiss(now sim.Time, sock *Socket, coreID int, b addr
 	t = dirRequestArrival(m, t, sock, home)
 
 	next, act := m.dirTransition(home, b, sock.id, core.GetX, false)
-	var dataDone, acksDone sim.Time
-
+	var done sim.Time
 	if act.Source == core.FromOwnerLLC {
 		owner := m.sockets[act.Owner]
 		fwd := m.sendControl(t, home, owner)
@@ -95,24 +94,15 @@ func (e *fullDirEngine) WriteMiss(now sim.Time, sock *Socket, coreID int, b addr
 		}
 		owner.invalidateOnChip(b)
 		owner.dramCache.Invalidate(b)
-		dataDone = m.sendData(fwd, owner, sock)
-		acksDone = dataDone
+		done = m.sendData(fwd, owner, sock)
 	} else {
 		// Invalidate precisely the tracked sharers (their DRAM caches
 		// included); data comes from memory in parallel unless the requester
 		// already holds it.
-		acksDone = t
-		act.Invalidate.ForEach(func(sidx int) {
-			acksDone = sim.Max(acksDone, m.invalidateSharer(t, home, m.sockets[sidx], sock, b))
-		})
-		if upgrade || res.Hit {
-			dataDone = m.sendControl(t, home, sock)
-		} else {
-			dataDone = m.sendData(m.homeRead(t, home, sock, b), home, sock)
-		}
+		done = m.serveWrite(t, home, sock, b, act.Invalidate, upgrade || res.Hit)
 	}
-	home.dir.Update(b, next)
-	return sim.Max(dataDone, acksDone)
+	home.dirUpdate(b, next, act)
+	return done
 }
 
 func (e *fullDirEngine) LLCEvict(now sim.Time, sock *Socket, victim cache.Victim) {
@@ -131,7 +121,7 @@ func (e *fullDirEngine) LLCEvict(now sim.Time, sock *Socket, victim cache.Victim
 	if sock.llc.Contains(v.Block) {
 		return
 	}
-	if next, act := m.dirTransition(home, v.Block, sock.id, core.PutX, false); !act.Stale {
+	if next, act := m.dirTransition(home, v.Block, sock.id, core.PutX, false); !act.Keep {
 		home.dir.Update(v.Block, next)
 		m.sendControl(now, sock, home)
 	}

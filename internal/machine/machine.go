@@ -347,6 +347,21 @@ func (m *Machine) serveRead(now sim.Time, home, requester *Socket, b addr.Block,
 	return m.sendData(m.homeRead(now, home, requester, b), home, requester)
 }
 
+// serveWrite is a write's legs when the home holds the data: the
+// invalidations of targets and, in parallel, the data, or only the grant
+// when the requester already has the data. It returns when the last of them
+// reaches the requester.
+func (m *Machine) serveWrite(now sim.Time, home, requester *Socket, b addr.Block, targets coherence.SharerSet, haveData bool) sim.Time {
+	done := now
+	targets.ForEach(func(sidx int) {
+		done = sim.Max(done, m.invalidateSharer(now, home, m.sockets[sidx], requester, b))
+	})
+	if haveData {
+		return sim.Max(done, m.sendControl(now, home, requester))
+	}
+	return sim.Max(done, m.sendData(m.homeRead(now, home, requester, b), home, requester))
+}
+
 // invalidateSharer sends an invalidation of b from the home to target,
 // which drops its on-chip copies and its private DRAM cache's copy (paying
 // that cache's access), and returns when target's acknowledgement reaches

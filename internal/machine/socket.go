@@ -6,6 +6,7 @@ import (
 	"c3d/internal/addr"
 	"c3d/internal/cache"
 	"c3d/internal/coherence"
+	"c3d/internal/core"
 	"c3d/internal/cpu"
 	"c3d/internal/dram"
 	"c3d/internal/dramcache"
@@ -85,6 +86,16 @@ func newSocket(id int, cfg Config, spec DesignSpec) *Socket {
 		s.dir = coherence.NewDirectory(dc)
 	}
 	return s
+}
+
+// dirUpdate stores the entry a directory transition chose in the socket's
+// slice, unless the transition keeps the old one, and returns the recall
+// the store forces.
+func (s *Socket) dirUpdate(b addr.Block, next coherence.Entry, act core.Action) coherence.Recall {
+	if act.Keep {
+		return coherence.Recall{}
+	}
+	return s.dir.Update(b, next)
 }
 
 // LLC returns the socket's last-level cache.
