@@ -47,6 +47,11 @@ type Directory struct {
 	setMask uint64
 	sets    [][]dirLine
 	tick    uint64
+	// found is the way of its set where Lookup last found a block. A
+	// protocol engine looks a block up, decides, then stores its next entry
+	// with Update or Remove; they try this way first and skip their scan
+	// when it still holds the block.
+	found int
 
 	// stale, when set, reports whether a tracked block is no longer cached
 	// anywhere, letting the replacement policy victimise stale entries
@@ -116,6 +121,7 @@ func (d *Directory) Lookup(b addr.Block) (Entry, bool) {
 		if set[i].valid && set[i].block == b {
 			d.tick++
 			set[i].lastUse = d.tick
+			d.found = i
 			return set[i].entry, true
 		}
 	}
@@ -164,6 +170,12 @@ func (d *Directory) Update(b addr.Block, e Entry) Recall {
 	}
 	s := d.index(b)
 	set := d.sets[s]
+	if i := d.found; i < len(set) && set[i].valid && set[i].block == b {
+		d.tick++
+		set[i].entry = e
+		set[i].lastUse = d.tick
+		return Recall{}
+	}
 	free, lru := -1, 0
 	for i := range set {
 		if !set[i].valid {
@@ -223,6 +235,10 @@ func (d *Directory) Remove(b addr.Block) bool {
 		return false
 	}
 	set := d.sets[d.index(b)]
+	if i := d.found; i < len(set) && set[i].valid && set[i].block == b {
+		set[i] = dirLine{}
+		return true
+	}
 	for i := range set {
 		if set[i].valid && set[i].block == b {
 			set[i] = dirLine{}
