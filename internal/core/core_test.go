@@ -182,6 +182,157 @@ func transitionOf(tr DirTraits, state, req string, private bool) (next, act stri
 	return next, strings.Join(parts, " ")
 }
 
+// dirWalk is one block's directory entry as a sequence of requests moves
+// it through Transition.
+type dirWalk struct {
+	tr DirTraits
+	e  coherence.Entry
+}
+
+func (w *dirWalk) do(from int, req Request, pagePrivate bool) Action {
+	var a Action
+	w.e, a = Transition(w.tr, w.e, from, req, pagePrivate)
+	return a
+}
+
+func newC3DWalk() *dirWalk     { return &dirWalk{tr: transitionTraits["c3d"]} }
+func newFullDirWalk() *dirWalk { return &dirWalk{tr: transitionTraits["c3d-full-dir"]} }
+
+func TestGetSInvalidServedByMemoryWithoutAllocation(t *testing.T) {
+	w := newC3DWalk()
+	a := w.do(2, GetS, false)
+	if a.Source != FromMemory {
+		t.Fatalf("Source = %v, want memory", a.Source)
+	}
+	// Non-inclusive directory: GetS in Invalid must NOT allocate an entry
+	// (§IV-B — this is where the storage savings come from).
+	if w.e.State != coherence.DirInvalid || !a.Keep {
+		t.Fatalf("entry after a GetS in Invalid = %+v, keep %v; want untracked", w.e, a.Keep)
+	}
+}
+
+func TestGetXInvalidBroadcasts(t *testing.T) {
+	w := newC3DWalk()
+	a := w.do(1, GetX, false)
+	if !a.Broadcast || a.BroadcastAvoided {
+		t.Fatal("GetX to an untracked block must broadcast invalidations")
+	}
+	if !a.Invalidate.Empty() {
+		t.Errorf("precise invalidations = %v, want none (broadcast covers them)", a.Invalidate)
+	}
+	if a.Source != FromMemory {
+		t.Errorf("Source = %v, want memory", a.Source)
+	}
+	if w.e.State != coherence.DirModified || w.e.Owner != 1 {
+		t.Fatalf("directory entry after GetX = %+v; want Modified owner 1", w.e)
+	}
+}
+
+func TestGetXPrivatePageSkipsBroadcast(t *testing.T) {
+	w := newC3DWalk()
+	a := w.do(0, GetX, true)
+	if a.Broadcast {
+		t.Fatal("GetX to a private page must not broadcast (§IV-D)")
+	}
+	if !a.BroadcastAvoided {
+		t.Error("the elided broadcast is not marked avoided")
+	}
+}
+
+func TestModifiedThenGetSForwardsFromOwner(t *testing.T) {
+	w := newC3DWalk()
+	w.do(3, GetX, false)
+	a := w.do(0, GetS, false)
+	if a.Source != FromOwnerLLC || a.Owner != 3 {
+		t.Fatalf("action = %+v; want forward from owner 3", a)
+	}
+	if w.e.State != coherence.DirShared {
+		t.Errorf("state after GetS = %v, want Shared", w.e.State)
+	}
+	if w.e.Sharers != coherence.NewSharerSet(0, 3) {
+		t.Errorf("sharers = %v, want {0,3}", w.e.Sharers)
+	}
+}
+
+func TestSharedThenGetXInvalidatesPrecisely(t *testing.T) {
+	w := newC3DWalk()
+	// Socket 3 writes, sockets 0 and 1 read: directory ends in Shared{0,1,3}.
+	w.do(3, GetX, false)
+	w.do(0, GetS, false)
+	w.do(1, GetS, false)
+	a := w.do(0, GetX, false)
+	if a.Broadcast {
+		t.Fatal("a tracked Shared block must use precise invalidations, not a broadcast")
+	}
+	if a.Invalidate != coherence.NewSharerSet(1, 3) {
+		t.Errorf("Invalidate = %v, want {1,3}", a.Invalidate)
+	}
+	if a.Source != FromMemory {
+		t.Errorf("Source = %v, want memory (Shared means memory is up to date)", a.Source)
+	}
+	if w.e.State != coherence.DirModified || w.e.Owner != 0 {
+		t.Errorf("entry = %+v, want Modified owner 0", w.e)
+	}
+}
+
+func TestModifiedThenGetXChangesOwner(t *testing.T) {
+	w := newC3DWalk()
+	w.do(2, GetX, false)
+	a := w.do(1, GetX, false)
+	// The forward to the previous owner takes its copy; nothing else is
+	// invalidated.
+	if a.Source != FromOwnerLLC || a.Owner != 2 || !a.Invalidate.Empty() || a.Broadcast {
+		t.Fatalf("action = %+v; want data forwarded from previous owner 2 alone", a)
+	}
+	if w.e.State != coherence.DirModified || w.e.Owner != 1 || w.e.Sharers != coherence.NewSharerSet(1) {
+		t.Errorf("entry = %+v, want Modified owner 1", w.e)
+	}
+}
+
+func TestPutXInvalidatesEntryInBaseC3D(t *testing.T) {
+	w := newC3DWalk()
+	w.do(2, GetX, false)
+	w.do(2, PutX, false)
+	if w.e.State != coherence.DirInvalid {
+		t.Fatalf("entry = %+v; base C3D drops the entry on a write-back (Fig. 5 Modified→Invalid)", w.e)
+	}
+	// A subsequent write is untracked again and must broadcast.
+	if a := w.do(0, GetX, false); !a.Broadcast {
+		t.Error("write after a write-back should broadcast (entry was dropped)")
+	}
+}
+
+func TestPutXKeepsEntrySharedInFullDirVariant(t *testing.T) {
+	w := newFullDirWalk()
+	w.do(2, GetX, false)
+	w.do(2, PutX, false)
+	if w.e.State != coherence.DirShared || w.e.Sharers != coherence.NewSharerSet(2) {
+		t.Fatalf("entry = %+v; want Shared{2} (c3d-full-dir keeps tracking)", w.e)
+	}
+	// With the block still tracked, a later write needs no broadcast.
+	if a := w.do(0, GetX, false); a.Broadcast {
+		t.Error("c3d-full-dir should never broadcast")
+	}
+}
+
+func TestStalePutXIgnored(t *testing.T) {
+	w := newC3DWalk()
+	w.do(2, GetX, false)
+	w.do(1, GetX, false) // ownership moves to socket 1
+	a := w.do(2, PutX, false)
+	if !a.Keep || w.e.State != coherence.DirModified || w.e.Owner != 1 {
+		t.Fatalf("entry = %+v, keep %v; a stale PutX must not disturb the current owner", w.e, a.Keep)
+	}
+}
+
+func TestFullDirGetSAllocates(t *testing.T) {
+	w := newFullDirWalk()
+	w.do(1, GetS, false)
+	if w.e.State != coherence.DirShared || w.e.Sharers != coherence.NewSharerSet(1) {
+		t.Fatalf("entry = %+v; the full-dir variant must track GetS fills", w.e)
+	}
+}
+
 func TestBroadcastFilter(t *testing.T) {
 	classifier := tlb.NewClassifier()
 	// Thread 0 owns page 0 privately; page 1 is shared between threads 0, 1.
