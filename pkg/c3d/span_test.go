@@ -3,6 +3,7 @@ package c3d
 import (
 	"context"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"c3d/internal/trace"
@@ -10,11 +11,13 @@ import (
 )
 
 // countingSource wraps a simulation's source, forwarding its page span (or
-// hiding it) and counting every record the runner reads from it.
+// hiding it) and counting every record the runner reads from it. The runner
+// may read the threads from several goroutines at once, so the count is
+// atomic.
 type countingSource struct {
 	trace.Source
 	hide bool
-	read *int
+	read *atomic.Int64
 }
 
 func (c countingSource) PageSpan() uint64 {
@@ -34,13 +37,13 @@ func (c countingSource) OpenThread(t int) trace.RecordReader {
 
 type countingReader struct {
 	trace.RecordReader
-	read *int
+	read *atomic.Int64
 }
 
 func (r *countingReader) Next() (trace.Record, bool) {
 	rec, ok := r.RecordReader.Next()
 	if ok {
-		*r.read++
+		r.read.Add(1)
 	}
 	return rec, ok
 }
@@ -60,6 +63,7 @@ func TestPlacementStopsEarlyThroughSimulate(t *testing.T) {
 		// run simulates name and returns the result, the records read, and
 		// the init and per-pass thread record counts of its source.
 		run := func(hide bool) (res *SimulateResult, read, init, threads int) {
+			var count atomic.Int64
 			newSource = func(s workload.Spec, o workload.Options) (trace.Source, error) {
 				src, err := workload.NewSource(s, o)
 				if err != nil {
@@ -69,13 +73,13 @@ func TestPlacementStopsEarlyThroughSimulate(t *testing.T) {
 				for th := range src.Threads() {
 					threads += src.ThreadLen(th)
 				}
-				return countingSource{Source: src, hide: hide, read: &read}, nil
+				return countingSource{Source: src, hide: hide, read: &count}, nil
 			}
 			res, err := sess.Simulate(ctx, name)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			return res, read, init, threads
+			return res, int(count.Load()), init, threads
 		}
 		early, read, init, threads := run(false)
 		ref, refRead, _, _ := run(true)
