@@ -62,7 +62,8 @@ type Core struct {
 	clock sim.Time
 	// storeQueue holds the global-performance times of in-flight stores in
 	// issue order. Under TSO stores retire in order, so the head is always
-	// the oldest.
+	// the oldest. It is allocated by the core's first store, so a core that
+	// never stores never pays for it.
 	storeQueue []sim.Time
 	stats      Stats
 }
@@ -72,7 +73,7 @@ func New(cfg Config) *Core {
 	if cfg.StoreQueueEntries <= 0 {
 		cfg.StoreQueueEntries = DefaultStoreQueueEntries
 	}
-	return &Core{cfg: cfg, storeQueue: make([]sim.Time, 0, cfg.StoreQueueEntries)}
+	return &Core{cfg: cfg}
 }
 
 // Now returns the core's current local time.
@@ -143,6 +144,9 @@ func (c *Core) Execute(rec trace.Record, mem MemorySystem) sim.Time {
 		done := mem.Write(c.clock, c.cfg.ID, rec.Addr)
 		if done < c.clock {
 			panic(fmt.Sprintf("cpu %d: memory system returned a write completion %v before issue %v", c.cfg.ID, done, c.clock))
+		}
+		if c.storeQueue == nil {
+			c.storeQueue = make([]sim.Time, 0, c.cfg.StoreQueueEntries)
 		}
 		c.storeQueue = append(c.storeQueue, done)
 		// The store instruction itself occupies the pipeline for one cycle;
