@@ -196,7 +196,7 @@ type traceCall struct {
 	err  error
 }
 
-// traceBudget is the default record budget: 16M records (384 MiB of 24-byte
+// traceBudget is the default record budget: 16M records (256 MiB of 16-byte
 // records). It holds a quick campaign's whole working set — fig6-quick is
 // nine traces of 8 threads × 6000 accesses plus a 9000-record init — and two
 // paper-scale traces (32 threads × 200k accesses plus a 300k init, 6.7M

@@ -2,7 +2,10 @@ package machine
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"runtime"
+	"sync"
 
 	"c3d/internal/addr"
 	"c3d/internal/cpu"
@@ -36,10 +39,19 @@ func DefaultRunOptions() RunOptions { return RunOptions{WarmupFraction: 0.25} }
 // placement (FT1) — it is not executed for timing, matching the paper's
 // methodology of fast-forwarding to the parallel region.
 //
-// The runner pulls records from per-thread readers one at a time, so resident
-// memory is bounded by the source's per-reader window (one record for
-// generators, one chunk for trace files) no matter how long the simulated
-// access streams are — stream length dictates simulation time, not memory.
+// Each thread's stream is read through a prefetching trace.Batches: a
+// producer goroutine per thread fills batches of trace.PrefetchBatch records
+// ahead of the timing model, so generating or decoding the streams runs on
+// another core while this goroutine executes them. Every stream is still
+// produced by one goroutine in order, so results do not depend on the
+// overlap. The runner reads plainly, on its own goroutine, when overlap
+// cannot pay: for in-memory traces, for streams shorter than one batch and
+// when GOMAXPROCS is 1. Every producer has exited when RunSource returns,
+// whether it succeeds, fails or is cancelled. Resident memory is bounded by
+// a few batches per thread (two recycled buffers) plus the source's
+// per-reader window (one chunk for trace files) no matter how long the
+// simulated access streams are — stream length dictates simulation time,
+// not memory.
 // The page-placement pre-pass reads the source before execution does; a
 // source that reports a page span (trace.PageSpanner) lets the pass stop as
 // soon as every page in the span has a home, so a generated trace is mostly
@@ -81,13 +93,29 @@ func (m *Machine) RunSource(ctx context.Context, src trace.Source, opts RunOptio
 		return RunResult{}, err
 	}
 
+	// The producers live on a context of their own, cancelled and joined on
+	// every return path.
+	ctx, cancel := context.WithCancel(ctx)
+	var producers sync.WaitGroup
+	defer func() {
+		cancel()
+		producers.Wait()
+	}()
+	prefetch := runtime.GOMAXPROCS(0) > 1
+
 	// Gather the cores that execute threads (thread t runs on core t).
 	cores := make([]*coreRunner, threads)
 	for t := 0; t < threads; t++ {
 		sock := m.socketOf(t)
+		var in *trace.Batches
+		if rr := src.OpenThread(t); prefetch && src.ThreadLen(t) >= trace.PrefetchBatch {
+			in = trace.Prefetch(ctx, &producers, rr)
+		} else {
+			in = trace.Batched(rr)
+		}
 		cores[t] = &coreRunner{
 			core: sock.cores[t-sock.id*m.cfg.CoresPerSocket],
-			rr:   src.OpenThread(t),
+			in:   in,
 			idx:  t,
 		}
 	}
@@ -139,20 +167,23 @@ func (m *Machine) RunSource(ctx context.Context, src trace.Source, opts RunOptio
 // unmeasurable while bounding the cancellation latency to microseconds.
 const cancelCheckMask = 1<<12 - 1
 
-// coreRunner tracks one core's progress through its access stream. It
-// prefetches a single record from its reader so the scheduling heap can ask
-// "does this core have work" without consuming anything.
+// coreRunner tracks one core's progress through its access stream. It holds
+// the current batch of its stream, so the scheduling heap can ask "does this
+// core have work" without consuming anything, and executing a record is a
+// slice index.
 type coreRunner struct {
 	core *cpu.Core
-	rr   trace.RecordReader
+	in   *trace.Batches
 
-	pending    trace.Record
-	hasPending bool
+	// batch[next] is the next record to execute.
+	batch []trace.Record
+	next  int
 	// consumed counts records executed across phases (the warm-up limit is a
 	// total, so the measured phase continues where warm-up stopped).
 	consumed int
 	// limit is this phase's bound on consumed (-1 = until the stream ends).
 	limit int
+	// rdErr is the error that ended the stream, ready to return.
 	rdErr error
 
 	// idx is the runner's position in the cores slice; it is the
@@ -160,19 +191,34 @@ type coreRunner struct {
 	idx int
 }
 
-// fill ensures one record is buffered; it reports whether the runner has a
-// record to execute. A false return with a non-nil rdErr is a reader failure.
+// fill ensures a record is buffered; it reports whether the runner has a
+// record to execute. A false return with a non-nil rdErr is a reader failure
+// or, from a prefetching reader, the run's cancellation, which is reported
+// as it is, the way the scheduling loops' own context checks report it.
 func (cr *coreRunner) fill() bool {
-	if cr.hasPending {
+	if cr.next < len(cr.batch) {
 		return true
 	}
-	rec, ok := cr.rr.Next()
-	if !ok {
-		cr.rdErr = cr.rr.Err()
-		return false
+	cr.batch, cr.next = cr.in.Next(), 0
+	if cr.batch != nil {
+		return true
 	}
-	cr.pending, cr.hasPending = rec, true
-	return true
+	switch err := cr.in.Err(); {
+	case err == nil:
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		cr.rdErr = err
+	default:
+		cr.rdErr = fmt.Errorf("machine: core %d stream: %w", cr.idx, err)
+	}
+	return false
+}
+
+// take consumes the buffered record; fill must have reported one.
+func (cr *coreRunner) take() trace.Record {
+	rec := cr.batch[cr.next]
+	cr.next++
+	cr.consumed++
+	return rec
 }
 
 // placePages performs the placement pre-pass: init-section touches first
@@ -282,7 +328,7 @@ func (m *Machine) execute(ctx context.Context, cores []*coreRunner) error {
 		if cr.fill() {
 			h.push(cr)
 		} else if cr.rdErr != nil {
-			return fmt.Errorf("machine: core %d stream: %w", cr.idx, cr.rdErr)
+			return cr.rdErr
 		}
 	}
 	steps := 0
@@ -293,12 +339,10 @@ func (m *Machine) execute(ctx context.Context, cores []*coreRunner) error {
 			}
 		}
 		pick := h.runners[0]
-		pick.core.Execute(pick.pending, m)
-		pick.hasPending = false
-		pick.consumed++
+		pick.core.Execute(pick.take(), m)
 		if (pick.limit >= 0 && pick.consumed >= pick.limit) || !pick.fill() {
 			if pick.rdErr != nil {
-				return fmt.Errorf("machine: core %d stream: %w", pick.idx, pick.rdErr)
+				return pick.rdErr
 			}
 			h.popRoot()
 		} else {

@@ -186,14 +186,9 @@ func (m *Machine) runSampled(ctx context.Context, src trace.Source, cores []*cor
 	ffOne := func(cr *coreRunner, ffc *ffCore, target int) error {
 		for cr.consumed < target {
 			if !cr.fill() {
-				if cr.rdErr != nil {
-					return fmt.Errorf("machine: core %d stream: %w", cr.idx, cr.rdErr)
-				}
-				return nil
+				return cr.rdErr
 			}
-			rec := cr.pending
-			cr.hasPending = false
-			cr.consumed++
+			rec := cr.take()
 			m.touch(ffc, cr.idx, rec)
 			ffInstr += uint64(rec.Gap) + 1
 			ffAccesses++
@@ -228,7 +223,7 @@ func (m *Machine) runSampled(ctx context.Context, src trace.Source, cores []*cor
 				return false, nil
 			}
 			if cr.rdErr != nil {
-				return false, fmt.Errorf("machine: core %d stream: %w", cr.idx, cr.rdErr)
+				return false, cr.rdErr
 			}
 		}
 		return true, nil

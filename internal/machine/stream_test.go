@@ -3,9 +3,13 @@ package machine
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"c3d/internal/sample"
 	"c3d/internal/trace"
@@ -170,5 +174,154 @@ func TestRunSourceRunsOnce(t *testing.T) {
 	}
 	if _, err := cancelled.RunSource(context.Background(), src(), DefaultRunOptions()); err == nil {
 		t.Fatal("run after a cancelled run accepted")
+	}
+}
+
+// forceParallel raises GOMAXPROCS to at least 2 for the test, so RunSource
+// takes its prefetching path even on a one-CPU host.
+func forceParallel(t *testing.T) {
+	if prev := runtime.GOMAXPROCS(0); prev < 2 {
+		runtime.GOMAXPROCS(2)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
+}
+
+// A generated source, read through the prefetching producers, and its
+// materialised copy, read directly from memory, give byte-identical results
+// for every design, in full detail and sampled. The stream length is not a
+// multiple of the batch size, so the last batch of every thread is short.
+func TestPrefetchedRunMatchesMaterialised(t *testing.T) {
+	forceParallel(t)
+	opts := workload.Options{Threads: 8, Scale: 512, AccessesPerThread: 3*trace.PrefetchBatch + 7}
+	src, err := workload.NewSource(workload.MustGet("facesim"), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.Materialize(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := trace.WithPageSpan(tr.Source(), trace.PageSpan(src))
+	modes := map[string]RunOptions{
+		"full":    DefaultRunOptions(),
+		"sampled": sampledOpts(sample.Spec{Stretch: 700, Warm: 60, Window: 60, Seed: 1}),
+	}
+	for _, design := range Designs() {
+		for mode, runOpts := range modes {
+			cfg := DefaultConfig(4, design)
+			cfg.Scale = 512
+			cfg.CoresPerSocket = 2
+			var out [2][]byte
+			for i, s := range []trace.Source{src, mem} {
+				res, err := New(cfg).RunSource(context.Background(), s, runOpts)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", design, mode, err)
+				}
+				if out[i], err = json.Marshal(res); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(out[0], out[1]) {
+				t.Errorf("%s/%s: prefetched result differs from the materialised one:\n got %s\nwant %s",
+					design, mode, out[0], out[1])
+			}
+		}
+	}
+}
+
+// hookSource wraps a source so that the runner's reader of thread calls hook
+// once it has read after records; a non-nil error from hook fails the reader
+// there. The wrapper hides the page span, so the placement pre-pass opens
+// every thread once, in full and unhooked, before the runner opens it again.
+type hookSource struct {
+	trace.Source
+	thread, after int
+	hook          func() error
+	opened        bool
+}
+
+func (s *hookSource) OpenThread(t int) trace.RecordReader {
+	rr := s.Source.OpenThread(t)
+	if t != s.thread || !s.opened {
+		s.opened = s.opened || t == s.thread
+		return rr
+	}
+	return &hookReader{RecordReader: rr, left: s.after, hook: s.hook}
+}
+
+type hookReader struct {
+	trace.RecordReader
+	left int
+	hook func() error
+	err  error
+}
+
+func (r *hookReader) Next() (trace.Record, bool) {
+	if r.err != nil {
+		return trace.Record{}, false
+	}
+	if r.left == 0 {
+		r.left = -1
+		if r.err = r.hook(); r.err != nil {
+			return trace.Record{}, false
+		}
+	}
+	r.left--
+	return r.RecordReader.Next()
+}
+
+func (r *hookReader) Err() error {
+	if r.err != nil {
+		return r.err
+	}
+	return r.RecordReader.Err()
+}
+
+// A run cancelled while its producers are running, or whose reader fails
+// mid-stream, returns the cancellation or the reader's error, in full detail
+// and sampled, without hanging; the package's leak check then proves every
+// producer was joined.
+func TestRunSourceStopsMidRun(t *testing.T) {
+	forceParallel(t)
+	opts := workload.Options{Threads: 8, Scale: 512, AccessesPerThread: 50_000}
+	cfg := DefaultConfig(4, C3D)
+	cfg.Scale = 512
+	cfg.CoresPerSocket = 2
+	boom := errors.New("boom")
+	for mode, runOpts := range map[string]RunOptions{
+		"full":    DefaultRunOptions(),
+		"sampled": sampledOpts(sample.Spec{Stretch: 700, Warm: 60, Window: 60, Seed: 1}),
+	} {
+		for _, tc := range []struct {
+			name string
+			want error
+		}{{"cancel", context.Canceled}, {"reader error", boom}} {
+			src, err := workload.NewSource(workload.MustGet("streamcluster"), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The reader-error run's context is never cancelled, so only
+			// RunSource itself can stop the other threads' producers.
+			ctx := context.Background()
+			hook := func() error { return boom }
+			if tc.want == context.Canceled {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithCancel(ctx)
+				hook = func() error { cancel(); return nil }
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := New(cfg).RunSource(ctx, &hookSource{Source: src, thread: 3, after: 20_000, hook: hook}, runOpts)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if !errors.Is(err, tc.want) || strings.Contains(err.Error(), "pre-pass") {
+					t.Errorf("%s/%s: err = %v, want %v from the run", mode, tc.name, err, tc.want)
+				}
+			case <-time.After(time.Minute):
+				t.Fatalf("%s/%s: RunSource still running a minute after the stop", mode, tc.name)
+			}
+		}
 	}
 }

@@ -22,11 +22,18 @@ type RecordReader interface {
 //
 // Opening a section returns a fresh reader positioned at the section's first
 // record; a Source therefore supports being replayed any number of times and
-// having several sections read concurrently from a single goroutine (the
-// runner's page-placement pre-pass interleaves every thread). Lengths are
-// known up front — generators know their configured stream length and the
-// file format indexes its chunks — which is what lets the runner size its
-// warm-up phase without materialising anything.
+// having several sections read at once. A reader is used by one goroutine at
+// a time, but distinct readers may be read from different goroutines
+// concurrently: the runner's page-placement pre-pass interleaves every
+// thread on one goroutine, and its prefetching producers (Prefetch) read
+// each thread on a goroutine of its own. Every Source in this module keeps
+// its per-stream state in the reader and shares only immutable data: a
+// binary trace file shares an io.ReaderAt, whose ReadAt may be called in
+// parallel, and a text trace opens the file afresh for every reader.
+//
+// Lengths are known up front — generators know their configured stream
+// length and the file format indexes its chunks — which is what lets the
+// runner size its warm-up phase without materialising anything.
 //
 // A source may also implement PageSpanner to bound its address space; the
 // machine runner uses the bound to end its page-placement pre-pass early and

@@ -34,15 +34,19 @@ func (k Kind) String() string {
 }
 
 // Record is one memory access in a thread's instruction stream.
+//
+// Its fields are ordered widest first, which packs a record into 16 bytes
+// rather than 24: records are held by the million in materialised traces
+// and by the thousand in every prefetching reader's batches.
 type Record struct {
-	// Kind is Read or Write.
-	Kind Kind
 	// Addr is the physical byte address accessed.
 	Addr addr.Addr
 	// Gap is the number of non-memory instructions executed since the
 	// previous memory access of the same thread. The 1-IPC core model
 	// charges one cycle per gap instruction.
 	Gap uint32
+	// Kind is Read or Write.
+	Kind Kind
 }
 
 // Trace is a complete workload trace.

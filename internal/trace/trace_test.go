@@ -187,3 +187,11 @@ func TestRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// A record packs into 16 bytes; a field added in the wrong place, or a wider
+// Kind, would grow every materialised trace and prefetch batch by half.
+func TestRecordSize(t *testing.T) {
+	if n := reflect.TypeOf(Record{}).Size(); n != 16 {
+		t.Errorf("Record is %d bytes, want 16", n)
+	}
+}
